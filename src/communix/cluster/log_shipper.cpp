@@ -9,7 +9,8 @@ namespace communix::cluster {
 LogShipper::LogShipper(CommunixServer& primary, Options options)
     : primary_(primary),
       options_(options),
-      repl_token_(primary.IssueToken(kReplicationPeerId)) {}
+      repl_token_(primary.IssueToken(kReplicationPeerId)),
+      ack_lag_(primary.metrics()->GetHistogram("cluster.shipper.ack_lag_ns")) {}
 
 LogShipper::~LogShipper() { Stop(); }
 
@@ -33,6 +34,8 @@ Status LogShipper::DropSessionLocked(Session& s, Status cause) {
   // soft, and the re-handshake restores it from the follower's own log.
   s.cursor.reset();
   s.pending_reset = false;
+  s.retry_at = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(options_.ship_period_ms);
   ++s.drops;
   CX_LOG(kInfo, "cluster") << "dropped feed to " << s.name << ": "
                            << cause.ToString();
@@ -41,7 +44,8 @@ Status LogShipper::DropSessionLocked(Session& s, Status cause) {
 
 Status LogShipper::HandshakeLocked(Session& s) {
   // Anti-entropy handshake: probe the follower's (epoch, length).
-  const net::ReplPullRequest probe{primary_.epoch(), 0, 0};
+  const std::uint64_t epoch = primary_.epoch();
+  const net::ReplPullRequest probe{epoch, 0, 0};
   auto called = s.transport->Call(net::BuildReplPullRequest(probe));
   if (!called.ok()) return DropSessionLocked(s, called.status());
   const net::Response& resp = called.value();
@@ -54,13 +58,13 @@ Status LogShipper::HandshakeLocked(Session& s) {
         s, Status::Error(ErrorCode::kDataLoss, "bad REPL_PULL reply"));
   }
   ++s.handshakes;
+  s.epoch = epoch;
   // Resume only when the follower is a *prefix* of our log: same
   // epoch AND not ahead of us. A follower that acknowledged more
   // entries than we hold outran a primary restarted from a stale
   // snapshot — the logs forked under one epoch, and the only safe
   // repair is a full rebuild.
-  if (reply->epoch == primary_.epoch() &&
-      reply->log_size <= primary_.db_size()) {
+  if (reply->epoch == epoch && reply->log_size <= primary_.db_size()) {
     s.cursor = reply->log_size;  // resume where the follower stands
     s.pending_reset = false;
   } else {
@@ -68,6 +72,31 @@ Status LogShipper::HandshakeLocked(Session& s) {
     s.pending_reset = true;
   }
   return Status::Ok();
+}
+
+Status LogShipper::EnsureSessionLocked(Session& s) {
+  if (s.cursor.has_value() && s.epoch != primary_.epoch()) {
+    // The primary changed lineage (Compact, LoadFromFile) since this
+    // cursor was set, so it indexes the old log. A caught-up follower
+    // would otherwise keep the old epoch until the next ADD.
+    s.cursor.reset();
+    s.pending_reset = false;
+  }
+  if (s.cursor.has_value()) return Status::Ok();
+  return HandshakeLocked(s);
+}
+
+bool LogShipper::SyncedLocked(const Session& s, std::uint64_t size,
+                              std::uint64_t epoch) {
+  return s.cursor.has_value() && !s.pending_reset && s.epoch == epoch &&
+         *s.cursor == size;
+}
+
+std::uint64_t LogShipper::LagLocked(const Session& s, std::uint64_t size,
+                                    std::uint64_t epoch) {
+  const bool live =
+      s.cursor.has_value() && !s.pending_reset && s.epoch == epoch;
+  return live ? size - std::min<std::uint64_t>(*s.cursor, size) : size;
 }
 
 void LogShipper::RefreshCheckpointLocked() {
@@ -131,6 +160,7 @@ std::optional<LogShipper::PreparedStep> LogShipper::PrepareSendLocked(
   step.epoch = batch.epoch;
   step.from_index = batch.from_index;
   step.reset = batch.reset;
+  if (!batch.entries.empty()) step.first_added_at = batch.entries[0].added_at;
   return step;
 }
 
@@ -147,6 +177,8 @@ Result<std::size_t> LogShipper::ProcessReplyLocked(Session& s,
     return DropSessionLocked(
         s, Status::Error(ErrorCode::kDataLoss, "bad shipping reply"));
   }
+  // Whatever the frame, the follower is now on the frame's lineage.
+  s.epoch = step.epoch;
   if (step.is_checkpoint) {
     // The follower now holds the snapshot; the feed resumes from its
     // committed length, so only the post-checkpoint suffix replays.
@@ -169,13 +201,20 @@ Result<std::size_t> LogShipper::ProcessReplyLocked(Session& s,
   const std::uint64_t shipped = reply->log_size - *s.cursor;
   s.cursor = reply->log_size;
   s.entries_shipped += shipped;
+  if (step.first_added_at.has_value()) {
+    // Committed on the primary -> applied on the follower, for the
+    // batch's oldest entry.
+    const TimePoint now = primary_.clock().Now();
+    ack_lag_->Report(
+        now > *step.first_added_at
+            ? static_cast<std::uint64_t>(now - *step.first_added_at)
+            : 0);
+  }
   return static_cast<std::size_t>(shipped);
 }
 
 Result<std::size_t> LogShipper::ShipOnceLocked(Session& s) {
-  if (!s.cursor.has_value()) {
-    if (Status hs = HandshakeLocked(s); !hs.ok()) return hs;
-  }
+  if (Status hs = EnsureSessionLocked(s); !hs.ok()) return hs;
   const auto step = PrepareSendLocked(s);
   if (!step) return std::size_t{0};  // caught up
   auto called = s.transport->Call(step->request);
@@ -188,9 +227,22 @@ Result<std::size_t> LogShipper::ShipOnce(std::size_t id) {
   return ShipOnceLocked(sessions_.at(id));
 }
 
-std::size_t LogShipper::ShipRound() {
+std::size_t LogShipper::ShipRound() { return RunRound(false).entries; }
+
+LogShipper::RoundOutcome LogShipper::RunRound(bool backoff) {
   std::lock_guard lock(mu_);
-  std::size_t shipped = 0;
+  const auto now = std::chrono::steady_clock::now();
+  RoundOutcome outcome;
+  std::size_t frames = 0;
+  // A frame moves its follower forward when it ships entries or makes
+  // the follower adopt the primary's lineage.
+  const auto account = [&](const PreparedStep& step, Result<std::size_t> r) {
+    if (!r.ok()) return;
+    outcome.entries += r.value();
+    if (r.value() > 0 || step.reset || step.is_checkpoint) {
+      outcome.progressed = true;
+    }
+  };
 
   // Phase 1: handshake sessionless followers (rare, synchronous) and
   // prepare this round's outbound frame for everyone else. Followers on
@@ -205,9 +257,11 @@ std::size_t LogShipper::ShipRound() {
   pipelined.reserve(sessions_.size());
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     Session& s = sessions_[i];
-    if (!s.cursor.has_value() && !HandshakeLocked(s).ok()) continue;
+    if (backoff && !s.cursor.has_value() && now < s.retry_at) continue;
+    if (!EnsureSessionLocked(s).ok()) continue;
     auto step = PrepareSendLocked(s);
     if (!step) continue;  // caught up
+    ++frames;
     auto* pipe = dynamic_cast<net::PipelinedClientTransport*>(s.transport);
     if (pipe == nullptr) {
       auto called = s.transport->Call(step->request);
@@ -215,9 +269,7 @@ std::size_t LogShipper::ShipRound() {
         (void)DropSessionLocked(s, called.status());
         continue;
       }
-      if (auto r = ProcessReplyLocked(s, *step, called.value()); r.ok()) {
-        shipped += r.value();
-      }
+      account(*step, ProcessReplyLocked(s, *step, called.value()));
       continue;
     }
     pipelined.push_back(Outbound{i, std::move(*step), pipe});
@@ -244,25 +296,22 @@ std::size_t LogShipper::ShipRound() {
       (void)DropSessionLocked(sessions_[out.session], called.status());
       continue;
     }
-    if (auto r = ProcessReplyLocked(sessions_[out.session], out.step,
-                                    called.value());
-        r.ok()) {
-      shipped += r.value();
-    }
+    account(out.step, ProcessReplyLocked(sessions_[out.session], out.step,
+                                         called.value()));
   }
-  return shipped;
+
+  if (frames > 0) ++rounds_;
+  const std::uint64_t size = primary_.db_size();
+  const std::uint64_t epoch = primary_.epoch();
+  outcome.behind = std::any_of(
+      sessions_.begin(), sessions_.end(),
+      [&](const Session& s) { return !SyncedLocked(s, size, epoch); });
+  return outcome;
 }
 
 bool LogShipper::PumpUntilSynced(std::size_t max_rounds) {
   for (std::size_t round = 0; round < max_rounds; ++round) {
-    ShipRound();
-    const std::uint64_t size = primary_.db_size();
-    std::lock_guard lock(mu_);
-    const bool synced = std::all_of(
-        sessions_.begin(), sessions_.end(), [&](const Session& s) {
-          return s.cursor.has_value() && !s.pending_reset && *s.cursor >= size;
-        });
-    if (synced) return true;
+    if (!RunRound(false).behind) return true;
   }
   return false;
 }
@@ -274,33 +323,44 @@ void LogShipper::Start() {
 
 void LogShipper::Stop() {
   if (!running_.exchange(false)) return;
-  daemon_cv_.notify_all();
+  primary_.InterruptCommitWaiters();
   if (daemon_.joinable()) daemon_.join();
 }
 
 void LogShipper::DaemonLoop() {
-  std::unique_lock lock(daemon_mu_);
+  using SteadyClock = std::chrono::steady_clock;
+  const auto stopped = [this] { return !running_.load(); };
   while (running_.load()) {
-    lock.unlock();
-    ShipRound();
-    lock.lock();
-    daemon_cv_.wait_for(lock,
-                        std::chrono::milliseconds(options_.ship_period_ms),
-                        [&] { return !running_.load(); });
+    const auto round_start = SteadyClock::now();
+    // Read before the round reads the log: a commit the round misses
+    // moves the sequence past `seen`, so the wait below returns at once.
+    const std::uint64_t seen = primary_.commit_seq();
+    const RoundOutcome round = RunRound(true);
+    // Coalescing cap. The daemon sleeps here rather than parking, so the
+    // commits that land meanwhile share the next round and wake no one.
+    std::this_thread::sleep_until(round_start + kMinRoundInterval);
+    if (round.behind && round.progressed) continue;  // drain, no timer
+    // Synced: park until the next commit. Behind without progress (a
+    // follower unreachable or refusing frames): retry after the period.
+    // A dropped follower also sits out the period while others drain.
+    const auto deadline =
+        round.behind ? SteadyClock::now() +
+                           std::chrono::milliseconds(options_.ship_period_ms)
+                     : SteadyClock::time_point::max();
+    primary_.WaitForCommit(seen, deadline, stopped);
   }
 }
 
 LogShipper::FollowerStatus LogShipper::GetFollowerStatus(
     std::size_t id) const {
   const std::uint64_t size = primary_.db_size();
+  const std::uint64_t epoch = primary_.epoch();
   std::lock_guard lock(mu_);
   const Session& s = sessions_.at(id);
   FollowerStatus out;
   out.name = s.name;
   out.cursor = s.cursor;
-  out.lag = (s.cursor.has_value() && !s.pending_reset)
-                ? size - std::min<std::uint64_t>(*s.cursor, size)
-                : size;
+  out.lag = LagLocked(s, size, epoch);
   out.entries_shipped = s.entries_shipped;
   out.handshakes = s.handshakes;
   out.resets = s.resets;
@@ -319,20 +379,21 @@ std::size_t LogShipper::active_feed_cursors() const {
 obs::ProbeHandle LogShipper::ExportStats(obs::MetricsRegistry& registry) const {
   return registry.RegisterProbe([this](obs::ProbeSink& sink) {
     const std::uint64_t size = primary_.db_size();
+    const std::uint64_t epoch = primary_.epoch();
     std::uint64_t shipped = 0, handshakes = 0, resets = 0, drops = 0;
     std::uint64_t checkpoints = 0, lag = 0, cursors = 0, followers = 0;
+    std::uint64_t rounds = 0;
     {
       std::lock_guard lock(mu_);
       followers = sessions_.size();
+      rounds = rounds_;
       for (const Session& s : sessions_) {
         shipped += s.entries_shipped;
         handshakes += s.handshakes;
         resets += s.resets;
         drops += s.drops;
         checkpoints += s.checkpoints_shipped;
-        lag += (s.cursor.has_value() && !s.pending_reset)
-                   ? size - std::min<std::uint64_t>(*s.cursor, size)
-                   : size;
+        lag += LagLocked(s, size, epoch);
         if (s.cursor.has_value()) ++cursors;
       }
     }
@@ -341,6 +402,7 @@ obs::ProbeHandle LogShipper::ExportStats(obs::MetricsRegistry& registry) const {
     sink.EmitCounter("cluster.shipper.resets", resets);
     sink.EmitCounter("cluster.shipper.drops", drops);
     sink.EmitCounter("cluster.shipper.checkpoints_shipped", checkpoints);
+    sink.EmitCounter("cluster.shipper.rounds", rounds);
     sink.EmitGauge("cluster.shipper.followers", followers);
     sink.EmitGauge("cluster.shipper.active_feed_cursors", cursors);
     sink.EmitGauge("cluster.shipper.total_lag", lag);

@@ -16,6 +16,18 @@
 //     is served as one kCheckpoint blob (the store's framed v3
 //     snapshot) and only the post-checkpoint log suffix is replayed.
 //
+// A cursor is relative to the primary epoch it was set under; when the
+// primary changes lineage (Compact, LoadFromFile) the session
+// re-handshakes, so even a caught-up follower adopts the new epoch.
+//
+// When rounds run (Start): shipping is commit-driven. The daemon parks
+// on the primary's commit sequence (CommunixServer::WaitForCommit) and
+// ships as soon as a commit lands. While a follower is behind and the
+// last round made progress it ships again at once, with no timer, so a
+// backlog drains at batch_limit entries per round. Rounds start at most
+// once per kMinRoundInterval: under load, commits coalesce into one
+// round instead of one round (and one frame per follower) each.
+//
 // Failure discipline: ANY transport or protocol error drops the session —
 // the feed cursor is released immediately (never leaked across a
 // disconnect) and the next round re-handshakes from the follower's own
@@ -25,7 +37,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -44,8 +55,10 @@ class LogShipper {
     /// Entries per kReplBatch frame (bounds frame size and the latency
     /// of one shipping step).
     std::size_t batch_limit = 256;
-    /// Background-loop cadence in real milliseconds (the loop also wakes
-    /// on Stop).
+    /// Retry interval of the background daemon, in real milliseconds:
+    /// how long it waits before retrying a follower that is behind but
+    /// could not be advanced (unreachable, or refusing frames). Healthy
+    /// shipping is driven by commits, not by this period.
     std::size_t ship_period_ms = 20;
     /// Bootstrap-by-checkpoint cutover: a follower that needs a full
     /// rebuild (divergent lineage) on a primary holding at least this
@@ -69,10 +82,10 @@ class LogShipper {
   std::size_t follower_count() const;
 
   /// One shipping step for one follower: handshake if the session has no
-  /// cursor, then at most one frame (kReplBatch, or kCheckpoint for a
-  /// far-behind rebuild). Returns the number of feed entries shipped
-  /// (0 = caught up, or a checkpoint was shipped instead), or the error
-  /// that dropped the session.
+  /// cursor under the primary's current epoch, then at most one frame
+  /// (kReplBatch, or kCheckpoint for a far-behind rebuild). Returns the
+  /// number of feed entries shipped (0 = caught up, or a checkpoint was
+  /// shipped instead), or the error that dropped the session.
   Result<std::size_t> ShipOnce(std::size_t id);
 
   /// One shipping step per follower, pipelined: followers whose
@@ -92,7 +105,8 @@ class LogShipper {
   /// follower is still behind/unreachable.
   bool PumpUntilSynced(std::size_t max_rounds = 1000);
 
-  /// Background shipping daemon (ShipRound every ship_period).
+  /// Background shipping daemon: commit-driven rounds (see the file
+  /// comment). Stop wakes a parked daemon and joins it.
   void Start();
   void Stop();
 
@@ -121,8 +135,11 @@ class LogShipper {
 
   /// Registers a snapshot-time probe emitting the shipping aggregates
   /// (cluster.shipper.*: entries/handshakes/resets/drops/checkpoints
-  /// summed over followers, plus lag and live-cursor gauges). Release
-  /// the handle before destroying the shipper.
+  /// summed over followers, rounds that sent at least one frame, plus
+  /// lag and live-cursor gauges). Release the handle before destroying
+  /// the shipper. The cluster.shipper.ack_lag_ns histogram (per
+  /// acknowledged batch: primary clock minus the first entry's added_at)
+  /// lives in the primary's registry, CommunixServer::metrics().
   [[nodiscard]] obs::ProbeHandle ExportStats(
       obs::MetricsRegistry& registry) const;
 
@@ -131,7 +148,11 @@ class LogShipper {
     std::string name;
     net::ClientTransport* transport = nullptr;
     std::optional<std::uint64_t> cursor;
+    /// Primary epoch the cursor is relative to.
+    std::uint64_t epoch = 0;
     bool pending_reset = false;
+    /// Daemon rounds leave a dropped session alone until then.
+    std::chrono::steady_clock::time_point retry_at;
     std::uint64_t entries_shipped = 0;
     std::uint64_t handshakes = 0;
     std::uint64_t resets = 0;
@@ -148,6 +169,16 @@ class LogShipper {
     std::uint64_t from_index = 0;
     bool reset = false;
     bool is_checkpoint = false;
+    /// added_at of the batch's first entry (the ack-lag sample's start);
+    /// nullopt for a checkpoint or an empty batch.
+    std::optional<TimePoint> first_added_at;
+  };
+
+  /// What one ShipRound did, for the daemon's park-or-continue choice.
+  struct RoundOutcome {
+    std::size_t entries = 0;  // feed entries acknowledged
+    bool progressed = false;  // some follower advanced or adopted a lineage
+    bool behind = false;      // some follower is not synced after the round
   };
 
   /// Releases the session's cursor (error path). Caller holds mu_.
@@ -156,6 +187,17 @@ class LogShipper {
   /// Anti-entropy handshake (synchronous kReplPull probe); establishes
   /// the session's cursor. Caller holds mu_; session has no cursor.
   Status HandshakeLocked(Session& s);
+
+  /// Handshakes unless the session has a cursor under the primary's
+  /// current epoch. Caller holds mu_.
+  Status EnsureSessionLocked(Session& s);
+
+  /// Whether `s` acknowledges exactly the primary's `size` entries under
+  /// `epoch`; and its lag (everything when it has no live cursor).
+  static bool SyncedLocked(const Session& s, std::uint64_t size,
+                           std::uint64_t epoch);
+  static std::uint64_t LagLocked(const Session& s, std::uint64_t size,
+                                 std::uint64_t epoch);
 
   /// Builds the session's next outbound frame (checkpoint for a
   /// far-behind rebuild, else one batch); nullopt when caught up.
@@ -178,6 +220,18 @@ class LogShipper {
   /// Caller holds mu_.
   void RefreshCheckpointLocked();
 
+  /// ShipRound's body. `backoff` (daemon rounds) skips sessions dropped
+  /// less than ship_period_ms ago.
+  RoundOutcome RunRound(bool backoff);
+
+  /// Coalescing cap of the background daemon: rounds start at least this
+  /// far apart. Shipping on every commit would cost one frame per
+  /// follower per commit, each a round trip with its syscalls and
+  /// wake-ups on both daemons, taken from the cores that serve GETs and
+  /// ADDs under a write storm. The cap bounds that to one round per
+  /// millisecond and adds at most 1 ms of ship lag.
+  static constexpr std::chrono::milliseconds kMinRoundInterval{1};
+
   void DaemonLoop();
 
   CommunixServer& primary_;
@@ -186,16 +240,18 @@ class LogShipper {
   /// refuse unauthenticated kReplBatch ingest).
   const UserToken repl_token_;
 
+  /// cluster.shipper.ack_lag_ns, in the primary's registry.
+  obs::Histogram* const ack_lag_;
+
   mutable std::mutex mu_;
   std::vector<Session> sessions_;
+  std::uint64_t rounds_ = 0;  // ShipRounds that sent at least one frame
   /// Cached checkpoint blob shared across followers, keyed by the
   /// (epoch, entry count) it was captured at.
   std::shared_ptr<const std::vector<std::uint8_t>> ckpt_blob_;
   std::uint64_t ckpt_epoch_ = 0;
   std::uint64_t ckpt_entries_ = 0;
 
-  std::mutex daemon_mu_;
-  std::condition_variable daemon_cv_;
   std::atomic<bool> running_{false};
   std::thread daemon_;
 };

@@ -115,6 +115,7 @@ Status CommunixServer::AddDecoded(UserId user, const Signature& sig) {
   }
   switch (outcome) {
     case store::AddOutcome::kAccepted:
+      NoteCommit();
       stats_.adds_accepted->Add(1);
       BumpTenant(community, TenantOutcome::kAccepted);
       return Status::Ok();
@@ -140,6 +141,39 @@ Status CommunixServer::AddDecoded(UserId user, const Signature& sig) {
           "adjacent to a signature previously sent by this user");
   }
   return Status::Error(ErrorCode::kInternal, "unreachable add outcome");
+}
+
+void CommunixServer::NoteCommit() {
+  // Bump-then-probe, as in the runtime's fast-path release: the bump and
+  // the probe are seq_cst, and so are the waiter's count increment and
+  // its sequence check. If the probe reads 0, the waiter's check comes
+  // after the bump in the total order and sees it, so it never parks on
+  // a stale sequence. If the probe reads > 0, taking commit_mu_ keeps
+  // the notify out of the waiter's check-to-park window.
+  commit_seq_.fetch_add(1);
+  if (commit_waiters_.load() > 0) {
+    std::lock_guard lock(commit_mu_);
+    commit_cv_.notify_all();
+  }
+}
+
+void CommunixServer::WaitForCommit(
+    std::uint64_t seen, std::chrono::steady_clock::time_point deadline,
+    const std::function<bool()>& stop) {
+  std::unique_lock lock(commit_mu_);
+  commit_waiters_.fetch_add(1);
+  const auto ready = [&] { return commit_seq_.load() != seen || stop(); };
+  if (deadline == std::chrono::steady_clock::time_point::max()) {
+    commit_cv_.wait(lock, ready);
+  } else {
+    commit_cv_.wait_until(lock, deadline, ready);
+  }
+  commit_waiters_.fetch_sub(1);
+}
+
+void CommunixServer::InterruptCommitWaiters() {
+  std::lock_guard lock(commit_mu_);
+  commit_cv_.notify_all();
 }
 
 std::uint64_t CommunixServer::WrongGroupFor(
@@ -367,6 +401,7 @@ net::Response CommunixServer::HandleReplBatch(const net::Request& request) {
   // applied (a retransmission after a lost reply); skip, apply the rest.
   const std::uint64_t skip = size - batch->from_index;
   std::uint64_t applied = 0;
+  Status failed = Status::Ok();
   {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
     for (std::uint64_t i = skip; i < batch->entries.size(); ++i) {
@@ -375,15 +410,16 @@ net::Response CommunixServer::HandleReplBatch(const net::Request& request) {
       entry.sender = e.sender;
       entry.added_at = e.added_at;
       entry.bytes = e.sig_bytes;
-      const Status s =
-          store_->ApplyReplicated(batch->from_index + i, std::move(entry));
-      if (!s.ok()) {
-        resp.code = s.code();
-        resp.error = s.message();
-        return resp;
-      }
+      failed = store_->ApplyReplicated(batch->from_index + i, std::move(entry));
+      if (!failed.ok()) break;
       ++applied;
     }
+  }
+  if (batch->reset || applied > 0) NoteCommit();
+  if (!failed.ok()) {
+    resp.code = failed.code();
+    resp.error = failed.message();
+    return resp;
   }
   stats_.repl_batches_applied->Add(1);
   stats_.repl_entries_applied->Add(applied);
@@ -446,6 +482,7 @@ net::Response CommunixServer::HandleCheckpoint(const net::Request& request) {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
     store_->InstallSnapshot(data.epoch, std::move(data.records));
   }
+  NoteCommit();
   get_latency_[kCheckpointInstall]->Report(NanosSince(start));
   stats_.checkpoints_installed->Add(1);
   stats_.checkpoint_entries_installed->Add(installed);
@@ -699,7 +736,9 @@ Status CommunixServer::SaveToFile(const std::string& path) const {
 }
 
 Status CommunixServer::LoadFromFile(const std::string& path) {
-  return store_->LoadFromFile(path);
+  Status loaded = store_->LoadFromFile(path);
+  if (loaded.ok()) NoteCommit();
+  return loaded;
 }
 
 std::vector<std::uint8_t> CommunixServer::CaptureCheckpointBlob() const {
@@ -728,7 +767,13 @@ std::uint64_t CommunixServer::superseded_count() const {
   return store_->superseded_count();
 }
 
-std::uint64_t CommunixServer::Compact() { return store_->Compact(); }
+std::uint64_t CommunixServer::Compact() {
+  // Always a commit: even a compaction that drops nothing mints a new
+  // epoch, which followers must adopt.
+  const std::uint64_t dropped = store_->Compact();
+  NoteCommit();
+  return dropped;
+}
 
 std::uint64_t CommunixServer::MarkSupersededByContent(
     std::span<const std::uint64_t> content_ids) {

@@ -31,6 +31,8 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -129,6 +131,26 @@ class CommunixServer final : public net::RequestHandler {
                     const std::function<void(
                         std::uint64_t index,
                         const store::StoredSignature& entry)>& fn) const;
+
+  /// Commit sequence: moves on every change to what a log shipper reads
+  /// from this server — an accepted ADD, Compact, LoadFromFile, and
+  /// replicated ingest (kReplBatch / kCheckpoint, so a follower can feed
+  /// a chained shipper). Every change is visible to a reader that loaded
+  /// the sequence after it moved.
+  std::uint64_t commit_seq() const { return commit_seq_.load(); }
+
+  /// Parks the caller until commit_seq() != `seen`, `deadline` passes,
+  /// or `stop()` holds; `stop` is re-checked on InterruptCommitWaiters.
+  /// A commit only wakes the waiters when one is parked, so a busy
+  /// shipper costs the ADD path no lock and no syscall.
+  void WaitForCommit(std::uint64_t seen,
+                     std::chrono::steady_clock::time_point deadline,
+                     const std::function<bool()>& stop);
+  /// Wakes every WaitForCommit caller to re-check its stop predicate.
+  void InterruptCommitWaiters();
+
+  /// The clock entries are stamped with (StoredSignature::added_at).
+  Clock& clock() const { return clock_; }
 
   /// Issues the encrypted id for a user (the out-of-band registration the
   /// paper assumes; exposed over the wire for tests and examples).
@@ -267,6 +289,10 @@ class CommunixServer final : public net::RequestHandler {
   /// The post-authentication pipeline shared by AddSignature/AddBatch.
   Status AddDecoded(UserId user, const dimmunix::Signature& sig);
 
+  /// Moves commit_seq_ and wakes parked WaitForCommit callers, if any.
+  /// Call after the store change is published.
+  void NoteCommit();
+
   /// The per-verb switch behind Handle(); the public wrapper adds the
   /// centralized reply-byte accounting (copied vs. shared) every exit
   /// path shares.
@@ -350,6 +376,15 @@ class CommunixServer final : public net::RequestHandler {
 
   static constexpr std::size_t kTenantStatStripes = 16;
   mutable std::array<TenantStatsStripe, kTenantStatStripes> tenant_stats_;
+
+  /// Commit notification (see NoteCommit / WaitForCommit). Both atomics
+  /// are seq_cst: the bump-then-probe argument in NoteCommit needs one
+  /// total order over the bump, the waiter count and the waiter's check.
+  /// Every accepted ADD writes the sequence, so it gets its own line.
+  alignas(64) std::atomic<std::uint64_t> commit_seq_{0};
+  std::atomic<std::size_t> commit_waiters_{0};
+  std::mutex commit_mu_;
+  std::condition_variable commit_cv_;
 };
 
 }  // namespace communix

@@ -1,6 +1,7 @@
 #include "communix/store/signature_store.hpp"
 
 #include <atomic>
+#include <cassert>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -166,6 +167,9 @@ std::shared_ptr<const CachedSlice> BuildSlice(
   slice->count = static_cast<std::uint32_t>(n - from);
   std::uint64_t scan_from = from;
   if (prefix != nullptr) {
+    // A prefix reaching past n would leave more entries in the payload
+    // than count says.
+    assert(prefix->upto <= n && "cached prefix reaches past the slice");
     slice->payload = prefix->payload;  // the shared slice stays immutable
     scan_from = prefix->upto;
   }
@@ -573,7 +577,10 @@ class ShardedStore final : public SignatureStore {
     std::shared_ptr<const CachedSlice> prefix;
     if (cache_enabled_) {
       if (auto hit = cache_.Lookup(view.gen, from); hit != nullptr) {
-        if (hit->upto == n) {
+        // A concurrent GET for this cursor that loaded a later length
+        // may have cached a slice past n. Its entries are committed, so
+        // it is served as it is; it must never become a prefix.
+        if (hit->upto >= n) {
           if (path != nullptr) *path = ReadPath::kCacheHit;
           return hit;
         }

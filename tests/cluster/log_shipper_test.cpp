@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "../testutil.hpp"
@@ -514,6 +515,183 @@ TEST(LogShipperTest, BackgroundDaemonShipsConcurrentAdds) {
   shipper.Stop();
   ASSERT_TRUE(shipper.PumpUntilSynced());
   ExpectIdentical(primary, follower);
+}
+
+// ---- the commit-driven daemon -------------------------------------------
+// Except where a case tests the retry period itself, the daemon runs
+// with a 60 s one, so within the 5 s deadlines only commits (and the
+// drain that follows them) can make it ship. Each case waits for the
+// first handshake, which Start runs at once.
+
+constexpr auto kDeadline = std::chrono::seconds(5);
+
+/// Polls `done` until it holds or kDeadline passes.
+bool WaitFor(const std::function<bool()>& done) {
+  const auto until = std::chrono::steady_clock::now() + kDeadline;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+bool Identical(CommunixServer& a, CommunixServer& b) {
+  return a.epoch() == b.epoch() && a.db_size() == b.db_size() &&
+         a.GetSince(0) == b.GetSince(0);
+}
+
+LogShipper::Options ParkedDaemonOptions() {
+  LogShipper::Options opts;
+  opts.ship_period_ms = 60'000;
+  return opts;
+}
+
+/// Starts the daemon, waits for its first handshake, then gives it a
+/// moment to park (not asserted: the cases hold either way).
+void StartAndAwaitHandshake(LogShipper& shipper, std::size_t id) {
+  shipper.Start();
+  ASSERT_TRUE(WaitFor([&] {
+    return shipper.GetFollowerStatus(id).handshakes >= 1;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
+TEST(LogShipperTest, DaemonShipsAnAddMadeWhileIdle) {
+  VirtualClock clock;
+  CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));
+  CommunixServer follower(clock, RoleOptions(ServerRole::kFollower));
+  net::InprocTransport to_follower(follower);
+  LogShipper shipper(primary, ParkedDaemonOptions());
+  const std::size_t id = shipper.AddFollower("f0", to_follower);
+  StartAndAwaitHandshake(shipper, id);
+
+  Feed(primary, 1);
+  EXPECT_TRUE(WaitFor([&] { return Identical(primary, follower); }))
+      << "an ADD to an idle primary must wake the shipper";
+  shipper.Stop();
+}
+
+TEST(LogShipperTest, DaemonDrainsBacklogWithoutTimer) {
+  VirtualClock clock;
+  CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));
+  CommunixServer follower(clock, RoleOptions(ServerRole::kFollower));
+  net::InprocTransport to_follower(follower);
+  LogShipper::Options opts = ParkedDaemonOptions();
+  opts.batch_limit = 4;  // 200 entries = at least 50 rounds
+  LogShipper shipper(primary, opts);
+  const std::size_t id = shipper.AddFollower("f0", to_follower);
+  obs::MetricsRegistry registry;
+  obs::ProbeHandle probe = shipper.ExportStats(registry);
+  StartAndAwaitHandshake(shipper, id);
+
+  Feed(primary, 200);
+  EXPECT_TRUE(WaitFor([&] { return Identical(primary, follower); }))
+      << "a backlog must drain without waiting for the retry period";
+  shipper.Stop();
+  EXPECT_EQ(shipper.GetFollowerStatus(id).entries_shipped, 200u);
+  // At most batch_limit entries per round, and one ack-lag sample per
+  // acknowledged non-empty batch.
+  EXPECT_GE(registry.Snapshot().Value("cluster.shipper.rounds"), 50u);
+  EXPECT_GE(primary.metrics()
+                ->GetHistogram("cluster.shipper.ack_lag_ns")
+                ->TotalCount(),
+            50u);
+  probe.Release();
+}
+
+TEST(LogShipperTest, DaemonMovesFollowerToCompactedEpoch) {
+  VirtualClock clock;
+  CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));
+  CommunixServer follower(clock, RoleOptions(ServerRole::kFollower));
+  Feed(primary, 6);
+  net::InprocTransport to_follower(follower);
+  LogShipper shipper(primary, ParkedDaemonOptions());
+  const std::size_t id = shipper.AddFollower("f0", to_follower);
+  StartAndAwaitHandshake(shipper, id);
+  ASSERT_TRUE(WaitFor([&] { return Identical(primary, follower); }));
+
+  // A compaction that drops entries: new epoch, shorter log.
+  ASSERT_TRUE(primary.MarkSuperseded(2));
+  std::uint64_t old_epoch = primary.epoch();
+  ASSERT_EQ(primary.Compact(), 1u);
+  ASSERT_NE(primary.epoch(), old_epoch);
+  EXPECT_TRUE(WaitFor([&] { return Identical(primary, follower); }))
+      << "follower did not adopt the compacted log";
+
+  // A compaction that drops nothing still mints a new epoch; the
+  // caught-up follower's cursor equals the length, yet it must move.
+  old_epoch = primary.epoch();
+  ASSERT_EQ(primary.Compact(), 0u);
+  ASSERT_NE(primary.epoch(), old_epoch);
+  EXPECT_TRUE(WaitFor([&] { return Identical(primary, follower); }))
+      << "caught-up follower stranded on the pre-compaction epoch";
+  EXPECT_EQ(follower.db_size(), 5u);
+  shipper.Stop();
+}
+
+TEST(LogShipperTest, DaemonStopReturnsPromptlyWhileParked) {
+  VirtualClock clock;
+  CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));
+  CommunixServer follower(clock, RoleOptions(ServerRole::kFollower));
+  net::InprocTransport to_follower(follower);
+  LogShipper shipper(primary, ParkedDaemonOptions());
+  const std::size_t id = shipper.AddFollower("f0", to_follower);
+  StartAndAwaitHandshake(shipper, id);
+
+  const auto start = std::chrono::steady_clock::now();
+  shipper.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kDeadline)
+      << "Stop must wake the parked daemon, not wait out its period";
+}
+
+TEST(LogShipperTest, DaemonRetriesUnreachableFollowerAfterPeriod) {
+  // ship_period_ms is the retry interval of a follower that is behind and
+  // cannot be advanced: once it comes back, the daemon catches it up
+  // with no further commit.
+  VirtualClock clock;
+  CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));
+  CommunixServer follower(clock, RoleOptions(ServerRole::kFollower));
+  net::InprocTransport inproc(follower);
+  FailPointTransport to_follower(inproc);
+  LogShipper::Options opts;
+  opts.ship_period_ms = 5;
+  LogShipper shipper(primary, opts);
+  const std::size_t id = shipper.AddFollower("f0", to_follower);
+  StartAndAwaitHandshake(shipper, id);
+
+  to_follower.set_down(true);
+  Feed(primary, 3);
+  ASSERT_TRUE(
+      WaitFor([&] { return shipper.GetFollowerStatus(id).drops >= 1; }));
+  to_follower.set_down(false);
+  EXPECT_TRUE(WaitFor([&] { return Identical(primary, follower); }));
+  shipper.Stop();
+}
+
+TEST(LogShipperTest, DaemonDrainsPastAnUnreachableFollower) {
+  // A dropped follower sits out the retry period while another drains a
+  // backlog, instead of being re-handshaken every round.
+  VirtualClock clock;
+  CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));
+  CommunixServer healthy(clock, RoleOptions(ServerRole::kFollower));
+  CommunixServer lost(clock, RoleOptions(ServerRole::kFollower));
+  net::InprocTransport to_healthy(healthy);
+  net::InprocTransport lost_inner(lost);
+  FailPointTransport to_lost(lost_inner);
+  LogShipper::Options opts = ParkedDaemonOptions();
+  opts.batch_limit = 4;
+  LogShipper shipper(primary, opts);
+  const std::size_t healthy_id = shipper.AddFollower("healthy", to_healthy);
+  const std::size_t lost_id = shipper.AddFollower("lost", to_lost);
+  StartAndAwaitHandshake(shipper, lost_id);
+
+  to_lost.set_down(true);
+  Feed(primary, 100);
+  EXPECT_TRUE(WaitFor([&] { return Identical(primary, healthy); }));
+  EXPECT_EQ(shipper.GetFollowerStatus(lost_id).drops, 1u)
+      << "the unreachable follower was retried inside its period";
+  EXPECT_EQ(shipper.GetFollowerStatus(healthy_id).drops, 0u);
+  shipper.Stop();
 }
 
 }  // namespace

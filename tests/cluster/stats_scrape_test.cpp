@@ -215,8 +215,8 @@ TEST(StatsScrape, TwoProcessDeploymentYieldsOneConsistentSnapshot) {
     EXPECT_GT(got.value().payload_size(), 4u);
   }
 
-  // Wait for the in-daemon shipper (20ms rounds) to drain into the
-  // follower, observing progress through the follower's own kStats.
+  // Wait for the in-daemon shipper (woken by each commit) to drain into
+  // the follower, observing progress through the follower's own kStats.
   std::optional<obs::MetricsSnapshot> fsnap;
   for (int i = 0; i < 200; ++i) {  // <= 10 s
     fsnap = Scrape(follower.port());
@@ -248,6 +248,10 @@ TEST(StatsScrape, TwoProcessDeploymentYieldsOneConsistentSnapshot) {
   EXPECT_EQ(psnap->Value("cluster.shipper.followers"), 1u);
   EXPECT_GE(psnap->Value("cluster.shipper.handshakes"), 1u);
   EXPECT_EQ(psnap->Value("cluster.shipper.total_lag"), 0u);
+  EXPECT_GE(psnap->Value("cluster.shipper.rounds"), 1u);
+  const auto* ack_lag = psnap->FindHistogram("cluster.shipper.ack_lag_ns");
+  ASSERT_NE(ack_lag, nullptr);
+  EXPECT_GE(ack_lag->count, 1u);
   // Runtime tier: the daemon's startup self-check ran one lock cycle.
   EXPECT_GE(psnap->Value("dimmunix.acquisitions"), 1u);
   EXPECT_TRUE(psnap->Has("dimmunix.fast_path_releases"));

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <thread>
 
 #include "../testutil.hpp"
 #include "communix/store/read_cache.hpp"
 #include "communix/store/signature_store.hpp"
+#include "util/serde.hpp"
 
 namespace communix::store {
 namespace {
@@ -242,32 +244,78 @@ TEST_P(ReadSinceTest, CompactInvalidatesAndRepliesStayConsistent) {
   EXPECT_EQ(store->ReadSince(0)->payload, store->ReadSince(0)->payload);
 }
 
-TEST_P(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {
-  // Hammer ReadSince while ADDs land: every reply must be internally
-  // consistent (count parses against payload) and a prefix of the final
-  // cold scan. Run under TSAN via the communix test binary.
-  auto store = Make();
-  for (std::uint32_t i = 0; i < 4; ++i) Add(*store, i);
-  std::atomic<bool> stop{false};
-  std::vector<std::shared_ptr<const CachedSlice>> seen;
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      auto slice = store->ReadSince(0);
-      if (slice && slice->count > 0) seen.push_back(std::move(slice));
-    }
-  });
-  for (std::uint32_t i = 4; i < 120; ++i) Add(*store, i);
-  stop.store(true, std::memory_order_release);
-  reader.join();
-
-  const auto final_slice = store->ReadSince(0);
-  ASSERT_EQ(final_slice->count, 120u);
-  for (const auto& slice : seen) {
-    ASSERT_LE(slice->payload.size(), final_slice->payload.size());
-    EXPECT_TRUE(std::equal(slice->payload.begin(), slice->payload.end(),
-                           final_slice->payload.begin()))
-        << "mid-flight reply was not a prefix of the final log";
+/// Number of length-prefixed entries in a slice payload, or -1 if the
+/// payload does not parse to whole entries.
+long CountEntries(const CachedSlice& slice) {
+  BinaryReader r(std::span<const std::uint8_t>(slice.payload.data(),
+                                               slice.payload.size()));
+  long entries = 0;
+  while (!r.AtEnd()) {
+    (void)r.ReadBytes();
+    if (!r.ok()) return -1;
+    ++entries;
   }
+  return entries;
+}
+
+TEST_P(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {
+  // Hammer ReadSince from two readers on the same cursor while ADDs
+  // land: every reply must be internally consistent (its payload parses
+  // to exactly `count` entries) and a prefix of the log. Two readers are
+  // what make one of them find a slice the other cached past the length
+  // it loaded. The signatures are built up front so the ADDs land back
+  // to back, and the replies are checked as they arrive against the
+  // serialized log. Run under TSAN via the communix test binary.
+  constexpr std::uint32_t kEntries = 400;
+  std::vector<Signature> sigs;
+  BinaryWriter log_bytes;
+  for (std::uint32_t i = 0; i < kEntries; ++i) {
+    sigs.push_back(MakeSig(i));
+    const auto bytes = sigs.back().ToBytes();
+    log_bytes.WriteBytes(
+        std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  }
+  const std::vector<std::uint8_t>& expected = log_bytes.data();
+  auto store = Make();
+  const auto add = [&](std::uint32_t i) {
+    const Signature& sig = sigs[i];
+    return store->Add(1 + i % 5, 0, TopFrameSet(sig), sig.ContentId(), sig, 0,
+                      limits_) == AddOutcome::kAccepted;
+  };
+  for (std::uint32_t i = 0; i < 4; ++i) ASSERT_TRUE(add(i));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::atomic<int> bad_count{0};
+  std::atomic<int> bad_prefix{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      started.fetch_add(1);
+      while (!stop.load(std::memory_order_acquire)) {
+        const auto slice = store->ReadSince(0);
+        if (CountEntries(*slice) != static_cast<long>(slice->count)) {
+          bad_count.fetch_add(1);
+        }
+        if (slice->payload.size() > expected.size() ||
+            !std::equal(slice->payload.begin(), slice->payload.end(),
+                        expected.begin())) {
+          bad_prefix.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (started.load() < 2) std::this_thread::yield();
+  for (std::uint32_t i = 4; i < kEntries; ++i) ASSERT_TRUE(add(i));
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(bad_count.load(), 0)
+      << "replies whose payload does not hold exactly count entries";
+  EXPECT_EQ(bad_prefix.load(), 0) << "replies that are not a log prefix";
+  const auto final_slice = store->ReadSince(0);
+  EXPECT_EQ(final_slice->count, kEntries);
+  EXPECT_EQ(final_slice->payload, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ReadSinceTest,

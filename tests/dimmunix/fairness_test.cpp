@@ -61,6 +61,7 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
   Monitor m("contested");
 
   constexpr int kBargerCycles = 2'000;
+  std::atomic<bool> holder_acquired{false};
   std::atomic<bool> waiter_blocked{false};
   std::atomic<bool> waiter_acquired{false};
   std::atomic<int> barger_cycles_at_acquire{-1};
@@ -74,6 +75,7 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
     {
       ScopedFrame f(ctx, "fair.H", "run", 1);
       ASSERT_TRUE(rt.Acquire(ctx, m).ok());
+      holder_acquired.store(true);
       AwaitOrDie([&] { return waiter_blocked.load(); },
                  "waiter never parked");
       rt.Release(ctx, m);
@@ -88,6 +90,10 @@ TEST(FairnessTest, WokenWaiterBeatsEveryLaterBarger) {
     auto& ctx = rt.AttachThread("waiter");
     {
       ScopedFrame f(ctx, "fair.W", "run", 1);
+      // Block on a held monitor: a waiter scheduled before the holder
+      // would otherwise take it uncontended and never park.
+      AwaitOrDie([&] { return holder_acquired.load(); },
+                 "holder never acquired");
       std::thread announce([&] {
         AwaitOrDie([&] { return rt.GetStats().wait_rounds >= 1; },
                    "waiter never reached the parked state");
@@ -150,6 +156,7 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
   DimmunixRuntime rt(clock);
   Monitor m("contested");
 
+  std::atomic<bool> holder_acquired{false};
   std::atomic<bool> waiter_parked{false};
   std::atomic<bool> barge_attempted{false};
 
@@ -158,11 +165,17 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
     {
       ScopedFrame f(ctx, "bp.H", "run", 1);
       ASSERT_TRUE(rt.Acquire(ctx, m).ok());
+      holder_acquired.store(true);
       // Release only after the barger's fast-path CAS has provably
-      // failed against the waiter bit, so the counter check below is
-      // deterministic, not a race we usually win.
-      AwaitOrDie([&] { return rt.GetStats().barges_prevented >= 1; },
-                 "barger's fast CAS never observed the waiter bit");
+      // failed against the waiter bit and the barger has parked behind
+      // the waiter (its second wait round), so the counter checks below
+      // are deterministic, not races we usually win.
+      AwaitOrDie(
+          [&] {
+            const auto stats = rt.GetStats();
+            return stats.barges_prevented >= 1 && stats.wait_rounds >= 2;
+          },
+          "barger's fast CAS never observed the waiter bit");
       rt.Release(ctx, m);
     }
     rt.DetachThread(ctx);
@@ -172,6 +185,8 @@ TEST(FairnessTest, FailedFastPathCasWithWaitersCountsBargePrevented) {
     auto& ctx = rt.AttachThread("waiter");
     {
       ScopedFrame f(ctx, "bp.W", "run", 1);
+      AwaitOrDie([&] { return holder_acquired.load(); },
+                 "holder never acquired");  // else the waiter never parks
       std::thread announce([&] {
         AwaitOrDie([&] { return rt.GetStats().wait_rounds >= 1; },
                    "waiter never parked");

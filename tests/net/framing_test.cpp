@@ -245,12 +245,14 @@ TEST(FramingTest, PipelinedBurstRepliesCoalesceInOrder) {
         << "reply " << static_cast<int>(i) << " out of order";
   }
 
+  // The server counts a flush after sendmsg returns, so the client can
+  // hold every reply before the count lands; stop the server first.
+  server.Stop();
   const auto stats = server.GetStats();
   EXPECT_GE(stats.writev_flushes, 1u);
   EXPECT_LE(stats.writev_flushes, 8u)
       << "32 pipelined replies should coalesce into a few gather "
          "flushes, not one syscall each";
-  server.Stop();
 }
 
 }  // namespace

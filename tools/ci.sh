@@ -27,15 +27,17 @@
 #
 # The default mode also repeats the monitor wake-path stress (many
 # waiters + churning bargers, handoff racing an RCU index republish)
-# beyond its single ctest pass.
+# and the commit-driven shipper cases (park on the primary's commit
+# sequence, wake on ADD/Compact, drain a backlog, Stop while parked)
+# beyond their single ctest pass.
 #
 # --tsan: ThreadSanitizer build (separate build-tsan dir) running the
 # dimmunix + util + cluster test binaries — the concurrency-bearing
 # layers of the client runtime (fast-path publication protocol, direct
 # monitor handoff + wake turnstile, adaptive occupancy gate, schedule
 # harness, thread pool) and of the replication tier (feed reads racing
-# ADDs, background shipper) — with a repeated run of the fairness and
-# wakeup-ordering suites on top.
+# ADDs, background shipper and its commit park/wake handshake) — with a
+# repeated run of the fairness and wakeup-ordering suites on top.
 #
 # --asan: AddressSanitizer build (separate build-asan dir) running the
 # same binaries — lifetime coverage for the context reaper and the
@@ -67,11 +69,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   TSAN_OPTIONS="${TSAN}" ./build-tsan/communix_tests \
       --gtest_filter='*ConcurrentReadersAndWritersStayCoherent*'
   # Cluster smoke under TSAN: kill-primary failover, the background
-  # shipper racing ADDs and lock-free feed reads, checkpoint bootstrap of
-  # a far-behind follower, and the client read cache (on in the cache
+  # shipper racing ADDs and lock-free feed reads, the commit-driven
+  # daemon cases (the park/wake handshake on the primary's commit
+  # sequence is a lost-wakeup hazard), checkpoint bootstrap of a
+  # far-behind follower, and the client read cache (on in the cache
   # suite, off in the routing tests it replaces).
   TSAN_OPTIONS="${TSAN}" ./build-tsan/cluster_tests \
-      --gtest_filter='ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:CheckpointBootstrapTest.*:ClusterClientCacheTest.*:ShardedSmoke.*'
+      --gtest_filter='ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:LogShipperTest.Daemon*:CheckpointBootstrapTest.*:ClusterClientCacheTest.*:ShardedSmoke.*'
   # Net smoke under TSAN: the poll-loop/worker conn handoff, the
   # non-blocking gather flush racing POLLOUT re-arms, slow-client
   # containment, and the two-process shipper (a TSAN parent driving
@@ -109,6 +113,13 @@ ctest --test-dir build --output-on-failure -j"${JOBS}"
     --gtest_filter='FairnessTest.WakePathStressManyWaitersChurningBargers:FairnessTest.HandoffDuringIndexRepublishDoesNotLoseWakeup' \
     --gtest_repeat=10
 echo "ci: wake-path stress smoke passed"
+
+# Commit-driven shipper smoke: the daemon parks on the primary's commit
+# sequence with a 60 s retry period, so a lost wakeup shows up as a
+# missed 5 s deadline. Repeated for the rare interleavings.
+./build/cluster_tests --gtest_filter='LogShipperTest.Daemon*' \
+    --gtest_repeat=20
+echo "ci: commit-driven shipper smoke passed"
 
 # Cluster smoke: primary + 2 followers over inproc, kill-primary failover,
 # checkpoint bootstrap of a far-behind follower, and the client read cache
