@@ -38,8 +38,6 @@
 //   --json=PATH                   trajectory file (default BENCH_fig2.json)
 //
 // Always-on sections (the read/bootstrap performance tier):
-//   cache      repeat GET polls through the wire path, 2Q read cache
-//              on vs off, with the server's GET latency buckets
 //   bootstrap  fresh-follower sync time + entries replayed, checkpoint
 //              cutover vs full entry replay
 //   scan_cost  pure GET(0) scan throughput per backend at a fixed db
@@ -51,6 +49,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -120,7 +119,7 @@ Row RunSweepPoint(std::size_t sessions, communix::store::Backend backend) {
         // GET(0): iterate the entire database (paper's worst case).
         std::uint64_t seen = 0;
         server.VisitSince(0, [&](std::uint64_t,
-                                 const std::vector<std::uint8_t>& bytes) {
+                                 std::span<const std::uint8_t> bytes) {
           seen += bytes.size();
         });
         iterated.fetch_add(seen, std::memory_order_relaxed);
@@ -198,7 +197,7 @@ CompareResult RunAddThroughput(communix::store::Backend backend,
           // work bounded while still exercising reader/writer contention.
           server.VisitSince(0,
                             [&](std::uint64_t,
-                                const std::vector<std::uint8_t>& bytes) {
+                                std::span<const std::uint8_t> bytes) {
                               scanned += bytes.size();
                             });
         }
@@ -451,7 +450,7 @@ void RunShardedGroups(std::size_t groups, bool smoke,
     std::uint64_t misplaced = 0;
     primary.VisitEntries(
         0, UINT64_MAX,
-        [&](std::uint64_t, const communix::store::StoredSignature& e) {
+        [&](std::uint64_t, const communix::store::EntryView& e) {
           if (sd.GroupIndexFor(communix::CommunityOf(e.sender)) != g) {
             ++misplaced;
           }
@@ -495,120 +494,6 @@ void RunShardedGroups(std::size_t groups, bool smoke,
       "(HRW over %zu tenants), zero misplaced entries (every row lives on\n"
       "its community's owner group), zero bounces under a stable map.\n",
       tenants);
-}
-
-// ---------------------------------------------------------------------------
-// cache: the 2Q hot-read cache behind the GET wire path.
-//
-// The paper's GET(0) cost is a whole-database scan per request; the
-// store tier's answer for *repeat* reads is the 2Q cache — a poll at a
-// cursor the server answered recently returns the cached reply slice
-// without touching the log. This section drives the real wire path
-// (Handle(kGetSignatures), the same code the TCP server runs) with a
-// small set of hot cursors polled over and over, with occasional ADDs so
-// the extension path (cached prefix + scan of the fresh suffix only)
-// shows up too, and reports the server's GET latency buckets.
-// ---------------------------------------------------------------------------
-void RunCacheSeries(bool smoke, communix::bench::BenchJson& json) {
-  namespace net = communix::net;
-  const std::size_t preload = smoke ? 400 : 3000;
-  const std::size_t rounds = smoke ? 250 : 1500;
-
-  communix::bench::PrintHeader(
-      "2Q hot-read cache: repeat GET polls through the wire path");
-  std::printf("%8s %10s %12s %10s %12s %12s %12s\n", "cache", "polls/sec",
-              "hit rate", "hits(ns)", "extend(ns)", "cold(ns)", "db size");
-
-  for (const bool cache_on : {false, true}) {
-    VirtualClock clock;
-    CommunixServer::Options opts;
-    opts.per_user_daily_limit = 1'000'000;
-    opts.store.read_cache_slices = cache_on ? 64 : 0;
-    CommunixServer server(clock, opts);
-
-    Rng rng(0xCA11E);
-    for (std::size_t i = 0; i < preload; ++i) {
-      (void)server.AddSignature(
-          server.IssueToken(static_cast<UserId>(i + 1)),
-          communix::bench::RandomSignature(
-              rng, static_cast<std::uint32_t>(i + 1)));
-    }
-
-    // Four hot cursors: the full-feed poll plus three mid-log resume
-    // points — the shape of clients polling stable GET(k) cursors.
-    const std::uint64_t cursors[] = {0, preload / 3, (2 * preload) / 3,
-                                     preload - 1};
-    const auto poll = [&](std::uint64_t from) {
-      net::Request req;
-      req.type = net::MsgType::kGetSignatures;
-      communix::BinaryWriter w;
-      w.WriteU64(from);
-      req.payload = w.take();
-      return server.Handle(req);
-    };
-
-    std::uint64_t polls = 0;
-    std::size_t writer_id = preload;
-    Stopwatch watch;
-    for (std::size_t r = 0; r < rounds; ++r) {
-      for (const std::uint64_t c : cursors) {
-        (void)poll(c);
-        ++polls;
-      }
-      // A trickle of ADDs (1 per 100 poll rounds) keeps the feed moving:
-      // the next poll after each ADD takes the extension path instead of
-      // a pure hit, as in production.
-      if (r % 100 == 99) {
-        ++writer_id;
-        (void)server.AddSignature(
-            server.IssueToken(static_cast<UserId>(writer_id)),
-            communix::bench::RandomSignature(
-                rng, static_cast<std::uint32_t>(writer_id)));
-      }
-    }
-    const double seconds = watch.ElapsedSeconds();
-    const double rate = static_cast<double>(polls) / seconds;
-
-    // Everything below comes out of ONE registry snapshot — the same
-    // surface the kStats verb serves, so the bench numbers and a live
-    // communix_stats scrape can never disagree on definitions.
-    const communix::obs::MetricsSnapshot snap = server.metrics()->Snapshot();
-    const double hits = static_cast<double>(snap.Value("store.cache.hits"));
-    const double misses =
-        static_cast<double>(snap.Value("store.cache.misses"));
-    const double lookups = hits + misses;
-    const double hit_rate = lookups == 0 ? 0.0 : hits / lookups;
-    const auto* hit_h = snap.FindHistogram("server.get.cache_hit_ns");
-    const auto* extend_h = snap.FindHistogram("server.get.cache_extend_ns");
-    const auto* cold_h = snap.FindHistogram("server.get.cold_scan_ns");
-    const double hit_ns = hit_h ? hit_h->MeanNanos() : 0.0;
-    const double extend_ns = extend_h ? extend_h->MeanNanos() : 0.0;
-    const double cold_ns = cold_h ? cold_h->MeanNanos() : 0.0;
-
-    std::printf("%8s %10.0f %11.1f%% %10.0f %12.0f %12.0f %12llu\n",
-                cache_on ? "on" : "off", rate, 100.0 * hit_rate, hit_ns,
-                extend_ns, cold_ns,
-                static_cast<unsigned long long>(server.db_size()));
-    json.AddRow("cache",
-                {{"cache", cache_on ? 1.0 : 0.0},
-                 {"db_size", static_cast<double>(server.db_size())},
-                 {"polls", static_cast<double>(polls)},
-                 {"polls_per_second", rate},
-                 {"hit_rate", hit_rate},
-                 {"hits", hits},
-                 {"misses", misses},
-                 {"cache_hit_ns", hit_ns},
-                 {"cache_extend_ns", extend_ns},
-                 {"cold_scan_ns", cold_ns},
-                 {"cache_hit_count",
-                  hit_h ? static_cast<double>(hit_h->count) : 0.0},
-                 {"cold_scan_count",
-                  cold_h ? static_cast<double>(cold_h->count) : 0.0}});
-  }
-  std::printf(
-      "\nrepeat polls at a hot cursor are O(1) with the cache on (the\n"
-      "reply slice is reused; an ADD only costs a suffix scan), O(db)\n"
-      "with it off — the acceptance bar is a >=90%% hit rate above.\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +611,7 @@ void RunScanCost(bool smoke, communix::bench::BenchJson& json) {
     Stopwatch watch;
     for (std::size_t s = 0; s < scans; ++s) {
       server.VisitSince(0, [&](std::uint64_t,
-                               const std::vector<std::uint8_t>& b) {
+                               std::span<const std::uint8_t> b) {
         bytes += b.size();
       });
     }
@@ -747,15 +632,14 @@ void RunScanCost(bool smoke, communix::bench::BenchJson& json) {
 // ---------------------------------------------------------------------------
 // net: the zero-copy reply path over the real TCP server.
 //
-// Repeat GET(0) polls at a hot cursor through an actual TcpServer +
-// TcpClient pair: with the 2Q cache on, every poll after the first is a
-// cache hit whose reply carries the cached slice as a shared segment —
-// the server serializes ~4 owned bytes (the count prefix) and hands the
-// rest to the gather flush by reference. The structural evidence is the
-// counter ratio: reply_bytes_shared is the whole feed per poll while
-// reply_bytes_copied stays at the few-byte header, and the non-blocking
-// writer reports its gather flushes (no backpressure, no disconnects on
-// a healthy client).
+// Repeat GET(0) polls through an actual TcpServer + TcpClient pair:
+// every reply carries its entries as byte runs pointing into the log's
+// arena — the server serializes ~4 owned bytes (the count prefix) and
+// hands the rest to the gather flush by reference. The structural
+// evidence is the counter ratio: reply_bytes_shared is the whole feed
+// per poll while reply_bytes_copied stays at the few-byte header, and
+// the non-blocking writer reports its gather flushes (no backpressure,
+// no disconnects on a healthy client).
 // ---------------------------------------------------------------------------
 void RunNetSeries(bool smoke, communix::bench::BenchJson& json) {
   namespace net = communix::net;
@@ -765,7 +649,6 @@ void RunNetSeries(bool smoke, communix::bench::BenchJson& json) {
   VirtualClock clock;
   CommunixServer::Options opts;
   opts.per_user_daily_limit = 1'000'000;
-  opts.store.read_cache_slices = 64;
   CommunixServer server(clock, opts);
 
   Rng rng(0x7EC9);
@@ -842,9 +725,9 @@ void RunNetSeries(bool smoke, communix::bench::BenchJson& json) {
                {"peak_outbound_queue_bytes",
                 static_cast<double>(ts.peak_outbound_queue_bytes)}});
   std::printf(
-      "\nstructural claim: cache-hit GET replies copy only the count\n"
-      "prefix (copied/poll ~ bytes, not KiB); the feed itself leaves as\n"
-      "shared segments handed to the gather flush by reference.\n");
+      "\nstructural claim: GET replies copy only the count prefix\n"
+      "(copied/poll ~ bytes, not KiB); the feed itself leaves as runs\n"
+      "into the log arena, handed to the gather flush by reference.\n");
 }
 
 }  // namespace
@@ -951,7 +834,6 @@ int main(int argc, char** argv) {
     RunShardedGroups(groups, smoke, json);
   }
 
-  RunCacheSeries(smoke, json);
   RunBootstrapSeries(smoke, json);
   RunScanCost(smoke, json);
   RunNetSeries(smoke, json);

@@ -26,6 +26,12 @@ Result<std::size_t> CommunixClient::PollOnce() {
   BinaryReader r(std::span<const std::uint8_t>(resp.payload.data(),
                                                resp.payload.size()));
   const std::uint32_t count = r.ReadU32();
+  // Every entry carries at least its 4-byte length, so a count the
+  // remaining bytes cannot hold is corrupt; checking it first keeps a
+  // hostile count from sizing the allocation below.
+  if (!r.ok() || count > r.remaining() / 4) {
+    return Status::Error(ErrorCode::kDataLoss, "corrupt GET reply");
+  }
   std::vector<std::vector<std::uint8_t>> sigs;
   sigs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -151,9 +151,11 @@ std::optional<LogShipper::PreparedStep> LogShipper::PrepareSendLocked(
       std::min<std::uint64_t>(size, *s.cursor + options_.batch_limit);
   primary_.VisitEntries(
       *s.cursor, upto,
-      [&](std::uint64_t, const store::StoredSignature& entry) {
-        batch.entries.push_back(
-            net::ReplEntry{entry.sender, entry.added_at, entry.bytes});
+      [&](std::uint64_t, const store::EntryView& entry) {
+        batch.entries.push_back(net::ReplEntry{
+            entry.sender, entry.added_at,
+            std::vector<std::uint8_t>(entry.bytes.begin(),
+                                      entry.bytes.end())});
       });
   PreparedStep step;
   step.request = net::BuildReplBatchRequest(batch);

@@ -64,10 +64,7 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
   stats_.shard_maps_served = reg.GetCounter("server.shard_maps_served");
   stats_.superseded_from_fp = reg.GetCounter("server.superseded_from_fp");
   stats_.stats_served = reg.GetCounter("server.stats_served");
-  get_latency_[kGetCacheHit] = reg.GetHistogram("server.get.cache_hit_ns");
-  get_latency_[kGetCacheExtend] =
-      reg.GetHistogram("server.get.cache_extend_ns");
-  get_latency_[kGetColdScan] = reg.GetHistogram("server.get.cold_scan_ns");
+  get_latency_[kGetRead] = reg.GetHistogram("server.get.read_ns");
   get_latency_[kCheckpointBuild] =
       reg.GetHistogram("server.checkpoint.build_ns");
   get_latency_[kCheckpointInstall] =
@@ -76,13 +73,6 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
   trace_opts.slow_threshold_ns = options_.store.slow_request_ns;
   trace_ring_ = std::make_shared<obs::TraceRing>(trace_opts);
   store_probe_ = reg.RegisterProbe([this](obs::ProbeSink& sink) {
-    const store::ReadCache::Stats cache = store_->read_cache_stats();
-    sink.EmitCounter("store.cache.hits", cache.hits);
-    sink.EmitCounter("store.cache.misses", cache.misses);
-    sink.EmitCounter("store.cache.admissions", cache.admissions);
-    sink.EmitCounter("store.cache.promotions", cache.promotions);
-    sink.EmitCounter("store.cache.evictions", cache.evictions);
-    sink.EmitCounter("store.cache.invalidations", cache.invalidations);
     sink.EmitGauge("store.db_size", store_->size());
     sink.EmitGauge("store.epoch", store_->epoch());
     sink.EmitGauge("store.superseded", store_->superseded_count());
@@ -273,16 +263,16 @@ std::vector<Status> CommunixServer::AddBatch(
 
 void CommunixServer::VisitSince(
     std::uint64_t from,
-    const std::function<void(std::uint64_t,
-                             const std::vector<std::uint8_t>&)>& fn) const {
+    const std::function<void(std::uint64_t, std::span<const std::uint8_t>)>&
+        fn) const {
   store_->VisitRange(from, UINT64_MAX, fn);
 }
 
 std::vector<std::vector<std::uint8_t>> CommunixServer::GetSince(
     std::uint64_t from) const {
   std::vector<std::vector<std::uint8_t>> out;
-  VisitSince(from, [&](std::uint64_t, const std::vector<std::uint8_t>& bytes) {
-    out.push_back(bytes);
+  VisitSince(from, [&](std::uint64_t, std::span<const std::uint8_t> bytes) {
+    out.emplace_back(bytes.begin(), bytes.end());
   });
   return out;
 }
@@ -291,8 +281,8 @@ std::uint64_t CommunixServer::db_size() const { return store_->size(); }
 
 void CommunixServer::VisitEntries(
     std::uint64_t from, std::uint64_t upto,
-    const std::function<void(std::uint64_t,
-                             const store::StoredSignature&)>& fn) const {
+    const std::function<void(std::uint64_t, const store::EntryView&)>& fn)
+    const {
   store_->VisitEntries(from, upto, fn);
 }
 
@@ -339,9 +329,11 @@ net::Response CommunixServer::HandleReplPull(const net::Request& request) {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
     store_->VisitEntries(
         reply.start_index, upto,
-        [&](std::uint64_t, const store::StoredSignature& entry) {
-          reply.entries.push_back(
-              net::ReplEntry{entry.sender, entry.added_at, entry.bytes});
+        [&](std::uint64_t, const store::EntryView& entry) {
+          reply.entries.push_back(net::ReplEntry{
+              entry.sender, entry.added_at,
+              std::vector<std::uint8_t>(entry.bytes.begin(),
+                                        entry.bytes.end())});
         });
   }
   stats_.repl_pulls_served->Add(1);
@@ -503,11 +495,7 @@ net::Response CommunixServer::Handle(const net::Request& request) {
   // Centralized reply accounting: every verb's reply — including the
   // early-return repl/shard handlers — lands here exactly once.
   stats_.reply_bytes_copied->Add(resp.payload.size());
-  std::uint64_t shared = 0;
-  for (const auto& seg : resp.segments) {
-    if (seg != nullptr) shared += seg->size();
-  }
-  if (shared > 0) {
+  if (const std::size_t shared = TotalSize(resp.segments); shared > 0) {
     stats_.reply_bytes_shared->Add(shared);
   }
   // kStats itself is not traced: a monitoring poll must never evict the
@@ -646,44 +634,22 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
         resp.error = "malformed GET payload";
         break;
       }
-      // Fast path: the store materializes (or serves from its 2Q cache)
-      // the whole count+entries region in one internally consistent
-      // slice — the slice is built against a single log snapshot, so the
-      // reply stays self-consistent even if the store is swapped out
-      // mid-request (a follower's catch-up reset replaces the whole log
-      // while GETs are in flight).
+      // The store answers with the entry count and the entries' wire
+      // encodings as byte runs into its log arena, read against one log
+      // snapshot and pinning it: the reply stays self-consistent, and
+      // its bytes valid, even if the log is swapped out (a follower's
+      // catch-up reset, Compact) before the transport flushes it. Only
+      // the 4-byte count is owned per request; no entry is copied.
       const auto start = std::chrono::steady_clock::now();
-      store::SignatureStore::ReadPath path =
-          store::SignatureStore::ReadPath::kColdScan;
-      std::shared_ptr<const store::CachedSlice> slice;
+      store::SuffixReply reply;
       {
         obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
-        slice = store_->ReadSince(from, &path);
+        reply = store_->ReadSince(from);
       }
-      // Zero-copy reply: only the 4-byte count prefix is owned per
-      // request; the entries region rides as a shared segment aliasing
-      // the cached slice (the aliasing shared_ptr keeps the whole
-      // CachedSlice alive until the last transport flushes it). Repeat
-      // polls of a hot (generation, from) therefore serialize ~16 header
-      // bytes each and share the O(db) rest.
+      get_latency_[kGetRead]->Report(NanosSince(start));
       BinaryWriter w;
-      w.WriteU32(slice->count);
-      if (!slice->payload.empty()) {
-        resp.segments.push_back(
-            std::shared_ptr<const std::vector<std::uint8_t>>(
-                slice, &slice->payload));
-      }
-      switch (path) {
-        case store::SignatureStore::ReadPath::kCacheHit:
-          get_latency_[kGetCacheHit]->Report(NanosSince(start));
-          break;
-        case store::SignatureStore::ReadPath::kCacheExtend:
-          get_latency_[kGetCacheExtend]->Report(NanosSince(start));
-          break;
-        case store::SignatureStore::ReadPath::kColdScan:
-          get_latency_[kGetColdScan]->Report(NanosSince(start));
-          break;
-      }
+      w.WriteU32(reply.count);
+      resp.segments = std::move(reply.runs);
       stats_.gets_served->Add(1);
       resp.payload = w.take();
       break;
@@ -787,7 +753,7 @@ std::uint64_t CommunixServer::MarkSupersededByContent(
   std::vector<std::uint64_t> hits;
   store_->VisitEntries(
       0, UINT64_MAX,
-      [&](std::uint64_t index, const store::StoredSignature& entry) {
+      [&](std::uint64_t index, const store::EntryView& entry) {
         if (wanted.count(entry.content_id) != 0) hits.push_back(index);
       });
   std::uint64_t marked = 0;
@@ -902,14 +868,6 @@ net::Response CommunixServer::HandleStats(const net::Request& request) {
   }
   stats_.stats_served->Add(1);
   return net::BuildStatsReply(snap);
-}
-
-std::uint64_t CommunixServer::read_generation() const {
-  return store_->read_generation();
-}
-
-store::ReadCache::Stats CommunixServer::read_cache_stats() const {
-  return store_->read_cache_stats();
 }
 
 CommunixServer::Stats CommunixServer::GetStats() const {

@@ -112,7 +112,7 @@ class CommunixServer final : public net::RequestHandler {
   /// database".
   void VisitSince(std::uint64_t from,
                   const std::function<void(std::uint64_t index,
-                                           const std::vector<std::uint8_t>&
+                                           std::span<const std::uint8_t>
                                                sig_bytes)>& fn) const;
 
   /// Convenience: serialized signatures with index >= from.
@@ -130,7 +130,7 @@ class CommunixServer final : public net::RequestHandler {
   void VisitEntries(std::uint64_t from, std::uint64_t upto,
                     const std::function<void(
                         std::uint64_t index,
-                        const store::StoredSignature& entry)>& fn) const;
+                        const store::EntryView& entry)>& fn) const;
 
   /// Commit sequence: moves on every change to what a log shipper reads
   /// from this server — an accepted ADD, Compact, LoadFromFile, and
@@ -200,17 +200,12 @@ class CommunixServer final : public net::RequestHandler {
   std::shared_ptr<const cluster::ShardMap> shard_map() const;
   std::uint64_t shard_map_version() const;
 
-  std::uint64_t read_generation() const;
-  store::ReadCache::Stats read_cache_stats() const;
-
-  /// GET-path latency buckets, kept as registry histograms
-  /// ("server.get.*_ns" / "server.checkpoint.*_ns") so kStats serves
+  /// Read-path latency buckets, kept as registry histograms
+  /// ("server.get.read_ns" / "server.checkpoint.*_ns") so kStats serves
   /// them remotely; get_latency() resolves a bucket for in-process
-  /// callers (fig2, the bootstrap tests).
+  /// callers.
   enum GetLatencyBucket : std::size_t {
-    kGetCacheHit = 0,     // reply slice served straight from the 2Q cache
-    kGetCacheExtend,      // cached prefix + scan of the fresh suffix only
-    kGetColdScan,         // full scan (miss or cache disabled)
+    kGetRead = 0,         // time inside the store's ReadSince for a GET
     kCheckpointBuild,     // CaptureCheckpointBlob on the primary
     kCheckpointInstall,   // kCheckpoint validate + install on a follower
     kNumGetLatencyBuckets,
@@ -250,11 +245,10 @@ class CommunixServer final : public net::RequestHandler {
     std::uint64_t rejected_malformed = 0;
     std::uint64_t gets_served = 0;
     /// Reply payload bytes emitted as owned (memcpy'd) bytes vs. as
-    /// zero-copy shared segments, across every Handle() reply. A
-    /// cache-hit GET copies only its ~4-byte count prefix and shares the
-    /// O(db) slice, so under a repeat-poll workload shared ≫ copied —
-    /// the structural proof that the wire tier preserves the 2Q cache's
-    /// sharing instead of re-copying per connection.
+    /// zero-copy shared segments, across every Handle() reply. A GET
+    /// copies only its 4-byte count prefix and sends its entries as runs
+    /// pointing into the log's arena, so under a polling workload shared
+    /// ≫ copied — the structural proof that no GET copies an entry.
     std::uint64_t reply_bytes_copied = 0;
     std::uint64_t reply_bytes_shared = 0;
     /// ADD/ADD_BATCH frames refused because this server is a follower.
@@ -363,8 +357,8 @@ class CommunixServer final : public net::RequestHandler {
   Counters stats_;
   std::array<obs::Histogram*, kNumGetLatencyBuckets> get_latency_{};
   std::shared_ptr<obs::TraceRing> trace_ring_;
-  /// Snapshot-time export of the store/cache tier (2Q counters, db
-  /// size, epoch) — state the store aggregates itself.
+  /// Snapshot-time export of the store tier (db size, epoch, superseded
+  /// marks) — state the store aggregates itself.
   obs::ProbeHandle store_probe_;
 
   /// Installed shard map. Reads copy the shared_ptr under a short mutex

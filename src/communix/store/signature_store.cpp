@@ -1,13 +1,11 @@
 #include "communix/store/signature_store.hpp"
 
 #include <atomic>
-#include <cassert>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <random>
 #include <shared_mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -153,40 +151,6 @@ TopFrameKeys TopsOfEntry(const StoredSignature& entry) {
   return sig ? TopFrameSet(*sig) : TopFrameKeys{};
 }
 
-/// Builds the materialized reply slice for [from, n), reusing a cached
-/// prefix when one is supplied (the extension path: only [prefix->upto,
-/// n) is serialized). `serialize(lo, hi, w)` appends the length-prefixed
-/// bytes of entries [lo, hi).
-template <typename SerializeRange>
-std::shared_ptr<const CachedSlice> BuildSlice(
-    std::uint64_t from, std::uint64_t n,
-    std::shared_ptr<const CachedSlice> prefix, SerializeRange&& serialize) {
-  auto slice = std::make_shared<CachedSlice>();
-  slice->from = from;
-  slice->upto = n;
-  slice->count = static_cast<std::uint32_t>(n - from);
-  std::uint64_t scan_from = from;
-  if (prefix != nullptr) {
-    // A prefix reaching past n would leave more entries in the payload
-    // than count says.
-    assert(prefix->upto <= n && "cached prefix reaches past the slice");
-    slice->payload = prefix->payload;  // the shared slice stays immutable
-    scan_from = prefix->upto;
-  }
-  BinaryWriter w;
-  serialize(scan_from, n, w);
-  slice->payload.insert(slice->payload.end(), w.data().begin(),
-                        w.data().end());
-  return slice;
-}
-
-std::shared_ptr<const CachedSlice> EmptySlice(std::uint64_t from) {
-  auto slice = std::make_shared<CachedSlice>();
-  slice->from = from;
-  slice->upto = from;
-  return slice;
-}
-
 /// Validates a replicated entry's signature bytes, filling in
 /// entry.content_id and producing the adjacency top-set. nullopt if the
 /// bytes fail to parse (lineage corruption — the primary only ships
@@ -207,9 +171,7 @@ std::optional<TopFrameKeys> DecodeReplicatedEntry(StoredSignature& entry) {
 class MonolithicStore final : public SignatureStore {
  public:
   explicit MonolithicStore(const StoreOptions& options)
-      : cache_(std::max<std::size_t>(options.read_cache_slices, 1)),
-        cache_enabled_(options.read_cache_slices > 0),
-        epoch_(options.epoch != 0 ? options.epoch : GenerateEpoch()) {}
+      : epoch_(options.epoch != 0 ? options.epoch : GenerateEpoch()) {}
 
   AddOutcome Add(UserId sender, std::int64_t day, const TopFrameKeys& tops,
                  std::uint64_t content_id, const dimmunix::Signature& sig,
@@ -234,7 +196,7 @@ class MonolithicStore final : public SignatureStore {
 
   void VisitRange(std::uint64_t from, std::uint64_t upto,
                   const std::function<void(
-                      std::uint64_t, const std::vector<std::uint8_t>&)>& fn)
+                      std::uint64_t, std::span<const std::uint8_t>)>& fn)
       const override {
     std::shared_lock lock(mu_);
     const std::uint64_t n = std::min<std::uint64_t>(upto, db_.size());
@@ -248,14 +210,14 @@ class MonolithicStore final : public SignatureStore {
     return db_.size();
   }
 
-  void VisitEntries(std::uint64_t from, std::uint64_t upto,
-                    const std::function<void(
-                        std::uint64_t, const StoredSignature&)>& fn)
+  void VisitEntries(
+      std::uint64_t from, std::uint64_t upto,
+      const std::function<void(std::uint64_t, const EntryView&)>& fn)
       const override {
     std::shared_lock lock(mu_);
     const std::uint64_t n = std::min<std::uint64_t>(upto, db_.size());
     for (std::uint64_t i = from; i < n; ++i) {
-      fn(i, db_[i]);
+      fn(i, ViewOf(db_[i]));
     }
   }
 
@@ -291,7 +253,6 @@ class MonolithicStore final : public SignatureStore {
     tenants_.clear();
     superseded_count_ = 0;
     epoch_.store(new_epoch, std::memory_order_release);
-    generation_.fetch_add(1, std::memory_order_release);
   }
 
   Status SaveToFile(const std::string& path) const override {
@@ -313,46 +274,20 @@ class MonolithicStore final : public SignatureStore {
     return Status::Ok();
   }
 
-  std::uint64_t read_generation() const override {
-    return generation_.load(std::memory_order_acquire);
-  }
-
-  std::shared_ptr<const CachedSlice> ReadSince(std::uint64_t from,
-                                               ReadPath* path) override {
+  SuffixReply ReadSince(std::uint64_t from) const override {
     std::shared_lock lock(mu_);
-    const std::uint64_t n = db_.size();
-    if (from >= n) {
-      if (path != nullptr) *path = ReadPath::kCacheHit;
-      return EmptySlice(from);
+    SuffixReply reply;
+    if (from >= db_.size()) return reply;
+    reply.count = static_cast<std::uint32_t>(db_.size() - from);
+    BinaryWriter w;
+    for (std::uint64_t i = from; i < db_.size(); ++i) {
+      w.WriteBytes(std::span<const std::uint8_t>(db_[i].bytes.data(),
+                                                 db_[i].bytes.size()));
     }
-    const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
-    std::shared_ptr<const CachedSlice> prefix;
-    if (cache_enabled_) {
-      if (auto hit = cache_.Lookup(gen, from); hit != nullptr) {
-        if (hit->upto == n) {
-          if (path != nullptr) *path = ReadPath::kCacheHit;
-          return hit;
-        }
-        prefix = std::move(hit);
-      }
-    }
-    if (path != nullptr) {
-      *path = prefix != nullptr ? ReadPath::kCacheExtend : ReadPath::kColdScan;
-    }
-    auto slice = BuildSlice(
-        from, n, std::move(prefix),
-        [&](std::uint64_t lo, std::uint64_t hi, BinaryWriter& w) {
-          for (std::uint64_t i = lo; i < hi; ++i) {
-            w.WriteBytes(std::span<const std::uint8_t>(db_[i].bytes.data(),
-                                                       db_[i].bytes.size()));
-          }
-        });
-    if (cache_enabled_) cache_.Insert(gen, slice);
-    return slice;
-  }
-
-  ReadCache::Stats read_cache_stats() const override {
-    return cache_.GetStats();
+    reply.runs.push_back(
+        ByteRun::Of(std::make_shared<const std::vector<std::uint8_t>>(
+            w.take())));
+    return reply;
   }
 
   std::vector<StoredSignature> CaptureSnapshot() const override {
@@ -377,7 +312,6 @@ class MonolithicStore final : public SignatureStore {
       db_.push_back(std::move(rec.entry));
     }
     epoch_.store(epoch, std::memory_order_release);
-    generation_.fetch_add(1, std::memory_order_release);
   }
 
   bool MarkSuperseded(std::uint64_t index) override {
@@ -417,7 +351,6 @@ class MonolithicStore final : public SignatureStore {
       users_[s.sender].accepted_top_sets.push_back(TopsOfEntry(s));
     }
     epoch_.store(GenerateEpoch(), std::memory_order_release);
-    generation_.fetch_add(1, std::memory_order_release);
     return dropped;
   }
 
@@ -431,10 +364,7 @@ class MonolithicStore final : public SignatureStore {
   /// the per-user counters.
   std::unordered_map<CommunityId, UserState> tenants_;
   std::uint64_t superseded_count_ = 0;
-  mutable ReadCache cache_;
-  const bool cache_enabled_;
   std::atomic<std::uint64_t> epoch_;
-  std::atomic<std::uint64_t> generation_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -450,7 +380,8 @@ class MonolithicStore final : public SignatureStore {
 // (ResetForReplication on a live follower, LoadFromFile) installs a
 // fresh log object and simply lets in-flight readers finish against the
 // retired one — no reader ever observes a log being torn down or its
-// indexes being reused.
+// indexes being reused. A GET reply holds the log it was read from
+// until its last byte run is flushed, so it outlives the swap too.
 class ShardedStore final : public SignatureStore {
  public:
   explicit ShardedStore(const StoreOptions& options)
@@ -458,8 +389,6 @@ class ShardedStore final : public SignatureStore {
         tenants_(options.user_shards),
         dedup_(options.dedup_shards),
         log_(std::make_shared<SignatureLog>()),
-        cache_(std::max<std::size_t>(options.read_cache_slices, 1)),
-        cache_enabled_(options.read_cache_slices > 0),
         epoch_(options.epoch != 0 ? options.epoch : GenerateEpoch()) {}
 
   AddOutcome Add(UserId sender, std::int64_t day, const TopFrameKeys& tops,
@@ -480,30 +409,24 @@ class ShardedStore final : public SignatureStore {
           },
           [&] { return dedup_.TryInsert(content_id); },
           [&] {
-            StoredSignature stored;
-            stored.bytes = sig.ToBytes();
-            stored.content_id = content_id;
-            stored.sender = sender;
-            stored.added_at = added_at;
-            log->Append(std::move(stored));
+            const std::vector<std::uint8_t> bytes = sig.ToBytes();
+            log->Append(EntryView{bytes, content_id, sender, added_at});
           });
     });
   }
 
   void VisitRange(std::uint64_t from, std::uint64_t upto,
                   const std::function<void(
-                      std::uint64_t, const std::vector<std::uint8_t>&)>& fn)
+                      std::uint64_t, std::span<const std::uint8_t>)>& fn)
       const override {
-    Log()->Visit(from, upto, [&](std::uint64_t i, const StoredSignature& s) {
-      fn(i, s.bytes);
-    });
+    Log()->VisitBytes(from, upto, fn);
   }
 
   std::uint64_t size() const override { return Log()->size(); }
 
-  void VisitEntries(std::uint64_t from, std::uint64_t upto,
-                    const std::function<void(
-                        std::uint64_t, const StoredSignature&)>& fn)
+  void VisitEntries(
+      std::uint64_t from, std::uint64_t upto,
+      const std::function<void(std::uint64_t, const EntryView&)>& fn)
       const override {
     Log()->Visit(from, upto, fn);
   }
@@ -534,7 +457,7 @@ class ShardedStore final : public SignatureStore {
     users_.With(entry.sender, [&](UserState& state) {
       state.accepted_top_sets.push_back(std::move(*tops));
     });
-    log->Append(std::move(entry));
+    log->Append(ViewOf(entry));
     return Status::Ok();
   }
 
@@ -564,49 +487,9 @@ class ShardedStore final : public SignatureStore {
     return Status::Ok();
   }
 
-  std::uint64_t read_generation() const override { return ReadView().gen; }
-
-  std::shared_ptr<const CachedSlice> ReadSince(std::uint64_t from,
-                                               ReadPath* path) override {
-    const View view = ReadView();
-    const std::uint64_t n = view.log->size();
-    if (from >= n) {
-      if (path != nullptr) *path = ReadPath::kCacheHit;
-      return EmptySlice(from);
-    }
-    std::shared_ptr<const CachedSlice> prefix;
-    if (cache_enabled_) {
-      if (auto hit = cache_.Lookup(view.gen, from); hit != nullptr) {
-        // A concurrent GET for this cursor that loaded a later length
-        // may have cached a slice past n. Its entries are committed, so
-        // it is served as it is; it must never become a prefix.
-        if (hit->upto >= n) {
-          if (path != nullptr) *path = ReadPath::kCacheHit;
-          return hit;
-        }
-        prefix = std::move(hit);
-      }
-    }
-    if (path != nullptr) {
-      *path = prefix != nullptr ? ReadPath::kCacheExtend : ReadPath::kColdScan;
-    }
-    auto slice = BuildSlice(
-        from, n, std::move(prefix),
-        [&](std::uint64_t lo, std::uint64_t hi, BinaryWriter& w) {
-          view.log->Visit(lo, hi,
-                          [&](std::uint64_t, const StoredSignature& s) {
-                            w.WriteBytes(std::span<const std::uint8_t>(
-                                s.bytes.data(), s.bytes.size()));
-                          });
-        });
-    // An insert that lost a race with a log swap is rejected by the
-    // cache's generation check — a stale-log slice is never admitted.
-    if (cache_enabled_) cache_.Insert(view.gen, slice);
-    return slice;
-  }
-
-  ReadCache::Stats read_cache_stats() const override {
-    return cache_.GetStats();
+  SuffixReply ReadSince(std::uint64_t from) const override {
+    const std::shared_ptr<SignatureLog> log = Log();
+    return log->ReadSince(from, log);
   }
 
   std::vector<StoredSignature> CaptureSnapshot() const override {
@@ -614,8 +497,8 @@ class ShardedStore final : public SignatureStore {
     const std::uint64_t n = log->size();
     std::vector<StoredSignature> snapshot;
     snapshot.reserve(n);
-    log->Visit(0, n, [&](std::uint64_t i, const StoredSignature& s) {
-      snapshot.push_back(s);
+    log->Visit(0, n, [&](std::uint64_t i, const EntryView& e) {
+      snapshot.push_back(ToStored(e));
       snapshot.back().superseded = log->IsSuperseded(i);
     });
     return snapshot;
@@ -658,8 +541,8 @@ class ShardedStore final : public SignatureStore {
     const std::uint64_t n = log->size();
     std::vector<StoredSignature> survivors;
     survivors.reserve(n);
-    log->Visit(0, n, [&](std::uint64_t i, const StoredSignature& s) {
-      if (!log->IsSuperseded(i)) survivors.push_back(s);
+    log->Visit(0, n, [&](std::uint64_t i, const EntryView& e) {
+      if (!log->IsSuperseded(i)) survivors.push_back(ToStored(e));
     });
     const std::uint64_t dropped = n - survivors.size();
     users_.Clear();
@@ -687,38 +570,12 @@ class ShardedStore final : public SignatureStore {
     return log_.load(std::memory_order_acquire);
   }
 
-  /// A consistent (generation, log) pair, seqlock-style: the swap path
-  /// makes the generation odd, stores the log, then makes it even, so a
-  /// reader that saw a torn combination (old generation, new log or
-  /// vice versa) observes either an odd value or two different values
-  /// and retries. Same generation ⟺ same log object.
-  struct View {
-    std::uint64_t gen;
-    std::shared_ptr<SignatureLog> log;
-  };
-  View ReadView() const {
-    for (;;) {
-      const std::uint64_t g1 = gen_.load(std::memory_order_acquire);
-      if ((g1 & 1) != 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      std::shared_ptr<SignatureLog> log = Log();
-      if (gen_.load(std::memory_order_acquire) == g1) {
-        return View{g1, std::move(log)};
-      }
-    }
-  }
-
-  /// Swaps the published log + epoch under the seqlock. Caller holds
-  /// ingest_mu_ (swaps are serialized; the seqlock only shields the
-  /// lock-free readers).
+  /// Swaps the published log + epoch. Caller holds ingest_mu_ (swaps
+  /// are serialized).
   void PublishLogLocked(std::shared_ptr<SignatureLog> log,
                         std::uint64_t new_epoch) {
-    gen_.fetch_add(1, std::memory_order_acq_rel);  // odd: swap in progress
     log_.store(std::move(log), std::memory_order_release);
     epoch_.store(new_epoch, std::memory_order_release);
-    gen_.fetch_add(1, std::memory_order_release);  // even: next generation
   }
 
   UserStateShards users_;
@@ -729,12 +586,7 @@ class ShardedStore final : public SignatureStore {
   DedupIndex dedup_;
   std::atomic<std::shared_ptr<SignatureLog>> log_;
   std::mutex ingest_mu_;
-  mutable ReadCache cache_;
-  const bool cache_enabled_;
   std::atomic<std::uint64_t> epoch_;
-  /// Log-identity generation (seqlock word): even when stable, odd
-  /// mid-swap; the *user-visible* generation is the even value.
-  std::atomic<std::uint64_t> gen_{0};
 };
 
 }  // namespace

@@ -12,11 +12,14 @@
 // bit-identical for any serialized order of operations):
 //
 //   kMonolithic — the seed's layout: one shared_mutex over a vector, a
-//     set and a user map. Baseline for the Figure-2 comparison bench.
+//     set and a user map. Baseline for the Figure-2 comparison bench and
+//     the reference the equivalence tests compare against; every GET
+//     copies its reply out of the vector.
 //   kSharded    — SignatureLog (lock-free committed reads) +
 //     UserStateShards (per-user lock striping) + DedupIndex. Concurrent
-//     ADDs from different users never contend, and GET scans never block
-//     ADDs.
+//     ADDs from different users never contend, GET scans never block
+//     ADDs, and a GET reply is byte runs pointing into the log's
+//     wire-format arena: no GET copies an entry, whatever its cursor.
 //
 // The two backends share the on-disk format: a database saved by either
 // loads into the other, and clients' incremental GET(k) cursors stay
@@ -30,12 +33,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "communix/ids.hpp"
 #include "communix/store/checkpoint.hpp"
-#include "communix/store/read_cache.hpp"
 #include "communix/store/signature_log.hpp"
 #include "communix/store/user_state_shards.hpp"
 #include "dimmunix/signature.hpp"
@@ -91,10 +94,6 @@ struct StoreOptions {
   /// Log epoch (replication lineage id); 0 generates a fresh
   /// process-unique nonzero value. Tests pin it for determinism.
   std::uint64_t epoch = 0;
-  /// Resident slice capacity of the 2Q hot-read cache behind ReadSince
-  /// (read_cache.hpp). 0 disables caching: every ReadSince materializes
-  /// a fresh slice (the cold path the cache exists to avoid).
-  std::size_t read_cache_slices = 64;
   /// Requests whose total stage time is >= this are kept in the server's
   /// slow-trace ring and logged (obs/trace.hpp). 0 disables slow-request
   /// tracing (the all-requests ring still fills).
@@ -124,8 +123,8 @@ class SignatureStore {
   virtual void VisitRange(
       std::uint64_t from, std::uint64_t upto,
       const std::function<void(std::uint64_t index,
-                               const std::vector<std::uint8_t>& sig_bytes)>&
-          fn) const = 0;
+                               std::span<const std::uint8_t> sig_bytes)>& fn)
+      const = 0;
 
   virtual std::uint64_t size() const = 0;
 
@@ -138,8 +137,8 @@ class SignatureStore {
   /// as VisitRange.
   virtual void VisitEntries(
       std::uint64_t from, std::uint64_t upto,
-      const std::function<void(std::uint64_t index,
-                               const StoredSignature& entry)>& fn) const = 0;
+      const std::function<void(std::uint64_t index, const EntryView& entry)>&
+          fn) const = 0;
 
   /// Log lineage id. Two stores with equal epochs hold byte-identical
   /// prefixes of the same log; the epoch changes only when the log's
@@ -174,34 +173,16 @@ class SignatureStore {
 
   // ---- read/bootstrap performance tier ----------------------------------
 
-  /// Log-identity generation: bumps exactly when the log object the
-  /// store serves reads from is replaced (ResetForReplication,
-  /// LoadFromFile, InstallSnapshot, Compact) — NOT on Append, which only
-  /// extends the same log. The ReadCache keys slices by it, so no slice
-  /// built against a retired log is ever served (the RCU-invalidation
-  /// argument: swap ⇒ new generation ⇒ whole-table clear on first
-  /// access). Lock-free read; always a stable (not mid-swap) value.
-  virtual std::uint64_t read_generation() const = 0;
-
-  /// How a ReadSince was satisfied (the server's GET latency buckets).
-  enum class ReadPath {
-    kCacheHit,     // current slice served as-is, zero entry scans
-    kCacheExtend,  // cached prefix reused, only the new suffix scanned
-    kColdScan,     // full [from, size()) scan (miss or cache disabled)
-  };
-
-  /// Hot GET fast path: the materialized reply slice for entries
-  /// [from, size()) — exactly the length-prefixed serialized-signature
-  /// region a GET reply carries after its count prefix. Consults the 2Q
-  /// cache first; a hit whose upto lags the committed length is extended
-  /// (prefix bytes reused, only [upto, size()) scanned). Never blocks
-  /// writers on the sharded backend. A cursor at or past the committed
-  /// length returns an empty, uncached slice (reported as kCacheHit —
-  /// no entries were scanned). Never nullptr.
-  virtual std::shared_ptr<const CachedSlice> ReadSince(
-      std::uint64_t from, ReadPath* path = nullptr) = 0;
-
-  virtual ReadCache::Stats read_cache_stats() const = 0;
+  /// The GET(from) reply body: the count of entries [from, size()) and
+  /// their wire encodings (u32 length + bytes each) as byte runs. On the
+  /// sharded backend the runs point into the log's arena, one per block,
+  /// and pin the log they were read from, so a reply stays
+  /// self-consistent and valid across a concurrent ResetForReplication,
+  /// Compact or InstallSnapshot; no entry is copied and writers are
+  /// never blocked. The monolithic backend copies the entries into one
+  /// owned run. A cursor at or past the committed length gets count 0
+  /// and no runs.
+  virtual SuffixReply ReadSince(std::uint64_t from) const = 0;
 
   /// Copy of the committed prefix (entries [0, size()) with superseded
   /// flags folded in) — the checkpoint input. On the sharded backend this

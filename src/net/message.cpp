@@ -413,20 +413,12 @@ std::optional<obs::MetricsSnapshot> ParseStatsReply(const Response& resp) {
 }
 
 std::size_t Response::payload_size() const {
-  std::size_t total = payload.size();
-  for (const auto& seg : segments) {
-    if (seg != nullptr) total += seg->size();
-  }
-  return total;
+  return payload.size() + TotalSize(segments);
 }
 
 std::vector<std::uint8_t> Response::FlattenedPayload() const {
-  std::vector<std::uint8_t> flat;
-  flat.reserve(payload_size());
-  flat.insert(flat.end(), payload.begin(), payload.end());
-  for (const auto& seg : segments) {
-    if (seg != nullptr) flat.insert(flat.end(), seg->begin(), seg->end());
-  }
+  std::vector<std::uint8_t> flat = payload;
+  AppendRuns(segments, &flat);
   return flat;
 }
 
@@ -445,10 +437,7 @@ std::vector<std::uint8_t> Response::SerializeHeader() const {
 
 std::vector<std::uint8_t> Response::Serialize() const {
   std::vector<std::uint8_t> bytes = SerializeHeader();
-  bytes.reserve(bytes.size() + payload_size() - payload.size());
-  for (const auto& seg : segments) {
-    if (seg != nullptr) bytes.insert(bytes.end(), seg->begin(), seg->end());
-  }
+  AppendRuns(segments, &bytes);
   return bytes;
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/byte_run.hpp"
 #include "util/serde.hpp"
 #include "util/status.hpp"
 
@@ -89,17 +90,19 @@ struct Response {
   ErrorCode code = ErrorCode::kOk;
   std::string error;
   /// Owned header/prefix bytes of the reply payload. For most verbs this
-  /// IS the whole payload; handlers that reply with large cached data put
+  /// IS the whole payload; handlers that reply with large stored data put
   /// only the small per-request prefix here.
   std::vector<std::uint8_t> payload;
-  /// Zero-copy payload tail: shared, immutable byte runs appended (in
-  /// order) after `payload` on the wire. The server GET path aliases the
-  /// 2Q cache's materialized slice here, so a cache hit serializes ~16
-  /// owned header bytes and shares the O(db) rest across every connection
-  /// polling the same (generation, from_index). Segments never cross the
-  /// wire structurally — the logical payload a peer deserializes is
-  /// byte-identical to the flat `payload + segments` concatenation.
-  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> segments;
+  /// Zero-copy payload tail: owner-pinned byte runs appended (in order)
+  /// after `payload` on the wire. A GET reply owns only its 4-byte count
+  /// and carries its entries as runs pointing into the signature log's
+  /// arena, one per arena block, each pinning the log it was read from —
+  /// so no GET copies an entry, and the bytes outlive a concurrent log
+  /// swap until the last transport has flushed them. Segments never
+  /// cross the wire structurally — the logical payload a peer
+  /// deserializes is byte-identical to the flat `payload + segments`
+  /// concatenation.
+  std::vector<ByteRun> segments;
   /// Stage-trace carrier, not part of the wire format: the handler
   /// attaches it, the TCP flush path calls CompleteFlush when the
   /// reply's last chunk drains, and the destructor publishes the record

@@ -94,18 +94,20 @@ Result<std::vector<std::uint8_t>> ReadFrame(int fd, std::size_t max_size) {
 }
 
 /// One queued outbound byte run: either owned (frame header + reply
-/// prefix) or a shared zero-copy Response segment queued by reference.
+/// prefix) or a zero-copy Response segment queued by reference (its
+/// owner pin keeps the bytes alive until the chunk is popped).
 struct OutChunk {
   std::vector<std::uint8_t> owned;
-  std::shared_ptr<const std::vector<std::uint8_t>> shared;
+  ByteRun shared;  // empty for an owned chunk; never queued empty
   std::size_t offset = 0;
   /// Set on a reply's LAST chunk: completing this chunk completes the
   /// reply's flush stage (obs/trace.hpp). Dropped (publishing the trace
   /// with whatever was stamped) if the connection dies mid-flush.
   std::shared_ptr<obs::PendingTrace> trace;
 
-  const std::vector<std::uint8_t>& bytes() const {
-    return shared != nullptr ? *shared : owned;
+  std::span<const std::uint8_t> bytes() const {
+    return shared.size != 0 ? shared.bytes()
+                            : std::span<const std::uint8_t>(owned);
   }
 };
 
@@ -167,6 +169,7 @@ TcpServer::Stats TcpServer::GetStats() const {
   s.slow_client_disconnects = stats_.slow_client_disconnects->Value();
   s.peak_outbound_queue_bytes = stats_.peak_outbound_queue_bytes->Value();
   s.wake_pipe_full_wakes = stats_.wake_pipe_full_wakes->Value();
+  s.outbound_queue_bytes = queued_bytes_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -445,15 +448,10 @@ bool TcpServer::ParseFrames(Conn& c) {
 void TcpServer::EnqueueResponse(Conn& c, const Response& response) {
   // Frame length prefix + serialized header + owned payload prefix
   // become ONE owned chunk; each zero-copy segment rides behind it by
-  // reference — for a cache-hit GET the copied bytes end this function
-  // at ~16 while the O(db) slice is shared across every polling
-  // connection.
+  // reference — for a GET the copied bytes end this function at ~16
+  // while the entries stay in the log's arena.
   const std::vector<std::uint8_t> header = response.SerializeHeader();
-  std::size_t shared_bytes = 0;
-  for (const auto& seg : response.segments) {
-    if (seg != nullptr) shared_bytes += seg->size();
-  }
-  const std::size_t frame_len = header.size() + shared_bytes;
+  const std::size_t frame_len = header.size() + TotalSize(response.segments);
 
   OutChunk head;
   head.owned.reserve(4 + header.size());
@@ -462,8 +460,8 @@ void TcpServer::EnqueueResponse(Conn& c, const Response& response) {
   }
   head.owned.insert(head.owned.end(), header.begin(), header.end());
   c.outq.push_back(std::move(head));
-  for (const auto& seg : response.segments) {
-    if (seg != nullptr && !seg->empty()) {
+  for (const ByteRun& seg : response.segments) {
+    if (seg.size != 0) {
       OutChunk chunk;
       chunk.shared = seg;
       c.outq.push_back(std::move(chunk));
@@ -475,6 +473,7 @@ void TcpServer::EnqueueResponse(Conn& c, const Response& response) {
     c.outq.back().trace = response.trace;
   }
   c.out_bytes += 4 + frame_len;
+  queued_bytes_.fetch_add(4 + frame_len, std::memory_order_relaxed);
 
   // High-water mark (monotonic max over all connections).
   stats_.peak_outbound_queue_bytes->UpdateMax(c.out_bytes);
@@ -496,7 +495,7 @@ bool TcpServer::FlushConn(Conn& c) {
     std::size_t cnt = 0;
     for (const OutChunk& chunk : c.outq) {
       if (cnt == kMaxIovPerFlush) break;
-      const std::vector<std::uint8_t>& bytes = chunk.bytes();
+      const std::span<const std::uint8_t> bytes = chunk.bytes();
       iov[cnt].iov_base =
           const_cast<std::uint8_t*>(bytes.data() + chunk.offset);
       iov[cnt].iov_len = bytes.size() - chunk.offset;
@@ -515,6 +514,8 @@ bool TcpServer::FlushConn(Conn& c) {
     }
     stats_.writev_flushes->Add(1);
     c.out_bytes -= static_cast<std::size_t>(n);
+    queued_bytes_.fetch_sub(static_cast<std::size_t>(n),
+                            std::memory_order_relaxed);
     std::size_t consumed = static_cast<std::size_t>(n);
     while (consumed > 0) {
       OutChunk& front = c.outq.front();
@@ -599,7 +600,13 @@ void TcpServer::CloseConn(int fd) {
   bool do_close = false;
   {
     std::lock_guard lock(mu_);
-    do_close = conns_.erase(fd) > 0;
+    auto it = conns_.find(fd);
+    if (it != conns_.end()) {
+      queued_bytes_.fetch_sub(it->second->out_bytes,
+                              std::memory_order_relaxed);
+      conns_.erase(it);
+      do_close = true;
+    }
   }
   if (do_close) ::close(fd);
 }

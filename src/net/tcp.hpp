@@ -15,11 +15,12 @@
 //
 // Replies never block a worker: each connection carries a non-blocking
 // outbound queue of owned-or-shared byte chunks (zero-copy Response
-// segments are queued by reference), flushed with one gather sendmsg per
-// readable burst. A partial write re-arms the connection for POLLOUT in
-// the dispatcher instead of spinning the worker; while the queue is
-// non-empty the server reads nothing more from that connection, so TCP
-// flow control pushes back on pipelining senders. A connection whose
+// segments are queued by reference, with the owner pin that keeps their
+// bytes alive), flushed with one gather sendmsg per readable burst. A
+// partial write re-arms the connection for POLLOUT in the dispatcher
+// instead of spinning the worker; while the queue is non-empty the
+// server reads nothing more from that connection, so TCP flow control
+// pushes back on pipelining senders. A connection whose
 // queue exceeds `max_outbound_bytes` and fails to drain back under the
 // cap within `stall_deadline_ms` is a pathological slow reader and gets
 // disconnected — the socket-level analogue of the deadlock-avoidance
@@ -70,6 +71,9 @@ class TcpServer {
     std::uint64_t slow_client_disconnects = 0;
     std::uint64_t peak_outbound_queue_bytes = 0;
     std::uint64_t wake_pipe_full_wakes = 0;   ///< Wake() hit a full pipe
+    /// Reply bytes queued right now, summed over live connections (not
+    /// monotonic): 0 once every queued reply has been flushed.
+    std::uint64_t outbound_queue_bytes = 0;
   };
 
   TcpServer(RequestHandler& handler, std::uint16_t port = 0);
@@ -134,6 +138,8 @@ class TcpServer {
   };
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   Counters stats_;
+  /// Sum of Conn::out_bytes over live connections (Stats).
+  std::atomic<std::uint64_t> queued_bytes_{0};
 
   std::mutex mu_;
   /// Every live connection, keyed by fd. A connection is owned EITHER by

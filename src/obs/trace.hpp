@@ -9,7 +9,10 @@
 //              behind earlier frames of the same pipelined burst)
 //   parse      Request::Deserialize
 //   store op   time inside the signature store (log append, ReadSince,
-//              checkpoint build/install), accumulated via StageClock
+//              checkpoint build/install), accumulated via StageClock;
+//              a GET's ReadSince gathers byte runs into the log arena
+//              (one per block) and copies no entry, so this stage is
+//              flat in the cursor's lag
 //   serialize  the rest of the handler (reply building, token checks)
 //   flush      reply enqueued -> last byte handed to the kernel by the
 //              non-blocking gather writer (backpressure shows up here)

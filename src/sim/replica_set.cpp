@@ -1,5 +1,7 @@
 #include "sim/replica_set.hpp"
 
+#include <algorithm>
+
 namespace communix::sim {
 
 ReplicaSet::ReplicaSet(Clock& clock, const ReplicaSetOptions& options) {
@@ -117,11 +119,11 @@ bool ReplicaSet::FollowersConverged() const {
     if (f->epoch() != primary_->epoch()) return false;
     bool identical = true;
     f->VisitEntries(0, size,
-                    [&](std::uint64_t i, const store::StoredSignature& e) {
+                    [&](std::uint64_t i, const store::EntryView& e) {
                       primary_->VisitEntries(
                           i, i + 1,
-                          [&](std::uint64_t, const store::StoredSignature& p) {
-                            identical &= p.bytes == e.bytes &&
+                          [&](std::uint64_t, const store::EntryView& p) {
+                            identical &= std::ranges::equal(p.bytes, e.bytes) &&
                                          p.sender == e.sender &&
                                          p.added_at == e.added_at;
                           });

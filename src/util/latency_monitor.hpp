@@ -8,9 +8,8 @@
 // which is the only consumer.
 //
 // LatencyMonitorsT<N> is the generic form (any size_t-indexed bucket
-// set — the server GET path uses it for cache-hit / extend / cold-scan /
-// checkpoint buckets); LatencyMonitors keeps the original enum-indexed
-// API the dimmunix runtime and the Table-II bench were built against.
+// set); LatencyMonitors keeps the original enum-indexed API the dimmunix
+// runtime and the Table-II bench were built against.
 #pragma once
 
 #include <atomic>

@@ -151,11 +151,11 @@ TEST(LogShipperTest, RetransmittedBatchIsSkippedIdempotently) {
   dup.token.assign(peer.begin(), peer.end());
   dup.epoch = primary.epoch();
   dup.from_index = 0;
-  primary.VisitEntries(0, 4,
-                       [&](std::uint64_t, const store::StoredSignature& e) {
-                         dup.entries.push_back(net::ReplEntry{
-                             e.sender, e.added_at, e.bytes});
-                       });
+  primary.VisitEntries(0, 4, [&](std::uint64_t, const store::EntryView& e) {
+    dup.entries.push_back(net::ReplEntry{
+        e.sender, e.added_at,
+        std::vector<std::uint8_t>(e.bytes.begin(), e.bytes.end())});
+  });
   const net::Response resp = follower.Handle(net::BuildReplBatchRequest(dup));
   ASSERT_TRUE(resp.ok()) << resp.error;
   const auto reply = net::ParseReplBatchReply(resp);
@@ -299,15 +299,12 @@ TEST(LogShipperTest, CatchUpResetUnderConcurrentReadersIsSafe) {
       while (!stop.load(std::memory_order_acquire)) {
         std::uint64_t last = ~std::uint64_t{0};
         follower.VisitSince(
-            0, [&](std::uint64_t i, const std::vector<std::uint8_t>& bytes) {
+            0, [&](std::uint64_t i, std::span<const std::uint8_t> bytes) {
               // Indexes ascend and entries are well-formed signatures —
               // a torn read would hand us garbage bytes.
               ASSERT_TRUE(last == ~std::uint64_t{0} || i == last + 1);
               last = i;
-              ASSERT_TRUE(dimmunix::Signature::FromBytes(
-                              std::span<const std::uint8_t>(bytes.data(),
-                                                            bytes.size()))
-                              .has_value());
+              ASSERT_TRUE(dimmunix::Signature::FromBytes(bytes).has_value());
             });
       }
     });

@@ -74,10 +74,12 @@ std::vector<std::vector<std::uint8_t>> CommunityStream(ShardedDeployment& sd,
                                                        CommunityId c) {
   std::vector<std::vector<std::uint8_t>> out;
   CommunixServer& primary = sd.group(sd.GroupIndexFor(c)).primary();
-  primary.VisitEntries(0, UINT64_MAX,
-                       [&](std::uint64_t, const store::StoredSignature& e) {
-                         if (CommunityOf(e.sender) == c) out.push_back(e.bytes);
-                       });
+  primary.VisitEntries(
+      0, UINT64_MAX, [&](std::uint64_t, const store::EntryView& e) {
+        if (CommunityOf(e.sender) == c) {
+          out.emplace_back(e.bytes.begin(), e.bytes.end());
+        }
+      });
   return out;
 }
 

@@ -20,6 +20,7 @@ namespace {
 using dimmunix::Signature;
 using testutil::ChainStack;
 using testutil::F;
+using testutil::Flatten;
 using testutil::Sig2;
 
 Signature MakeSig(std::uint32_t salt) {
@@ -185,7 +186,7 @@ TEST_P(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
   EXPECT_EQ(restored->size(), store->size());
   EXPECT_EQ(restored->superseded_count(), 1u)
       << "superseded marks survive transfer";
-  EXPECT_EQ(restored->ReadSince(0)->payload, store->ReadSince(0)->payload);
+  EXPECT_EQ(Flatten(restored->ReadSince(0)), Flatten(store->ReadSince(0)));
   // Rebuilt dedup state keeps enforcing: a replayed signature is a dup.
   const Signature sig = MakeSig(0);
   EXPECT_EQ(restored->Add(9, 0, TopFrameSet(sig), sig.ContentId(), sig, 0,
@@ -227,7 +228,7 @@ TEST_P(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
 
   EXPECT_EQ(a->size(), c->size());
   EXPECT_EQ(a->superseded_count(), 0u);
-  EXPECT_EQ(a->ReadSince(0)->payload, c->ReadSince(0)->payload)
+  EXPECT_EQ(Flatten(a->ReadSince(0)), Flatten(c->ReadSince(0)))
       << "compact and snapshot-install diverged";
   // A signature whose only copy was dropped is open for re-adding in
   // both — compaction re-opens dedup identically.

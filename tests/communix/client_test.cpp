@@ -128,5 +128,32 @@ TEST_F(ClientTest, PollFailureSurfacesStatus) {
   EXPECT_EQ(repo_.size(), 0u);
 }
 
+TEST_F(ClientTest, HostileGetCountIsDataLossNotAnAllocation) {
+  // A reply claiming 0xFFFFFFFF entries and carrying none: reserving
+  // from that count would ask for ~100 GB and abort the process.
+  class HostileTransport final : public net::ClientTransport {
+   public:
+    Result<net::Response> Call(const net::Request&) override {
+      net::Response resp;
+      BinaryWriter w;
+      w.WriteU32(0xFFFFFFFFu);
+      resp.payload = w.take();
+      return resp;
+    }
+  };
+  Upload(2);
+  CommunixClient honest(clock_, transport_, repo_);
+  ASSERT_TRUE(honest.PollOnce().ok());
+  const std::uint64_t next = repo_.next_server_index();
+
+  HostileTransport hostile;
+  CommunixClient client(clock_, hostile, repo_);
+  auto result = client.PollOnce();
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.code(), ErrorCode::kDataLoss);
+  EXPECT_EQ(repo_.size(), 2u) << "the repository is unchanged";
+  EXPECT_EQ(repo_.next_server_index(), next);
+}
+
 }  // namespace
 }  // namespace communix

@@ -506,19 +506,19 @@ TEST_F(ServerTest, GetScansRaceConcurrentBatchAppends) {
 
 // ---------------------------------------------------------------------------
 // Zero-copy reply accounting: a repeat-poll GET workload must serve the
-// entries region as shared segments (aliasing the 2Q cache's slice) and
-// copy only the 4-byte count prefix per request — on BOTH store
-// backends. This is the structural proof that the wire tier preserves
-// the cache's sharing instead of re-memcpying O(db) per connection.
+// entries region as shared segments (runs into the log's arena on the
+// sharded backend, one owned run on the monolithic one) and copy only
+// the 4-byte count prefix per request — on BOTH store backends. This is
+// the structural proof that the wire tier never re-memcpys O(db) per
+// connection.
 // ---------------------------------------------------------------------------
 class ZeroCopyReplyTest : public ::testing::TestWithParam<store::Backend> {};
 
-TEST_P(ZeroCopyReplyTest, CacheHitGetsCopyOnlyTheCountPrefix) {
+TEST_P(ZeroCopyReplyTest, GetsCopyOnlyTheCountPrefix) {
   VirtualClock clock;
   CommunixServer::Options opts;
   opts.per_user_daily_limit = 1000;
   opts.store.backend = GetParam();
-  opts.store.read_cache_slices = 16;
   CommunixServer server(clock, opts);
 
   constexpr std::uint32_t kSigs = 50;
@@ -538,7 +538,7 @@ TEST_P(ZeroCopyReplyTest, CacheHitGetsCopyOnlyTheCountPrefix) {
     return server.Handle(req);
   };
 
-  // First poll materializes the slice; its size calibrates the pin.
+  // The first poll's size calibrates the pin.
   const net::Response first = poll();
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(first.payload.size(), 4u)

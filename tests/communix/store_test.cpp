@@ -4,6 +4,7 @@
 // the on-disk format is backend-independent).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <thread>
@@ -35,7 +36,7 @@ TEST(SignatureLogTest, AppendAssignsDenseIndexes) {
   SignatureLog log;
   EXPECT_EQ(log.size(), 0u);
   for (std::uint64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(log.Append(Entry(i)), i);
+    EXPECT_EQ(log.Append(ViewOf(Entry(i))), i);
   }
   EXPECT_EQ(log.size(), 100u);
   EXPECT_EQ(log.At(42).content_id, 42u);
@@ -43,26 +44,26 @@ TEST(SignatureLogTest, AppendAssignsDenseIndexes) {
 
 TEST(SignatureLogTest, VisitRespectsFromAndUpto) {
   SignatureLog log;
-  for (std::uint64_t i = 0; i < 10; ++i) log.Append(Entry(i));
+  for (std::uint64_t i = 0; i < 10; ++i) log.Append(ViewOf(Entry(i)));
   std::vector<std::uint64_t> seen;
-  log.Visit(3, 7, [&](std::uint64_t i, const StoredSignature& s) {
+  log.Visit(3, 7, [&](std::uint64_t i, const EntryView& s) {
     EXPECT_EQ(s.content_id, i);
     seen.push_back(i);
   });
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 4, 5, 6}));
   // upto beyond size clamps; from beyond size is empty.
   seen.clear();
-  log.Visit(8, 99, [&](std::uint64_t i, const StoredSignature&) {
+  log.Visit(8, 99, [&](std::uint64_t i, const EntryView&) {
     seen.push_back(i);
   });
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{8, 9}));
-  log.Visit(50, 99, [&](std::uint64_t, const StoredSignature&) { FAIL(); });
+  log.Visit(50, 99, [&](std::uint64_t, const EntryView&) { FAIL(); });
 }
 
 TEST(SignatureLogTest, CrossesSegmentBoundaries) {
   SignatureLog log;
   const std::uint64_t n = 2 * SignatureLog::kSegmentSize + 500;
-  for (std::uint64_t i = 0; i < n; ++i) log.Append(Entry(i));
+  for (std::uint64_t i = 0; i < n; ++i) log.Append(ViewOf(Entry(i)));
   EXPECT_EQ(log.size(), n);
   // Spot-check entries around every segment edge.
   for (std::uint64_t i : {SignatureLog::kSegmentSize - 1,
@@ -75,13 +76,14 @@ TEST(SignatureLogTest, CrossesSegmentBoundaries) {
 
 TEST(SignatureLogTest, ResetReplacesContents) {
   SignatureLog log;
-  for (std::uint64_t i = 0; i < 10; ++i) log.Append(Entry(i));
+  for (std::uint64_t i = 0; i < 10; ++i) log.Append(ViewOf(Entry(i)));
   std::vector<StoredSignature> fresh;
   for (std::uint64_t i = 100; i < 103; ++i) fresh.push_back(Entry(i));
   log.Reset(std::move(fresh));
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.At(0).content_id, 100u);
-  EXPECT_EQ(log.Append(Entry(7)), 3u) << "appends continue after the reset";
+  EXPECT_EQ(log.Append(ViewOf(Entry(7))), 3u)
+      << "appends continue after the reset";
 }
 
 TEST(SignatureLogTest, ConcurrentReadersSeeOnlyCommittedEntries) {
@@ -96,11 +98,11 @@ TEST(SignatureLogTest, ConcurrentReadersSeeOnlyCommittedEntries) {
       while (!done.load(std::memory_order_acquire)) {
         const std::uint64_t n = log.size();
         std::uint64_t count = 0;
-        log.Visit(0, n, [&](std::uint64_t i, const StoredSignature& s) {
+        log.Visit(0, n, [&](std::uint64_t i, const EntryView& s) {
           // Every committed slot must be fully written: content matches
           // index, bytes match the pattern.
           if (s.content_id != i ||
-              s.bytes != Entry(i).bytes) {
+              !std::ranges::equal(s.bytes, Entry(i).bytes)) {
             violations.fetch_add(1);
           }
           ++count;
@@ -109,7 +111,7 @@ TEST(SignatureLogTest, ConcurrentReadersSeeOnlyCommittedEntries) {
       }
     });
   }
-  for (std::uint64_t i = 0; i < kTotal; ++i) log.Append(Entry(i));
+  for (std::uint64_t i = 0; i < kTotal; ++i) log.Append(ViewOf(Entry(i)));
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_EQ(violations.load(), 0u);
@@ -134,8 +136,9 @@ TEST(SignatureLogTest, IncrementalCursorScansRaceConcurrentAppends) {
         const std::uint64_t n = log.size();
         if (n < cursor) violations.fetch_add(1);
         std::uint64_t expect = cursor;
-        log.Visit(cursor, n, [&](std::uint64_t i, const StoredSignature& s) {
-          if (i != expect || s.content_id != i || s.bytes != Entry(i).bytes) {
+        log.Visit(cursor, n, [&](std::uint64_t i, const EntryView& s) {
+          if (i != expect || s.content_id != i ||
+              !std::ranges::equal(s.bytes, Entry(i).bytes)) {
             violations.fetch_add(1);
           }
           ++expect;
@@ -150,7 +153,7 @@ TEST(SignatureLogTest, IncrementalCursorScansRaceConcurrentAppends) {
       EXPECT_EQ(cursor, kTotal);
     });
   }
-  for (std::uint64_t i = 0; i < kTotal; ++i) log.Append(Entry(i));
+  for (std::uint64_t i = 0; i < kTotal; ++i) log.Append(ViewOf(Entry(i)));
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
   EXPECT_EQ(violations.load(), 0u);
@@ -266,7 +269,7 @@ TEST_P(StoreBackendTest, AcceptDuplicateAndIndexOrder) {
   EXPECT_EQ(store->size(), 2u);
   std::vector<std::uint64_t> indexes;
   store->VisitRange(0, UINT64_MAX,
-                    [&](std::uint64_t i, const std::vector<std::uint8_t>& b) {
+                    [&](std::uint64_t i, std::span<const std::uint8_t> b) {
                       indexes.push_back(i);
                       EXPECT_FALSE(b.empty());
                     });
@@ -377,12 +380,12 @@ TEST_P(StoreBackendTest, PersistenceRoundTripsAcrossBothBackends) {
     EXPECT_EQ(Add(*loaded, 9, MakeSig(0)), AddOutcome::kDuplicate);
     std::vector<std::vector<std::uint8_t>> orig, reread;
     store->VisitRange(0, UINT64_MAX,
-                      [&](std::uint64_t, const std::vector<std::uint8_t>& b) {
-                        orig.push_back(b);
+                      [&](std::uint64_t, std::span<const std::uint8_t> b) {
+                        orig.emplace_back(b.begin(), b.end());
                       });
     loaded->VisitRange(0, UINT64_MAX,
-                       [&](std::uint64_t, const std::vector<std::uint8_t>& b) {
-                         reread.push_back(b);
+                       [&](std::uint64_t, std::span<const std::uint8_t> b) {
+                         reread.emplace_back(b.begin(), b.end());
                        });
     EXPECT_EQ(orig, reread) << "index order must survive the round trip";
   }
@@ -416,7 +419,7 @@ TEST_P(StoreBackendTest, ConcurrentAddsFromDistinctUsersAllLand)
   // Every committed index is readable and nonempty.
   std::uint64_t visited = 0;
   store->VisitRange(0, UINT64_MAX,
-                    [&](std::uint64_t, const std::vector<std::uint8_t>& b) {
+                    [&](std::uint64_t, std::span<const std::uint8_t> b) {
                       EXPECT_FALSE(b.empty());
                       ++visited;
                     });

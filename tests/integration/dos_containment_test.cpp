@@ -220,7 +220,7 @@ TEST(DosContainmentTest, ShardedFloodIsContainedToTheVictimGroup) {
   EXPECT_EQ(bystander_ok, bystander_sent);
   EXPECT_EQ(bystander_primary.db_size(), bystander_ok);
   bystander_primary.VisitEntries(
-      0, UINT64_MAX, [&](std::uint64_t, const store::StoredSignature& e) {
+      0, UINT64_MAX, [&](std::uint64_t, const store::EntryView& e) {
         EXPECT_EQ(CommunityOf(e.sender), bystander)
             << "flood traffic leaked across the shard boundary";
       });

@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "net/tcp.hpp"
+#include "obs/trace.hpp"
 
 namespace communix::net {
 namespace {
@@ -31,9 +35,14 @@ class EchoHandler final : public RequestHandler {
 
 class RawSocket {
  public:
-  bool Connect(std::uint16_t port) {
+  /// `rcvbuf` > 0 shrinks the receive buffer before connecting, so the
+  /// peer's writes stall on a small window.
+  bool Connect(std::uint16_t port, int rcvbuf = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) return false;
+    if (rcvbuf > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -253,6 +262,122 @@ TEST(FramingTest, PipelinedBurstRepliesCoalesceInOrder) {
   EXPECT_LE(stats.writev_flushes, 8u)
       << "32 pipelined replies should coalesce into a few gather "
          "flushes, not one syscall each";
+}
+
+// ---------------------------------------------------------------------------
+// Many-run replies: a GET reply carries one byte run per log arena
+// block, so a large log's reply outgrows one gather write's iovec batch
+// (64). A reply of 151 runs — 1-byte runs, runs aliasing the middle of a
+// larger buffer, and one run larger than the kernel's socket buffers, so
+// the flush resumes mid-run across many partial writes — read one byte
+// at a time through a small receive window (in 64 KiB reads inside the
+// large run) must arrive byte-identical to Serialize(); its trace must
+// complete exactly once, and the queued bytes drain to 0.
+// ---------------------------------------------------------------------------
+constexpr std::size_t kLargeRunBytes = 6u * 1024u * 1024u;  // > tcp_wmem max
+constexpr int kLargeRunAt = 75;
+
+class ManyRunHandler final : public RequestHandler {
+ public:
+  explicit ManyRunHandler(std::shared_ptr<obs::TraceRing> ring)
+      : ring_(std::move(ring)) {
+    auto small = std::make_shared<std::vector<std::uint8_t>>(64 * 1024);
+    for (std::size_t i = 0; i < small->size(); ++i) {
+      (*small)[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    }
+    auto large =
+        std::make_shared<std::vector<std::uint8_t>>(kLargeRunBytes + 4096);
+    for (std::size_t i = 0; i < large->size(); ++i) {
+      (*large)[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    }
+    for (int i = 0; i <= 150; ++i) {
+      if (i == kLargeRunAt) {
+        runs_.push_back(ByteRun{large, large->data() + 1234, kLargeRunBytes});
+      } else if (i % 3 == 0) {
+        runs_.push_back(ByteRun::Of(std::make_shared<
+                                    const std::vector<std::uint8_t>>(
+            1, static_cast<std::uint8_t>(i))));
+      } else {
+        const std::size_t offset = 17 + 301 * static_cast<std::size_t>(i);
+        const std::size_t size = 100 + 23 * static_cast<std::size_t>(i);
+        runs_.push_back(ByteRun{small, small->data() + offset, size});
+      }
+    }
+  }
+
+  /// The reply, minus its trace.
+  Response Reply() const {
+    Response resp;
+    resp.payload = {0xC0, 0xFF, 0xEE};
+    resp.segments = runs_;
+    return resp;
+  }
+
+  Response Handle(const Request&) override {
+    Response resp = Reply();
+    resp.trace = std::make_shared<obs::PendingTrace>(
+        ring_, obs::TraceRecord{}, std::chrono::steady_clock::now());
+    return resp;
+  }
+
+ private:
+  std::shared_ptr<obs::TraceRing> ring_;
+  std::vector<ByteRun> runs_;
+};
+
+TEST(FramingTest, ManyRunReplyTrickleReadsExactly) {
+  auto ring = std::make_shared<obs::TraceRing>();
+  ManyRunHandler handler(ring);
+  TcpServer server(handler);
+  ASSERT_TRUE(server.Start().ok());
+
+  const Response reply = handler.Reply();
+  const auto body = reply.Serialize();
+  std::vector<std::uint8_t> expected;
+  const std::uint32_t len = static_cast<std::uint32_t>(body.size());
+  for (int b = 0; b < 4; ++b) {
+    expected.push_back(static_cast<std::uint8_t>(len >> (b * 8)));
+  }
+  expected.insert(expected.end(), body.begin(), body.end());
+  // Where the large run sits in the frame.
+  std::size_t large_begin = 4 + reply.SerializeHeader().size();
+  for (int i = 0; i < kLargeRunAt; ++i) large_begin += reply.segments[i].size;
+  const std::size_t large_end = large_begin + kLargeRunBytes;
+
+  RawSocket raw;
+  ASSERT_TRUE(raw.Connect(server.port(), /*rcvbuf=*/4096));
+  const auto frame = FrameFor(EchoRequest(1));
+  ASSERT_TRUE(raw.Send(frame.data(), frame.size()));
+  std::vector<std::uint8_t> got(expected.size());
+  for (std::size_t at = 0; at < got.size();) {
+    const std::size_t step =
+        at >= large_begin && at < large_end
+            ? std::min<std::size_t>(64 * 1024, large_end - at)
+            : 1;
+    ASSERT_TRUE(raw.ReadExact(&got[at], step)) << "short read at byte " << at;
+    at += step;
+  }
+  EXPECT_EQ(got, expected);
+
+  // The flusher finishes its bookkeeping after the kernel takes the last
+  // byte, which can be after the reader has it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((ring->pushed() == 0 || server.GetStats().outbound_queue_bytes != 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.GetStats().outbound_queue_bytes, 0u);
+  ASSERT_EQ(ring->pushed(), 1u);
+  EXPECT_GT(ring->Recent(1)[0].stage_ns[static_cast<std::size_t>(
+                obs::Stage::kFlush)],
+            0u)
+      << "the trace completed on the reply's last run";
+  EXPECT_GT(server.GetStats().writev_flushes, 3u)
+      << "152 chunks take three 64-iovec gather writes; the large run "
+         "forces partial writes on top";
+  server.Stop();
+  EXPECT_EQ(ring->pushed(), 1u) << "the trace completes exactly once";
 }
 
 }  // namespace

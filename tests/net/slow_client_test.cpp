@@ -29,8 +29,8 @@ constexpr std::size_t kQueueCap = 1u * 1024u * 1024u;
 constexpr int kStallDeadlineMs = 300;
 
 /// kGetSignatures → one 32 MiB reply served as a shared zero-copy
-/// segment (one buffer for every request, exactly like the server's
-/// cached-slice replies); anything else → empty reply.
+/// segment (one buffer for every request, like the server's replies out
+/// of its log arena); anything else → empty reply.
 class BigReplyHandler final : public RequestHandler {
  public:
   BigReplyHandler()
@@ -39,7 +39,9 @@ class BigReplyHandler final : public RequestHandler {
 
   Response Handle(const Request& request) override {
     Response resp;
-    if (request.type == MsgType::kGetSignatures) resp.segments.push_back(big_);
+    if (request.type == MsgType::kGetSignatures) {
+      resp.segments.push_back(ByteRun::Of(big_));
+    }
     return resp;
   }
 

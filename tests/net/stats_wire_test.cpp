@@ -207,7 +207,7 @@ TEST(StatsServingTest, AnyRoleServesAConsistentSnapshot) {
     EXPECT_GT(snap->captured_unix_ns, 0u);
     EXPECT_TRUE(snap->Has("server.adds_processed"));
     EXPECT_TRUE(snap->Has("server.stats_served"));
-    EXPECT_NE(snap->FindHistogram("server.get.cold_scan_ns"), nullptr);
+    EXPECT_NE(snap->FindHistogram("server.get.read_ns"), nullptr);
     EXPECT_TRUE(snap->traces.empty()) << "traces not requested";
     EXPECT_EQ(server.GetStats().stats_served, 1u);
   }

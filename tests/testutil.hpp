@@ -4,8 +4,10 @@
 #include <string>
 #include <vector>
 
+#include "communix/store/signature_log.hpp"
 #include "dimmunix/frame.hpp"
 #include "dimmunix/signature.hpp"
+#include "util/serde.hpp"
 
 namespace communix::testutil {
 
@@ -40,6 +42,16 @@ inline dimmunix::Signature Sig2(dimmunix::CallStack outer1,
   entries.push_back({std::move(outer1), std::move(inner1)});
   entries.push_back({std::move(outer2), std::move(inner2)});
   return dimmunix::Signature(std::move(entries));
+}
+
+/// A store GET reply as one flat payload: the u32 count, then the bytes
+/// of every run — what a client receives.
+inline std::vector<std::uint8_t> Flatten(const store::SuffixReply& reply) {
+  BinaryWriter w;
+  w.WriteU32(reply.count);
+  std::vector<std::uint8_t> flat = w.take();
+  AppendRuns(reply.runs, &flat);
+  return flat;
 }
 
 }  // namespace communix::testutil

@@ -40,8 +40,12 @@
 # repeated run of the fairness and wakeup-ordering suites on top.
 #
 # --asan: AddressSanitizer build (separate build-asan dir) running the
-# same binaries — lifetime coverage for the context reaper and the
-# entry sharing across delta-rebuilt index snapshots.
+# dimmunix + util test binaries — lifetime coverage for the context
+# reaper and the entry sharing across delta-rebuilt index snapshots —
+# plus the store, server, zero-copy, framing, slow-client and
+# two-process suites over ASan-built daemons: GET replies carry raw
+# pointers into log memory through the outbound queue, pinned only by
+# their owner, which is exactly the lifetime error ASan catches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,10 +68,12 @@ if [[ "${1:-}" == "--tsan" ]]; then
       --gtest_filter='FairnessTest.*:ScheduleHarnessTest.TwoSidedSuspensionRacesAreDeterministic:ScheduleHarnessTest.MultiWaiterHandoffDrainsInFifoOrder:ScheduleHarnessTest.WakeupOrderingHookControlsWhichWaiterWins' \
       --gtest_repeat=5
   TSAN_OPTIONS="${TSAN}" ./build-tsan/util_tests
-  # Store-tier smoke under TSAN: concurrent ReadSince (2Q cache + RCU log
-  # swap) racing ADDs on both backends.
+  # Store-tier smoke under TSAN: concurrent ReadSince (arena runs read
+  # lock-free while appends cross block boundaries) racing ADDs on both
+  # backends, the arena's block edges, and replies that outlive a log
+  # swap (RCU publish of a fresh log) and the store itself.
   TSAN_OPTIONS="${TSAN}" ./build-tsan/communix_tests \
-      --gtest_filter='*ConcurrentReadersAndWritersStayCoherent*'
+      --gtest_filter='*ConcurrentReadersAndWritersStayCoherent*:ArenaReadTest.*:*ReplyPinTest*'
   # Cluster smoke under TSAN: kill-primary failover, the background
   # shipper racing ADDs and lock-free feed reads, the commit-driven
   # daemon cases (the park/wake handshake on the primary's commit
@@ -94,10 +100,24 @@ fi
 
 if [[ "${1:-}" == "--asan" ]]; then
   cmake -B build-asan -S . -DCOMMUNIX_ASAN=ON
-  cmake --build build-asan -j"${JOBS}" --target dimmunix_tests util_tests
-  ASAN_OPTIONS="halt_on_error=1" ./build-asan/dimmunix_tests
-  ASAN_OPTIONS="halt_on_error=1" ./build-asan/util_tests
-  echo "ci: asan clean (dimmunix_tests, util_tests)"
+  cmake --build build-asan -j"${JOBS}" --target dimmunix_tests util_tests \
+        communix_tests net_tests cluster_tests communix_server communix_stats
+  ASAN="halt_on_error=1"
+  ASAN_OPTIONS="${ASAN}" ./build-asan/dimmunix_tests
+  ASAN_OPTIONS="${ASAN}" ./build-asan/util_tests
+  # Store and server: the log arena, replies pinning a swapped-out log,
+  # and the zero-copy reply accounting on both backends.
+  ASAN_OPTIONS="${ASAN}" ./build-asan/communix_tests \
+      --gtest_filter='SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:*CheckpointStoreTest*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*'
+  # Net: replies of many runs flushed across partial writes, and a slow
+  # reader disconnected with its queue still holding pinned runs.
+  ASAN_OPTIONS="${ASAN}" ./build-asan/net_tests \
+      --gtest_filter='FramingTest.*:SlowClientTest.*'
+  # Two-process shipper against ASan-built communix_server daemons.
+  ASAN_OPTIONS="${ASAN}" ./build-asan/cluster_tests \
+      --gtest_filter='TwoProcessShipper.*'
+  echo "ci: asan clean (dimmunix_tests, util_tests, store + server +" \
+       "zero-copy, framing + slow-client, two-process shipper)"
   exit 0
 fi
 

@@ -20,7 +20,7 @@
 // reaches N nanoseconds are logged and served via the kStats trace
 // sub-query (tools/communix_stats --traces).
 //
-// Every tier of the process — dimmunix runtime, server, store/cache,
+// Every tier of the process — dimmunix runtime, server, store,
 // cluster shipper, TCP transport — reports into ONE metrics registry,
 // so a single kStats scrape (the new wire verb) sees the whole process.
 #include <csignal>
