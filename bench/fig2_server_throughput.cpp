@@ -27,13 +27,6 @@
 //                                 ratio is flat; the structural counters
 //                                 (GETs per node — the primary serves ~0
 //                                 with replicas) are the evidence.
-//   --groups=G                    multi-tenant section: T tenants driven
-//                                 through the shard-map routing tier over
-//                                 G replicated primary groups; emits
-//                                 per-group rows (adds, db size, bounces,
-//                                 misplaced entries) — the structural
-//                                 evidence for balance and isolation on a
-//                                 1-core host
 //   --smoke                       tiny sizes (CI)
 //   --json=PATH                   trajectory file (default BENCH_fig2.json)
 //
@@ -56,11 +49,9 @@
 #include "bench_util.hpp"
 #include "communix/cluster/cluster_client.hpp"
 #include "communix/cluster/log_shipper.hpp"
-#include "communix/cluster/router.hpp"
 #include "communix/server.hpp"
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
-#include "sim/replica_set.hpp"
 #include "util/clock.hpp"
 #include "util/serde.hpp"
 #include "util/stopwatch.hpp"
@@ -373,127 +364,10 @@ void RunReplicaScaling(std::size_t replicas, bool smoke,
                  {"lag", static_cast<double>(ship.lag)}});
   }
   std::printf(
-      "\nstructural claim: with replicas, the GET(0) fetches that reach the\n"
-      "wire are served by the followers (primary GETs ~0); the client's\n"
-      "delta-fetch cache absorbs the repeats (first scan per client pays a\n"
-      "fetch, later ones a kReplPull probe + cached bytes), so wire GETs\n"
-      "stay near one per client. Wall-clock scaling needs one core per\n"
-      "node (this host: %u).\n",
+      "\nstructural claim: with replicas, every GET(0) scan is one wire GET\n"
+      "served by a follower (primary GETs ~0). Wall-clock scaling needs\n"
+      "one core per node (this host: %u).\n",
       std::thread::hardware_concurrency());
-}
-
-// ---------------------------------------------------------------------------
-// --groups: multi-tenant scale-out across community-sharded groups.
-//
-// G replicated primary groups behind the shard-map routing tier; T
-// tenants drive uniform ADD traffic through one MultiGroupClient. On a
-// 1-core host the wall-clock rate cannot scale, so the evidence is
-// structural: the HRW map spreads tenants so no group carries more than
-// ~1.5x another's ADDs, every entry lands on its community's owner group
-// (cross-group interference = 0 rows), and a stable map never bounces.
-// ---------------------------------------------------------------------------
-void RunShardedGroups(std::size_t groups, bool smoke,
-                      communix::bench::BenchJson& json) {
-  namespace net = communix::net;
-  namespace sim = communix::sim;
-  const std::size_t tenants = smoke ? 32 : 64;
-  const std::size_t adds_per_tenant = smoke ? 8 : 50;
-
-  VirtualClock clock;
-  sim::ShardedDeploymentOptions opts;
-  opts.groups = groups;
-  opts.group_options.followers = 1;
-  opts.group_options.server.per_user_daily_limit = 1'000'000;
-  sim::ShardedDeployment sd(clock, opts);
-
-  Rng rng(0x6009);
-  std::uint64_t accepted = 0;
-  Stopwatch watch;
-  for (std::size_t i = 0; i < adds_per_tenant; ++i) {
-    for (std::size_t t = 0; t < tenants; ++t) {
-      const communix::UserId user =
-          communix::MakeUserId(static_cast<communix::CommunityId>(t),
-                               static_cast<std::uint64_t>(i + 1));
-      const UserToken token = sd.group(0).primary().IssueToken(user);
-      net::Request req;
-      req.type = net::MsgType::kAddSignature;
-      communix::BinaryWriter w;
-      w.WriteRaw(std::span<const std::uint8_t>(token.data(), token.size()));
-      const auto bytes =
-          communix::bench::RandomSignature(
-              rng, static_cast<std::uint32_t>(t * 100'000 + i + 1))
-              .ToBytes();
-      w.WriteRaw(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
-      req.payload = w.take();
-      auto result = sd.client().CallFor(
-          static_cast<communix::CommunityId>(t), req);
-      if (result.ok() && result.value().ok()) ++accepted;
-    }
-  }
-  const double seconds = watch.ElapsedSeconds();
-  const double rate =
-      static_cast<double>(tenants * adds_per_tenant) / seconds;
-
-  communix::bench::PrintHeader(
-      "Multi-tenant scale-out: " + std::to_string(tenants) + " tenants over " +
-      std::to_string(groups) + " community-sharded primary groups");
-  std::printf("%8s %14s %10s %14s %14s\n", "group", "adds_accepted", "db size",
-              "wrong_group", "misplaced");
-  std::uint64_t min_adds = UINT64_MAX;
-  std::uint64_t max_adds = 0;
-  std::uint64_t misplaced_total = 0;
-  for (std::size_t g = 0; g < sd.group_count(); ++g) {
-    CommunixServer& primary = sd.group(g).primary();
-    const auto stats = primary.GetStats();
-    // Cross-group interference, counted structurally: entries whose
-    // community this group does not own under the current map.
-    std::uint64_t misplaced = 0;
-    primary.VisitEntries(
-        0, UINT64_MAX,
-        [&](std::uint64_t, const communix::store::EntryView& e) {
-          if (sd.GroupIndexFor(communix::CommunityOf(e.sender)) != g) {
-            ++misplaced;
-          }
-        });
-    misplaced_total += misplaced;
-    min_adds = std::min(min_adds, stats.adds_accepted);
-    max_adds = std::max(max_adds, stats.adds_accepted);
-    std::printf("%8zu %14llu %10llu %14llu %14llu\n", g + 1,
-                static_cast<unsigned long long>(stats.adds_accepted),
-                static_cast<unsigned long long>(primary.db_size()),
-                static_cast<unsigned long long>(stats.wrong_group_bounces),
-                static_cast<unsigned long long>(misplaced));
-    json.AddRow("groups",
-                {{"groups", static_cast<double>(groups)},
-                 {"group", static_cast<double>(g + 1)},
-                 {"adds_accepted", static_cast<double>(stats.adds_accepted)},
-                 {"db_size", static_cast<double>(primary.db_size())},
-                 {"wrong_group_bounces",
-                  static_cast<double>(stats.wrong_group_bounces)},
-                 {"misplaced_entries", static_cast<double>(misplaced)}});
-  }
-  const double balance =
-      min_adds == 0 ? 0.0
-                    : static_cast<double>(max_adds) /
-                          static_cast<double>(min_adds);
-  const auto cstats = sd.client().GetStats();
-  std::printf("%8s %14.0f adds/sec, balance %.2fx, client bounces %llu\n",
-              "total", rate, balance,
-              static_cast<unsigned long long>(cstats.wrong_group_bounces));
-  json.AddRow("groups_summary",
-              {{"groups", static_cast<double>(groups)},
-               {"tenants", static_cast<double>(tenants)},
-               {"adds_per_second", rate},
-               {"accepted", static_cast<double>(accepted)},
-               {"balance_ratio", balance},
-               {"misplaced_entries", static_cast<double>(misplaced_total)},
-               {"client_bounces",
-                static_cast<double>(cstats.wrong_group_bounces)}});
-  std::printf(
-      "\nstructural claims: per-group ADD share within ~1.5x of each other\n"
-      "(HRW over %zu tenants), zero misplaced entries (every row lives on\n"
-      "its community's owner group), zero bounces under a stable map.\n",
-      tenants);
 }
 
 // ---------------------------------------------------------------------------
@@ -738,7 +612,6 @@ int main(int argc, char** argv) {
   std::string backend_name = "sharded";
   std::string workers_value = "8";
   std::string replicas_value = "0";
-  std::string groups_value = "0";
   std::string json_path = "BENCH_fig2.json";
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -752,14 +625,12 @@ int main(int argc, char** argv) {
                                           &workers_value) ||
                communix::bench::FlagValue(argv[i], "--replicas",
                                           &replicas_value) ||
-               communix::bench::FlagValue(argv[i], "--groups",
-                                          &groups_value) ||
                communix::bench::FlagValue(argv[i], "--json", &json_path)) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--compare] "
                    "[--backend=sharded|monolithic] [--workers=N] "
-                   "[--replicas=N] [--groups=G] [--json=PATH]\n",
+                   "[--replicas=N] [--json=PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -782,15 +653,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::size_t replicas = replicas_parsed;
-  end = nullptr;
-  const unsigned long groups_parsed =
-      std::strtoul(groups_value.c_str(), &end, 10);
-  if (groups_value.empty() || *end != '\0' || groups_parsed == 1 ||
-      groups_parsed > 16) {
-    std::fprintf(stderr, "--groups must be 0 (off) or an integer in [2, 16]\n");
-    return 2;
-  }
-  const std::size_t groups = groups_parsed;
 
   communix::bench::BenchJson json("fig2_server_throughput");
 
@@ -828,10 +690,6 @@ int main(int argc, char** argv) {
 
   if (replicas > 0) {
     RunReplicaScaling(replicas, smoke, json);
-  }
-
-  if (groups >= 2) {
-    RunShardedGroups(groups, smoke, json);
   }
 
   RunBootstrapSeries(smoke, json);

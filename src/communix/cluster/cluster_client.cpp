@@ -19,32 +19,18 @@ bool IsWrite(net::MsgType type) {
 
 ClusterClient::ClusterClient(Endpoint primary, std::vector<Endpoint> replicas,
                              Options options)
-    : heal_probe_period_(std::max<std::size_t>(options.heal_probe_period, 1)),
-      cache_enabled_(options.read_cache_slices > 0),
-      cache_(std::max<std::size_t>(options.read_cache_slices, 1)) {
+    : heal_probe_period_(std::max<std::size_t>(options.heal_probe_period, 1)) {
   slots_.push_back(Slot{std::move(primary), false, 0});
   for (Endpoint& e : replicas) {
     slots_.push_back(Slot{std::move(e), false, 0});
   }
 }
 
-void ClusterClient::InvalidateCacheLocked() {
-  if (!cache_enabled_) return;
-  ++cache_generation_;
-  ++cache_invalidations_;
-}
-
 Result<net::Response> ClusterClient::CallSlotLocked(
     Slot& slot, const net::Request& request) {
   auto result = slot.endpoint.transport->Call(request);
   if (!result.ok()) {
-    if (!slot.down) {
-      ++failovers_;  // count down-transitions, not retries
-      // A failover mid-fetch voids any splice in flight: the endpoint
-      // that built a cached prefix may be gone, and the conservative
-      // move is to rebuild from a full reply.
-      InvalidateCacheLocked();
-    }
+    if (!slot.down) ++failovers_;  // count down-transitions, not retries
     slot.down = true;
     slot.epoch = 0;  // a node that comes back may have a new lineage
   } else if (slot.down) {
@@ -66,24 +52,40 @@ void ClusterClient::ProbeEpochLocked(Slot& slot) {
   if (reply) slot.epoch = reply->epoch;
 }
 
+void ClusterClient::RefreshPrimaryEpochLocked(std::size_t fresh) {
+  Slot& primary = slots_[0];
+  const std::uint64_t cached = primary.epoch;
+  primary.epoch = 0;
+  ProbeEpochLocked(primary);
+  if (primary.epoch == 0 || primary.epoch == cached) return;
+  known_log_size_.store(0, std::memory_order_release);
+  for (std::size_t i = 1; i < slots_.size(); ++i) {
+    if (i != fresh) slots_[i].epoch = 0;
+  }
+}
+
 void ClusterClient::HealOneDownEndpointLocked() {
   const std::size_t n = slots_.size();
   for (std::size_t i = 0; i < n; ++i) {
     Slot& slot = slots_[(heal_rr_ + i) % n];
     if (!slot.down) continue;
     heal_rr_ = (heal_rr_ + i + 1) % n;
-    // Probe the transport directly: a heal attempt against a
-    // still-dead node is not a new failover event, and success both
-    // clears the mark and refreshes the (possibly new) epoch.
-    ++heal_probes_;
-    auto result = slot.endpoint.transport->Call(
-        net::BuildReplPullRequest(net::ReplPullRequest{0, 0, 0}));
-    if (result.ok() && result.value().ok()) {
-      slot.down = false;
-      const auto reply = net::ParseReplPullReply(result.value());
-      slot.epoch = reply ? reply->epoch : 0;
-    }
+    ReviveLocked(slot);
     return;
+  }
+}
+
+void ClusterClient::ReviveLocked(Slot& slot) {
+  // Probe the transport directly: a heal attempt against a still-dead
+  // node is not a new failover event, and success both clears the mark
+  // and refreshes the (possibly new) epoch.
+  ++heal_probes_;
+  auto result = slot.endpoint.transport->Call(
+      net::BuildReplPullRequest(net::ReplPullRequest{0, 0, 0}));
+  if (result.ok() && result.value().ok()) {
+    slot.down = false;
+    const auto reply = net::ParseReplPullReply(result.value());
+    slot.epoch = reply ? reply->epoch : 0;
   }
 }
 
@@ -159,6 +161,9 @@ Result<net::Response> ClusterClient::Call(const net::Request& request) {
       // Byte-stability guard: a replica on another lineage would serve a
       // *different* log — never read the database from it.
       ProbeEpochLocked(slots_[0]);
+      // Down replicas come last in the order, so reaching one means no
+      // endpoint ahead of it could serve the read: worth a revival probe.
+      if (slot.down) ReviveLocked(slot);
       ProbeEpochLocked(slot);
       if (slot.epoch != 0 && slots_[0].epoch != 0 &&
           slot.epoch != slots_[0].epoch) {
@@ -166,6 +171,11 @@ Result<net::Response> ClusterClient::Call(const net::Request& request) {
         // primary's lineage; re-probe once before writing the replica off.
         slot.epoch = 0;
         ProbeEpochLocked(slot);
+        // Or the primary's cached epoch may predate a Compact() that the
+        // replica has already followed: re-probe the primary as well.
+        if (slot.epoch != 0 && slot.epoch != slots_[0].epoch) {
+          RefreshPrimaryEpochLocked(idx);
+        }
         if (slot.epoch == 0 || slot.epoch != slots_[0].epoch) {
           ++epoch_skips_;
           continue;
@@ -214,20 +224,14 @@ Result<net::Response> ClusterClient::Call(const net::Request& request) {
     // Every live endpoint lagged (primary dead, replicas behind): serve
     // the longest prefix available rather than failing, and record that
     // the monotonic floor was not met. The floor itself is untouched.
-    // The delta-fetch cache is dropped too: a short read means cluster
-    // state is degraded enough that splicing onto cached prefixes is no
-    // longer worth reasoning about.
     ++short_reads_;
-    InvalidateCacheLocked();
     return *best;
   }
   return last_error;
 }
 
-Status ClusterClient::FetchRange(std::uint64_t from,
-                                 std::vector<std::vector<std::uint8_t>>* out,
-                                 std::vector<std::uint8_t>* payload,
-                                 std::uint32_t* count) {
+Result<std::vector<std::vector<std::uint8_t>>> ClusterClient::FetchSince(
+    std::uint64_t from) {
   net::Request request;
   request.type = net::MsgType::kGetSignatures;
   BinaryWriter w;
@@ -241,129 +245,13 @@ Status ClusterClient::FetchRange(std::uint64_t from,
 
   BinaryReader r(std::span<const std::uint8_t>(resp.payload.data(),
                                                resp.payload.size()));
-  *count = r.ReadU32();
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    out->push_back(r.ReadBytes());
+  const std::uint32_t count = r.ReadU32();
+  std::vector<std::vector<std::uint8_t>> sigs;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    sigs.push_back(r.ReadBytes());
     if (!r.ok()) {
       return Status::Error(ErrorCode::kDataLoss, "corrupt GET reply");
     }
-  }
-  // The slice region is everything after the u32 count — byte-identical
-  // to what any same-epoch replica would serve for [from, from+count).
-  payload->assign(resp.payload.begin() + sizeof(std::uint32_t),
-                  resp.payload.end());
-  return Status::Ok();
-}
-
-Result<std::vector<std::vector<std::uint8_t>>> ClusterClient::FetchSince(
-    std::uint64_t from) {
-  std::vector<std::vector<std::uint8_t>> sigs;
-  std::vector<std::uint8_t> payload;
-  std::uint32_t count = 0;
-
-  if (!cache_enabled_) {
-    if (Status s = FetchRange(from, &sigs, &payload, &count); !s.ok()) {
-      return s;
-    }
-    return sigs;
-  }
-
-  // Probe the cluster's (epoch, length) first. The epoch drives
-  // invalidation — a lineage change means cached indexes name different
-  // bytes — and the length lets an up-to-date poll be answered from the
-  // cache with no data transfer at all.
-  bool probed = false;
-  std::uint64_t probe_size = 0;
-  {
-    auto result = Call(net::BuildReplPullRequest(net::ReplPullRequest{0, 0, 0}));
-    if (result.ok() && result.value().ok()) {
-      if (const auto reply = net::ParseReplPullReply(result.value())) {
-        probed = true;
-        probe_size = reply->log_size;
-        std::lock_guard lock(mu_);
-        if (reply->epoch != cache_epoch_) {
-          if (cache_epoch_ != 0) InvalidateCacheLocked();
-          cache_epoch_ = reply->epoch;
-        }
-      }
-    }
-  }
-
-  std::uint64_t gen = 0;
-  {
-    std::lock_guard lock(mu_);
-    gen = cache_generation_;
-  }
-
-  if (probed) {
-    if (auto slice = cache_.Lookup(gen, from)) {
-      // Monotonic-read floor: the probe may have been answered by a
-      // lagging replica, so its length alone cannot authorize a pure
-      // cache hit — the cached slice must also cover everything this
-      // client has ever shown a caller. A shorter slice delta-fetches,
-      // and the routed GET inside FetchRange re-applies the floor
-      // (retrying lagging endpoints) exactly as an uncached scan would.
-      const std::uint64_t known =
-          known_log_size_.load(std::memory_order_acquire);
-      if (probe_size <= slice->upto && slice->upto >= known) {
-        // Nothing new past the cached prefix: serve the poll without
-        // touching the wire again.
-        BinaryReader r(std::span<const std::uint8_t>(slice->payload.data(),
-                                                     slice->payload.size()));
-        sigs.reserve(slice->count);
-        for (std::uint32_t i = 0; i < slice->count; ++i) {
-          sigs.push_back(r.ReadBytes());
-        }
-        std::lock_guard lock(mu_);
-        ++cache_hits_;
-        return sigs;
-      }
-      // Delta fetch: reuse the cached prefix, transfer only the suffix.
-      sigs.reserve(slice->count);
-      BinaryReader r(std::span<const std::uint8_t>(slice->payload.data(),
-                                                   slice->payload.size()));
-      for (std::uint32_t i = 0; i < slice->count; ++i) {
-        sigs.push_back(r.ReadBytes());
-      }
-      std::vector<std::uint8_t> delta_payload;
-      std::uint32_t delta_count = 0;
-      if (Status s =
-              FetchRange(slice->upto, &sigs, &delta_payload, &delta_count);
-          !s.ok()) {
-        return s;
-      }
-      auto merged = std::make_shared<store::CachedSlice>();
-      merged->from = from;
-      merged->upto = slice->upto + delta_count;
-      merged->count = slice->count + delta_count;
-      merged->payload = slice->payload;
-      merged->payload.insert(merged->payload.end(), delta_payload.begin(),
-                             delta_payload.end());
-      {
-        std::lock_guard lock(mu_);
-        ++cache_hits_;
-        ++cache_delta_fetches_;
-      }
-      // Insert under the generation the prefix was read at: if an
-      // invalidation raced the delta fetch, ReadCache discards this
-      // stale-generation insert on its own.
-      cache_.Insert(gen, std::move(merged));
-      return sigs;
-    }
-  }
-
-  // Cold path: full fetch, then admit the slice (2Q probation decides
-  // whether this cursor is actually hot).
-  if (Status s = FetchRange(from, &sigs, &payload, &count); !s.ok()) {
-    return s;
-  }
-  if (probed && count > 0) {
-    auto slice = std::make_shared<store::CachedSlice>();
-    slice->from = from;
-    slice->upto = from + count;
-    slice->count = count;
-    slice->payload = std::move(payload);
-    cache_.Insert(gen, std::move(slice));
   }
   return sigs;
 }
@@ -378,9 +266,6 @@ ClusterClient::Stats ClusterClient::GetStats() const {
   out.stale_read_retries = stale_read_retries_;
   out.short_reads = short_reads_;
   out.epoch_skips = epoch_skips_;
-  out.cache_hits = cache_hits_;
-  out.cache_delta_fetches = cache_delta_fetches_;
-  out.cache_invalidations = cache_invalidations_;
   out.heal_probes = heal_probes_;
   return out;
 }
@@ -405,11 +290,6 @@ obs::ProbeHandle ClusterClient::ExportStats(
                      s.stale_read_retries);
     sink.EmitCounter("cluster.client.short_reads", s.short_reads);
     sink.EmitCounter("cluster.client.epoch_skips", s.epoch_skips);
-    sink.EmitCounter("cluster.client.cache_hits", s.cache_hits);
-    sink.EmitCounter("cluster.client.cache_delta_fetches",
-                     s.cache_delta_fetches);
-    sink.EmitCounter("cluster.client.cache_invalidations",
-                     s.cache_invalidations);
     sink.EmitCounter("cluster.client.heal_probes", s.heal_probes);
     std::uint64_t up = 0;
     for (const bool b : EndpointUp()) up += b ? 1 : 0;

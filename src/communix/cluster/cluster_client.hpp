@@ -23,17 +23,13 @@
 // monotone: they never observe index i holding two different byte
 // strings, and never see the stream shrink.
 //
-// Delta fetching. FetchSince keeps a client-side 2Q cache of decoded
-// reply slices keyed by cursor. A cached fetch first issues a cheap
-// kReplPull probe (epoch + committed length): if the length still
-// matches the cached slice, the reply is served with zero data
-// transfer; if the log grew, only the suffix [cached_upto, size) is
-// fetched and spliced onto the cached prefix — O(new entries), not
-// O(db), per poll. The splice is sound for the same reason failover
-// is: same-epoch replies are byte-identical. The cache is invalidated
-// (generation bump) whenever that reasoning could lapse: the probed
-// epoch changes (compaction / lineage reset), an endpoint goes down
-// mid-call, or a short read was served.
+// Lineage changes. The floor is per lineage: Compact() rewrites the log
+// under a new epoch, where indexes name different bytes. When a replica
+// still reports another epoch than the primary's cached one after a
+// re-probe, the client re-probes the primary as well. If the primary's
+// epoch moved, the client adopts it, resets the floor to 0 and forgets
+// the other replicas' cached epochs, so every replica that has caught up
+// serves reads again.
 #pragma once
 
 #include <atomic>
@@ -42,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "communix/store/read_cache.hpp"
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
 #include "util/status.hpp"
@@ -57,9 +52,6 @@ class ClusterClient final : public net::ClientTransport {
   };
 
   struct Options {
-    /// FetchSince slice-cache capacity (2Q resident slices); 0 disables
-    /// delta fetching (every FetchSince is a full GET).
-    std::size_t read_cache_slices = 64;
     /// Down-endpoint revival backoff: probe one down endpoint every Kth
     /// successful read, not every read. Probing a dead node costs a
     /// connect timeout over TCP, so an unthrottled probe-per-read taxes
@@ -82,8 +74,7 @@ class ClusterClient final : public net::ClientTransport {
 
   /// GET(from) convenience: serialized signatures with index >= from, in
   /// index order (the CommunixClient daemon codepath, minus the repo).
-  /// Delta-fetching: see the header comment — repeat polls of the same
-  /// cursor cost a probe plus the new suffix, not a full transfer.
+  /// One routed GET plus a parse of its reply.
   Result<std::vector<std::vector<std::uint8_t>>> FetchSince(
       std::uint64_t from);
 
@@ -103,11 +94,9 @@ class ClusterClient final : public net::ClientTransport {
     /// (every live endpoint lagged — primary dead and replicas behind).
     std::uint64_t short_reads = 0;
     std::uint64_t epoch_skips = 0;        // replicas skipped: epoch mismatch
-    std::uint64_t cache_hits = 0;         // FetchSince served a cached prefix
-    std::uint64_t cache_delta_fetches = 0;  // of which: suffix GET issued
-    std::uint64_t cache_invalidations = 0;  // client-side generation bumps
-    /// Revival probes actually sent to down endpoints (throttled by
-    /// Options::heal_probe_period).
+    /// Revival probes actually sent to down endpoints: throttled by
+    /// Options::heal_probe_period, plus one whenever a GET reaches a down
+    /// replica because no endpoint ahead of it could serve.
     std::uint64_t heal_probes = 0;
   };
   Stats GetStats() const;
@@ -138,11 +127,20 @@ class ClusterClient final : public net::ClientTransport {
   /// Ensures slot.epoch is known (kReplPull probe). Best-effort.
   void ProbeEpochLocked(Slot& slot);
 
+  /// Re-probes the primary's epoch. If it moved to a new lineage, adopts
+  /// it, resets the monotonic-read floor and forgets the cached epochs
+  /// of every replica but slots_[fresh], which was just probed.
+  void RefreshPrimaryEpochLocked(std::size_t fresh);
+
   /// Opportunistic revival: probes one down endpoint (round-robin) so a
   /// restarted node rejoins the fan-out instead of staying excluded
   /// forever. Invoked from the read path every heal_probe_period-th
   /// successful read (see MaybeHealLocked).
   void HealOneDownEndpointLocked();
+
+  /// One revival probe (a kReplPull, counted in heal_probes) of a down
+  /// endpoint; success clears the mark and refreshes its epoch.
+  void ReviveLocked(Slot& slot);
 
   /// Backoff gate in front of HealOneDownEndpointLocked: probes fire on
   /// every Kth successful read while something is down. The counter only
@@ -154,17 +152,6 @@ class ClusterClient final : public net::ClientTransport {
   static bool GetCoverage(const net::Request& request,
                           const net::Response& resp, std::uint64_t* coverage,
                           std::uint64_t* from, std::uint32_t* count);
-
-  /// Bumps the slice-cache generation (every cached slice dies on its
-  /// next access). Caller holds mu_.
-  void InvalidateCacheLocked();
-
-  /// One routed GET(from) plus reply parse; on success appends the
-  /// decoded signatures to `out` and returns the slice region
-  /// (count-stripped payload) via `payload`/`count`.
-  Status FetchRange(std::uint64_t from,
-                    std::vector<std::vector<std::uint8_t>>* out,
-                    std::vector<std::uint8_t>* payload, std::uint32_t* count);
 
   const std::size_t heal_probe_period_;
 
@@ -184,17 +171,6 @@ class ClusterClient final : public net::ClientTransport {
   std::uint64_t stale_read_retries_ = 0;
   std::uint64_t short_reads_ = 0;
   std::uint64_t epoch_skips_ = 0;
-
-  // ---- FetchSince delta-fetch cache ----
-  const bool cache_enabled_;
-  mutable store::ReadCache cache_;        // internally locked
-  std::uint64_t cache_generation_ = 1;    // guarded by mu_
-  /// Primary lineage the current generation's slices were built under
-  /// (0 = not yet observed).
-  std::uint64_t cache_epoch_ = 0;         // guarded by mu_
-  std::uint64_t cache_hits_ = 0;          // guarded by mu_
-  std::uint64_t cache_delta_fetches_ = 0;
-  std::uint64_t cache_invalidations_ = 0;
 };
 
 }  // namespace communix::cluster

@@ -23,15 +23,16 @@ namespace communix {
 using UserId = std::uint64_t;
 using UserToken = AesBlock;
 
-/// Tenant / per-application community id (multi-tenant scale-out tier).
+/// Per-application community id.
 ///
 /// The user-id namespace is partitioned per application: the top 16 bits
 /// of a UserId name the community the user belongs to, the low 48 bits
-/// the member within it. Everything — quota state, shard routing, tenant
-/// stats — keys off this split, so a token decode yields both principal
-/// and tenant in one step and the signature wire format is untouched
-/// (signatures carry no app id; the sender id is the tenant authority).
-/// Seed-era user ids (small integers) all land in community 0.
+/// the member within it. The per-community daily quota
+/// (store::Limits::per_tenant_daily_limit) keys off this split, so a
+/// token decode yields both principal and community in one step and the
+/// signature wire format is untouched (signatures carry no app id; the
+/// sender id is the community authority). Seed-era user ids (small
+/// integers) all land in community 0.
 using CommunityId = std::uint64_t;
 
 constexpr unsigned kCommunityShift = 48;

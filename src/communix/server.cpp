@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "communix/store/checkpoint.hpp"
-#include "util/fnv.hpp"
 
 namespace communix {
 
@@ -60,8 +59,6 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
   stats_.checkpoint_entries_installed =
       reg.GetCounter("server.checkpoint_entries_installed");
   stats_.checkpoints_refused = reg.GetCounter("server.checkpoints_refused");
-  stats_.wrong_group_bounces = reg.GetCounter("server.wrong_group_bounces");
-  stats_.shard_maps_served = reg.GetCounter("server.shard_maps_served");
   stats_.superseded_from_fp = reg.GetCounter("server.superseded_from_fp");
   stats_.stats_served = reg.GetCounter("server.stats_served");
   get_latency_[kGetRead] = reg.GetHistogram("server.get.read_ns");
@@ -92,7 +89,6 @@ Status CommunixServer::AddDecoded(UserId user, const Signature& sig) {
 
   const TimePoint now = clock_.Now();
   const std::int64_t today = now / kNanosPerDay;
-  const CommunityId community = CommunityOf(user);
   store::AddOutcome outcome;
   {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
@@ -107,25 +103,20 @@ Status CommunixServer::AddDecoded(UserId user, const Signature& sig) {
     case store::AddOutcome::kAccepted:
       NoteCommit();
       stats_.adds_accepted->Add(1);
-      BumpTenant(community, TenantOutcome::kAccepted);
       return Status::Ok();
     case store::AddOutcome::kDuplicate:
       stats_.adds_duplicate->Add(1);
-      BumpTenant(community, TenantOutcome::kRejectedOther);
       return Status::Error(ErrorCode::kAlreadyExists, "duplicate signature");
     case store::AddOutcome::kRateLimited:
       stats_.rejected_rate_limited->Add(1);
-      BumpTenant(community, TenantOutcome::kRejectedOther);
       return Status::Error(ErrorCode::kResourceExhausted,
                            "daily signature quota exceeded");
     case store::AddOutcome::kTenantRateLimited:
       stats_.rejected_tenant_quota->Add(1);
-      BumpTenant(community, TenantOutcome::kRejectedQuota);
       return Status::Error(ErrorCode::kResourceExhausted,
                            "community daily quota exceeded");
     case store::AddOutcome::kAdjacent:
       stats_.rejected_adjacent->Add(1);
-      BumpTenant(community, TenantOutcome::kRejectedOther);
       return Status::Error(
           ErrorCode::kPermissionDenied,
           "adjacent to a signature previously sent by this user");
@@ -166,42 +157,6 @@ void CommunixServer::InterruptCommitWaiters() {
   commit_cv_.notify_all();
 }
 
-std::uint64_t CommunixServer::WrongGroupFor(
-    CommunityId community, cluster::WrongGroupHint* hint) const {
-  if (options_.group_id == 0) return 0;  // standalone: never bounces
-  std::shared_ptr<const cluster::ShardMap> map;
-  {
-    std::lock_guard lock(shard_map_mu_);
-    map = shard_map_;
-  }
-  if (!map) return 0;  // no placement installed yet: accept everything
-  const std::uint64_t owner = map->GroupFor(community);
-  if (owner == options_.group_id) return 0;
-  if (hint != nullptr) {
-    hint->map_version = map->version;
-    hint->owner_group = owner;
-  }
-  return owner;
-}
-
-void CommunixServer::BumpTenant(CommunityId community, TenantOutcome outcome) {
-  TenantStatsStripe& stripe =
-      tenant_stats_[Fnv1aU64(community) % kTenantStatStripes];
-  std::lock_guard lock(stripe.mu);
-  Stats::TenantCounters& c = stripe.counters[community];
-  switch (outcome) {
-    case TenantOutcome::kAccepted:
-      ++c.adds_accepted;
-      break;
-    case TenantOutcome::kRejectedQuota:
-      ++c.adds_rejected_quota;
-      break;
-    case TenantOutcome::kRejectedOther:
-      ++c.adds_rejected_other;
-      break;
-  }
-}
-
 Status CommunixServer::AddSignature(const UserToken& token,
                                     const Signature& sig) {
   if (options_.role == ServerRole::kFollower) {
@@ -213,11 +168,6 @@ Status CommunixServer::AddSignature(const UserToken& token,
   if (!user) {
     stats_.rejected_bad_token->Add(1);
     return Status::Error(ErrorCode::kPermissionDenied, "invalid sender id");
-  }
-  if (WrongGroupFor(CommunityOf(*user), nullptr) != 0) {
-    stats_.wrong_group_bounces->Add(1);
-    return Status::Error(ErrorCode::kWrongGroup,
-                         "community is owned by another primary group");
   }
   return AddDecoded(*user, sig);
 }
@@ -241,17 +191,6 @@ std::vector<Status> CommunixServer::AddBatch(
     for (std::size_t i = 0; i < sigs.size(); ++i) {
       out.push_back(
           Status::Error(ErrorCode::kPermissionDenied, "invalid sender id"));
-    }
-    return out;
-  }
-  if (WrongGroupFor(CommunityOf(*user), nullptr) != 0) {
-    // One bounce per frame, not per signature: the whole batch shares the
-    // sender, so it is the frame that is misrouted.
-    stats_.wrong_group_bounces->Add(1);
-    for (std::size_t i = 0; i < sigs.size(); ++i) {
-      out.push_back(
-          Status::Error(ErrorCode::kWrongGroup,
-                        "community is owned by another primary group"));
     }
     return out;
   }
@@ -493,7 +432,7 @@ net::Response CommunixServer::Handle(const net::Request& request) {
   obs::StageClock::Reset();
   net::Response resp = HandleDispatch(request);
   // Centralized reply accounting: every verb's reply — including the
-  // early-return repl/shard handlers — lands here exactly once.
+  // early-return repl/mark/stats handlers — lands here exactly once.
   stats_.reply_bytes_copied->Add(resp.payload.size());
   if (const std::size_t shared = TotalSize(resp.segments); shared > 0) {
     stats_.reply_bytes_shared->Add(shared);
@@ -531,8 +470,8 @@ net::Response CommunixServer::Handle(const net::Request& request) {
   const std::uint64_t store_ns =
       obs::StageClock::Accumulated(obs::Stage::kStoreOp);
   rec.stage_ns[static_cast<std::size_t>(obs::Stage::kStoreOp)] = store_ns;
-  // Everything in the handler that wasn't the store: reply building,
-  // token decode, tenant accounting.
+  // Everything in the handler that wasn't the store: reply building and
+  // token decode.
   rec.stage_ns[static_cast<std::size_t>(obs::Stage::kSerialize)] =
       dispatch_ns > store_ns ? dispatch_ns - store_ns : 0;
   // The flush stage completes after we return; PendingTrace publishes
@@ -562,15 +501,6 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
       UserToken token;
       std::copy(raw_token.begin(), raw_token.end(), token.begin());
       const Status s = AddSignature(token, *sig);
-      if (s.code() == ErrorCode::kWrongGroup) {
-        // Attach the routing hint so a stale client can refresh + retry
-        // without a config push. (The rare-path re-decode is deliberate:
-        // the common accept path pays nothing for it.)
-        cluster::WrongGroupHint hint;
-        const auto user = authority_.Decode(token);
-        if (user) WrongGroupFor(CommunityOf(*user), &hint);
-        return cluster::BuildWrongGroupResponse(hint);
-      }
       resp.code = s.code();
       resp.error = s.message();
       break;
@@ -607,15 +537,6 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
       std::copy(raw_token.begin(), raw_token.end(), token.begin());
       const auto statuses =
           AddBatch(token, std::span<const Signature>(sigs.data(), sigs.size()));
-      if (!statuses.empty() &&
-          statuses.front().code() == ErrorCode::kWrongGroup) {
-        // The whole frame is misrouted (one sender per batch): bounce it
-        // frame-level with the hint instead of N per-status codes.
-        cluster::WrongGroupHint hint;
-        const auto user = authority_.Decode(token);
-        if (user) WrongGroupFor(CommunityOf(*user), &hint);
-        return cluster::BuildWrongGroupResponse(hint);
-      }
       BinaryWriter w;
       w.WriteU32(static_cast<std::uint32_t>(statuses.size()));
       for (const Status& s : statuses) {
@@ -663,9 +584,6 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
 
     case net::MsgType::kCheckpoint:
       return HandleCheckpoint(request);
-
-    case net::MsgType::kShardMap:
-      return HandleShardMap(request);
 
     case net::MsgType::kMarkSuperseded:
       return HandleMarkSuperseded(request);
@@ -763,43 +681,6 @@ std::uint64_t CommunixServer::MarkSupersededByContent(
   return marked;
 }
 
-bool CommunixServer::InstallShardMap(const cluster::ShardMap& map) {
-  if (!map.Valid()) return false;
-  std::lock_guard lock(shard_map_mu_);
-  if (shard_map_ && map.version <= shard_map_->version) return false;
-  shard_map_ = std::make_shared<const cluster::ShardMap>(map);
-  return true;
-}
-
-std::shared_ptr<const cluster::ShardMap> CommunixServer::shard_map() const {
-  std::lock_guard lock(shard_map_mu_);
-  return shard_map_;
-}
-
-std::uint64_t CommunixServer::shard_map_version() const {
-  std::lock_guard lock(shard_map_mu_);
-  return shard_map_ ? shard_map_->version : 0;
-}
-
-net::Response CommunixServer::HandleShardMap(const net::Request& request) {
-  const auto known = cluster::ParseShardMapRequest(request);
-  if (!known) {
-    stats_.rejected_malformed->Add(1);
-    net::Response resp;
-    resp.code = ErrorCode::kInvalidArgument;
-    resp.error = "malformed SHARD_MAP payload";
-    return resp;
-  }
-  // Served by every role (the map is public routing config, not data):
-  // a client can refresh from whatever replica answers fastest.
-  cluster::ShardMapReply reply;
-  const auto map = shard_map();
-  reply.version = map ? map->version : 0;
-  if (map && reply.version > *known) reply.map = *map;
-  stats_.shard_maps_served->Add(1);
-  return cluster::BuildShardMapReply(reply);
-}
-
 net::Response CommunixServer::HandleMarkSuperseded(
     const net::Request& request) {
   net::Response resp;
@@ -853,7 +734,7 @@ net::Response CommunixServer::HandleStats(const net::Request& request) {
     return resp;
   }
   // Served by every role: introspection is read-only and carries no
-  // community data, so any replica can answer (like kShardMap).
+  // community data, so any replica can answer.
   obs::MetricsSnapshot snap;
   if (stats_req->include_metrics) {
     snap = metrics_->Snapshot();
@@ -895,19 +776,9 @@ CommunixServer::Stats CommunixServer::GetStats() const {
       stats_.checkpoint_entries_installed->Value();
   out.checkpoints_refused = stats_.checkpoints_refused->Value();
   out.rejected_tenant_quota = stats_.rejected_tenant_quota->Value();
-  out.wrong_group_bounces = stats_.wrong_group_bounces->Value();
-  out.shard_maps_served = stats_.shard_maps_served->Value();
   out.superseded_from_fp = stats_.superseded_from_fp->Value();
   out.stats_served = stats_.stats_served->Value();
   out.adds_processed = stats_.adds_processed->Value();
-  for (const TenantStatsStripe& stripe : tenant_stats_) {
-    std::lock_guard lock(stripe.mu);
-    for (const auto& [community, counters] : stripe.counters) {
-      out.tenants.emplace_back(community, counters);
-    }
-  }
-  std::sort(out.tenants.begin(), out.tenants.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

@@ -9,6 +9,8 @@
 //      are rejected outright.
 //   2. Rate limit: at most `per_user_daily_limit` (default 10) signatures
 //      are processed per user per day; the rest are ignored (§III-C1).
+//      An optional per-community budget (`per_tenant_daily_limit`) also
+//      caps a sybil flood of many ids inside one community (ids.hpp).
 //   3. Adjacency: two distinct signatures from the same user must not
 //      have *some but not all* top frames in common. Honest users don't
 //      hit "adjacent" deadlocks; attackers need this to mass-manufacture
@@ -38,10 +40,8 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "communix/cluster/shard_map.hpp"
 #include "communix/ids.hpp"
 #include "communix/store/signature_store.hpp"
 #include "dimmunix/signature.hpp"
@@ -71,14 +71,9 @@ class CommunixServer final : public net::RequestHandler {
     /// Upper bound on entries shipped per kReplPull reply (defensive:
     /// a reply frame stays bounded regardless of the requested limit).
     std::uint32_t repl_pull_max_entries = 4096;
-    /// Primary-group id in a sharded deployment (multi-tenant tier).
-    /// Nonzero: once a shard map is installed, ADDs from communities the
-    /// map assigns elsewhere bounce with kWrongGroup + a version hint.
-    /// 0 (default): standalone server, never bounces.
-    std::uint64_t group_id = 0;
     /// Per-community daily ADD budget (store::Limits — 0 disables).
-    /// Contains a tenant-wide flood: one community exhausting its budget
-    /// cannot consume the group's capacity for co-located tenants.
+    /// Contains a community-wide sybil flood: one community exhausting
+    /// its budget cannot consume the server's capacity for the others.
     std::size_t per_tenant_daily_limit = 0;
     /// Registry every server counter/histogram lives in (obs tier). A
     /// deployment shares one registry across its co-located components
@@ -189,17 +184,6 @@ class CommunixServer final : public net::RequestHandler {
   std::uint64_t MarkSupersededByContent(
       std::span<const std::uint64_t> content_ids);
 
-  // ---- routing tier (multi-tenant scale-out) ----
-
-  /// Installs `map` if it is strictly newer than the current one
-  /// (version-gated, like every map cache in the tier). Returns whether
-  /// it was adopted. Thread-safe; ADDs observe the new map on their next
-  /// request.
-  bool InstallShardMap(const cluster::ShardMap& map);
-  /// Currently installed map (nullptr before the first install).
-  std::shared_ptr<const cluster::ShardMap> shard_map() const;
-  std::uint64_t shard_map_version() const;
-
   /// Read-path latency buckets, kept as registry histograms
   /// ("server.get.read_ns" / "server.checkpoint.*_ns") so kStats serves
   /// them remotely; get_latency() resolves a bucket for in-process
@@ -261,21 +245,10 @@ class CommunixServer final : public net::RequestHandler {
     std::uint64_t checkpoints_installed = 0;      // kCheckpoint ingests
     std::uint64_t checkpoint_entries_installed = 0;  // entries they carried
     std::uint64_t checkpoints_refused = 0;  // invalid/unauthorized blobs
-    // ---- multi-tenant tier ----
     std::uint64_t rejected_tenant_quota = 0;  // community budget exhausted
-    std::uint64_t wrong_group_bounces = 0;    // ADDs bounced (stale routing)
-    std::uint64_t shard_maps_served = 0;      // kShardMap requests answered
     std::uint64_t superseded_from_fp = 0;     // entries retired via
                                               // kMarkSuperseded batches
     std::uint64_t stats_served = 0;           // kStats requests answered
-    /// Per-community ADD accounting (sorted by community id). Populated
-    /// lazily — only communities that sent at least one ADD appear.
-    struct TenantCounters {
-      std::uint64_t adds_accepted = 0;
-      std::uint64_t adds_rejected_quota = 0;  // tenant budget rejections
-      std::uint64_t adds_rejected_other = 0;  // user quota/adjacent/dup/...
-    };
-    std::vector<std::pair<CommunityId, TenantCounters>> tenants;
   };
   Stats GetStats() const;
 
@@ -297,25 +270,9 @@ class CommunixServer final : public net::RequestHandler {
   net::Response HandleReplBatch(const net::Request& request);
   net::Response HandleCheckpoint(const net::Request& request);
 
-  /// kShardMap / kMarkSuperseded / kStats processing (wire handlers).
-  net::Response HandleShardMap(const net::Request& request);
+  /// kMarkSuperseded / kStats processing (wire handlers).
   net::Response HandleMarkSuperseded(const net::Request& request);
   net::Response HandleStats(const net::Request& request);
-
-  /// Nonzero = the group that owns `community` under the installed map is
-  /// not this one (the kWrongGroup bounce case); the returned hint names
-  /// it. Always 0 for unsharded servers (group_id == 0 or no map yet).
-  std::uint64_t WrongGroupFor(CommunityId community,
-                              cluster::WrongGroupHint* hint) const;
-
-  /// Per-community ADD accounting, striped like the store's user state so
-  /// concurrent ADDs from different tenants rarely contend.
-  struct TenantStatsStripe {
-    mutable std::mutex mu;
-    std::unordered_map<CommunityId, Stats::TenantCounters> counters;
-  };
-  enum class TenantOutcome { kAccepted, kRejectedQuota, kRejectedOther };
-  void BumpTenant(CommunityId community, TenantOutcome outcome);
 
   Clock& clock_;
   const Options options_;
@@ -348,8 +305,6 @@ class CommunixServer final : public net::RequestHandler {
     obs::Counter* checkpoints_installed = nullptr;
     obs::Counter* checkpoint_entries_installed = nullptr;
     obs::Counter* checkpoints_refused = nullptr;
-    obs::Counter* wrong_group_bounces = nullptr;
-    obs::Counter* shard_maps_served = nullptr;
     obs::Counter* superseded_from_fp = nullptr;
     obs::Counter* stats_served = nullptr;
   };
@@ -360,16 +315,6 @@ class CommunixServer final : public net::RequestHandler {
   /// Snapshot-time export of the store tier (db size, epoch, superseded
   /// marks) — state the store aggregates itself.
   obs::ProbeHandle store_probe_;
-
-  /// Installed shard map. Reads copy the shared_ptr under a short mutex
-  /// hold (a pointer copy — the map itself is immutable once installed);
-  /// installs swap it under the same mutex so version gating is
-  /// race-free.
-  std::shared_ptr<const cluster::ShardMap> shard_map_;
-  mutable std::mutex shard_map_mu_;
-
-  static constexpr std::size_t kTenantStatStripes = 16;
-  mutable std::array<TenantStatsStripe, kTenantStatStripes> tenant_stats_;
 
   /// Commit notification (see NoteCommit / WaitForCommit). Both atomics
   /// are seq_cst: the bump-then-probe argument in NoteCommit needs one

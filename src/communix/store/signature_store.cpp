@@ -401,8 +401,8 @@ class ShardedStore final : public SignatureStore {
           [&] {
             // Nested stripe acquisition across two DISTINCT shard
             // structures, always user → tenant — no cycle. Different
-            // tenants stripe independently, so the multi-tenant hot
-            // path stays contention-free across communities.
+            // communities stripe independently, so their ADDs rarely
+            // contend on the quota.
             return tenants_.With(CommunityOf(sender), [&](UserState& t) {
               return ConsumeTenantQuota(t, day, limits);
             });

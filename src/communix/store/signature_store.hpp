@@ -62,7 +62,7 @@ enum class AddOutcome {
   kDuplicate,
   kRateLimited,
   kAdjacent,
-  /// The sender's *community* exhausted its daily budget (multi-tenant
+  /// The sender's *community* exhausted its daily budget (per-community
   /// quota — see Limits::per_tenant_daily_limit). Distinct from
   /// kRateLimited so a tenant-wide flood is visible as such in stats.
   kTenantRateLimited,

@@ -2,6 +2,11 @@
 
 namespace communix::net {
 
+namespace {
+// Verb 8 fetched the retired multi-group shard map (see MsgType).
+constexpr std::uint8_t kRetiredVerb = 8;
+}  // namespace
+
 std::vector<std::uint8_t> Request::Serialize() const {
   BinaryWriter w;
   w.WriteU8(static_cast<std::uint8_t>(type));
@@ -14,7 +19,7 @@ std::optional<Request> Request::Deserialize(
   BinaryReader r(bytes);
   Request req;
   const std::uint8_t t = r.ReadU8();
-  if (t > static_cast<std::uint8_t>(MsgType::kStats)) {
+  if (t > static_cast<std::uint8_t>(MsgType::kStats) || t == kRetiredVerb) {
     return std::nullopt;
   }
   req.type = static_cast<MsgType>(t);

@@ -42,12 +42,9 @@ enum class MsgType : std::uint8_t {
                        // validates the blob in full, installs it, and
                        // replays only the post-checkpoint log suffix via
                        // kReplBatch. Follower-only.
-  kShardMap = 8,       // routing-tier map fetch: u64 known_version; the
-                       // reply carries the server's current shard map only
-                       // when it is newer (version-gated refresh). Served
-                       // by any role. Frame helpers live in
-                       // communix/cluster/shard_map.hpp — the map is a
-                       // routing-tier type, not a transport one.
+  // 8 is retired (it fetched the deleted multi-group shard map). The
+  // verbs after it keep their numbers, and Request::Deserialize refuses
+  // the byte like any other unknown verb.
   kMarkSuperseded = 9, // batched supersede marks from the dimmunix
                        // false-positive / generalization flow: token (16
                        // bytes) + u32 count + count u64 content ids. The

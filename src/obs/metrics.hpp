@@ -1,19 +1,17 @@
 // Process-wide metrics registry: named counters, gauges and power-of-2
 // latency histograms behind one snapshot call.
 //
-// Nine PRs grew one ad-hoc stats struct per tier (dimmunix
-// StatCounters, CommunixServer::Stats relaxed atomics, per-tenant
-// LatencyHistogram in the router, TCP flush/backpressure counters) —
-// all observable only from inside the process. This registry
+// Each tier used to keep an ad-hoc stats struct (dimmunix StatCounters,
+// CommunixServer::Stats relaxed atomics, TCP flush/backpressure
+// counters), all observable only from inside the process. This registry
 // generalizes the two patterns those structs share:
 //
 //   * Counter: the hot-path write is one relaxed-ish fetch_add into a
 //     per-thread shard (the dimmunix StatCounters scheme, without the
 //     per-component plumbing); reads sum the shards.
-//   * Histogram: the util/latency_monitor.hpp power-of-2 bucket array,
-//     with a drop-in method surface (Report / MeanNanos /
-//     ApproxQuantile / ApproxP99 / TotalCount) so call sites migrate
-//     without changing shape.
+//   * Histogram: a power-of-2 bucket array (Report / MeanNanos /
+//     ApproxQuantile / ApproxP99 / TotalCount), the repo's one
+//     latency-distribution type.
 //
 // Snapshot consistency: each counter's value is a sum of monotonic
 // shards, so a snapshot never under-reports a finished increment and
@@ -122,10 +120,8 @@ struct HistogramSnapshot {
                          const HistogramSnapshot&) = default;
 };
 
-/// Power-of-2-bucket latency histogram, API-compatible with
-/// util/latency_monitor.hpp's LatencyHistogram so migrated call sites
-/// keep their shape. Bucket 0 holds {0, 1}ns; bucket i>0 holds
-/// [2^i, 2^(i+1)); bucket 63 saturates.
+/// Power-of-2-bucket latency histogram. Bucket 0 holds {0, 1}ns;
+/// bucket i>0 holds [2^i, 2^(i+1)); bucket 63 saturates.
 class Histogram {
  public:
   void Report(std::uint64_t nanos) {

@@ -213,8 +213,6 @@ const char* VerbName(std::uint8_t verb) {
       return "REPL_BATCH";
     case 7:
       return "CHECKPOINT";
-    case 8:
-      return "SHARD_MAP";
     case 9:
       return "MARK_SUPERSEDED";
     case 10:

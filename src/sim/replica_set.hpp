@@ -2,9 +2,9 @@
 //
 // Bundles one primary CommunixServer, N follower servers, the log
 // shipper, and a failover-aware ClusterClient over in-process transports
-// with per-edge fail points — so community/DoS scenarios, the
-// equivalence property test and the Figure-2 read-scaling bench all run
-// against a realistic replicated topology without sockets:
+// with per-edge fail points — so the cluster DoS scenarios, the client
+// routing tests and the equivalence property test all run against a
+// realistic replicated topology without sockets:
 //
 //      workload ──> ClusterClient ──┬──> primary  <── LogShipper reads feed
 //                                   ├──> follower 0   <── kReplBatch
@@ -26,8 +26,6 @@
 
 #include "communix/cluster/cluster_client.hpp"
 #include "communix/cluster/log_shipper.hpp"
-#include "communix/cluster/router.hpp"
-#include "communix/cluster/shard_map.hpp"
 #include "communix/server.hpp"
 #include "net/inproc.hpp"
 #include "util/clock.hpp"
@@ -64,8 +62,7 @@ struct ReplicaSetOptions {
   /// left to each store — followers adopt the primary's via catch-up).
   CommunixServer::Options server;
   cluster::LogShipper::Options shipper;
-  /// Client-side knobs (delta-fetch cache on by default; tests that
-  /// assert exact per-request routing set read_cache_slices = 0).
+  /// Client-side knobs (heal-probe backoff).
   cluster::ClusterClient::Options client;
 };
 
@@ -113,70 +110,6 @@ class ReplicaSet {
 
   std::unique_ptr<cluster::LogShipper> shipper_;
   std::unique_ptr<cluster::ClusterClient> client_;
-};
-
-// ---------------------------------------------------------------------------
-// ShardedDeployment: the multi-tenant scale-out topology.
-// ---------------------------------------------------------------------------
-
-struct ShardedDeploymentOptions {
-  /// Number of primary groups (group ids 1..groups).
-  std::size_t groups = 2;
-  /// Per-group topology/knobs (the ReplicaSet template). The group id and
-  /// role fields are overridden per node.
-  ReplicaSetOptions group_options;
-  /// Pin overrides baked into shard-map v1 (community → group id).
-  std::vector<std::pair<CommunityId, std::uint64_t>> pins;
-  /// MultiGroupClient knobs.
-  cluster::MultiGroupClient::Options router_client;
-};
-
-/// G replicated primary groups behind one MultiGroupClient:
-///
-///   workload ─> MultiGroupClient ─┬─> ReplicaSet(group 1: primary+N)
-///                (shard map v1)   ├─> ReplicaSet(group 2: primary+N)
-///                                 └─> ...
-///
-/// Construction installs ShardMap v1 (groups 1..G plus the option pins)
-/// on every server — primaries bounce non-owned communities from then
-/// on, and any replica serves kShardMap — and pre-warms the client's
-/// router. BumpShardMap installs version+1 with new pins on the SERVERS
-/// only: exactly the mid-flight config change whose kWrongGroup bounce /
-/// refresh / retry loop the tests exercise.
-class ShardedDeployment {
- public:
-  ShardedDeployment(Clock& clock, const ShardedDeploymentOptions& options);
-
-  ShardedDeployment(const ShardedDeployment&) = delete;
-  ShardedDeployment& operator=(const ShardedDeployment&) = delete;
-
-  std::size_t group_count() const { return groups_.size(); }
-  /// Group `g` is 0-based here; its wire group id is g + 1.
-  ReplicaSet& group(std::size_t g) { return *groups_.at(g); }
-  const ReplicaSet& group(std::size_t g) const { return *groups_.at(g); }
-  cluster::MultiGroupClient& client() { return *client_; }
-  const cluster::ShardMap& shard_map() const { return map_; }
-
-  /// Owner group (0-based index) of `community` under the current map.
-  std::size_t GroupIndexFor(CommunityId community) const;
-
-  /// Installs {version+1, same groups, `pins`} on every server. The
-  /// client is deliberately left stale — it discovers the new map from
-  /// the first kWrongGroup bounce. Returns the new version.
-  std::uint64_t BumpShardMap(
-      std::vector<std::pair<CommunityId, std::uint64_t>> pins);
-
-  /// Replication across every group.
-  std::size_t Pump();
-  bool PumpUntilSynced();
-  bool FollowersConverged() const;
-
- private:
-  void InstallEverywhere(const cluster::ShardMap& map);
-
-  cluster::ShardMap map_;
-  std::vector<std::unique_ptr<ReplicaSet>> groups_;
-  std::unique_ptr<cluster::MultiGroupClient> client_;
 };
 
 }  // namespace communix::sim

@@ -63,78 +63,6 @@ class LatencyMonitorsT {
   std::atomic<std::uint64_t> count_[N] = {};
 };
 
-/// Power-of-two-bucket latency histogram: bucket i counts samples in
-/// [2^i, 2^(i+1)) nanoseconds (bucket 0 also takes 0). Same relaxed-
-/// atomic discipline as LatencyMonitorsT — Report is one fetch_add on
-/// the hot path — but the distribution supports tail quantiles, which
-/// the multi-tenant interference checks need (a flooded neighbor shows
-/// up in a victim's p99 long before it moves the mean). Quantiles are
-/// bucket-upper-bound approximations: within 2x, monotone, and exact
-/// for the structural "flat vs. exploded" comparisons the tests make.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = 64;
-
-  void Report(std::uint64_t nanos) {
-    count_[BucketFor(nanos)].fetch_add(1, std::memory_order_relaxed);
-    sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-  }
-
-  std::uint64_t TotalCount() const {
-    std::uint64_t n = 0;
-    for (const auto& c : count_) n += c.load(std::memory_order_relaxed);
-    return n;
-  }
-
-  double MeanNanos() const {
-    const std::uint64_t n = TotalCount();
-    return n == 0 ? 0.0
-                  : static_cast<double>(
-                        sum_nanos_.load(std::memory_order_relaxed)) /
-                        static_cast<double>(n);
-  }
-
-  /// Upper bound of the bucket holding the q-quantile sample (q in
-  /// [0, 1]); 0 when empty. ApproxQuantile(0.99) is the p99 the tenant
-  /// monitors report.
-  std::uint64_t ApproxQuantile(double q) const {
-    std::uint64_t counts[kBuckets];
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      counts[i] = count_[i].load(std::memory_order_relaxed);
-      total += counts[i];
-    }
-    if (total == 0) return 0;
-    const double target = q * static_cast<double>(total);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      seen += counts[i];
-      if (static_cast<double>(seen) >= target) {
-        return i + 1 >= 64 ? UINT64_MAX : (std::uint64_t{1} << (i + 1)) - 1;
-      }
-    }
-    return UINT64_MAX;
-  }
-
-  std::uint64_t ApproxP99() const { return ApproxQuantile(0.99); }
-
-  void Reset() {
-    for (auto& c : count_) c.store(0, std::memory_order_relaxed);
-    sum_nanos_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  static std::size_t BucketFor(std::uint64_t nanos) {
-    if (nanos == 0) return 0;
-    std::size_t b = 0;
-    while (nanos >>= 1) ++b;
-    return b;
-  }
-
-  std::atomic<std::uint64_t> count_[kBuckets] = {};
-  std::atomic<std::uint64_t> sum_nanos_{0};
-};
-
 enum class LatencyOp : std::size_t {
   kAcquire = 0,  // DimmunixRuntime::Acquire, any path
   kRelease,      // DimmunixRuntime::Release, any path

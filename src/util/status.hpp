@@ -27,11 +27,6 @@ enum class ErrorCode {
   kDataLoss,     // corrupt frames / files
   kDeadlock,     // deadlock detected; victim acquisition aborted
   kInternal,
-  /// Write routed to a primary group that does not own the sender's
-  /// community under the server's shard map. The wire response carries a
-  /// hint payload (current map version + owning group) so a stale-map
-  /// client can refresh and retry without a config push.
-  kWrongGroup,
 };
 
 /// Human-readable name for an ErrorCode (stable, for logs and tests).
@@ -48,7 +43,6 @@ constexpr const char* ErrorCodeName(ErrorCode code) {
     case ErrorCode::kDataLoss: return "DATA_LOSS";
     case ErrorCode::kDeadlock: return "DEADLOCK";
     case ErrorCode::kInternal: return "INTERNAL";
-    case ErrorCode::kWrongGroup: return "WRONG_GROUP";
   }
   return "UNKNOWN";
 }

@@ -1,6 +1,6 @@
 // Failover-aware cluster client: write routing, read fan-out, endpoint
-// failover/healing, the monotonic-read guard, and the kill-primary
-// smoke the CI cluster check runs.
+// failover/healing, the monotonic-read guard, lineage changes, and the
+// kill-primary smoke the CI cluster check runs.
 #include <gtest/gtest.h>
 
 #include "../testutil.hpp"
@@ -46,9 +46,6 @@ Status AddViaClient(ReplicaSet& rs, std::uint32_t salt) {
 TEST(ClusterClientTest, WritesGoToPrimaryReadsFanOutToReplicas) {
   VirtualClock clock;
   ReplicaSetOptions opts;
-  // This test counts exact per-request routing; the delta-fetch cache
-  // would legitimately absorb most of these GETs (see the cache tests).
-  opts.client.read_cache_slices = 0;
   ReplicaSet rs(clock, opts);
   for (std::uint32_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(AddViaClient(rs, i).ok());
@@ -78,8 +75,6 @@ TEST(ClusterClientTest, LaggingReplicaNeverRegressesAFreshScan) {
   VirtualClock clock;
   ReplicaSetOptions opts;
   opts.followers = 2;
-  // Exact retry accounting below depends on every scan hitting the wire.
-  opts.client.read_cache_slices = 0;
   ReplicaSet rs(clock, opts);
   for (std::uint32_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(AddViaClient(rs, i).ok());
@@ -125,9 +120,6 @@ TEST(ClusterClientTest, LaggingReplicaNeverRegressesAFreshScan) {
 TEST(ClusterClientTest, DownReplicaFailsOverAndHeals) {
   VirtualClock clock;
   ReplicaSetOptions opts;
-  // Healing is asserted via gets_served on the revived follower; cached
-  // polls would satisfy the reads without ever issuing that GET.
-  opts.client.read_cache_slices = 0;
   ReplicaSet rs(clock, opts);
   ASSERT_TRUE(AddViaClient(rs, 1).ok());
   ASSERT_TRUE(rs.PumpUntilSynced());
@@ -154,7 +146,6 @@ TEST(ClusterClientTest, HealProbesBackOffToEveryKthRead) {
   // Single follower makes the probe accounting deterministic: every read
   // during the outage is served by the primary, in order.
   opts.followers = 1;
-  opts.client.read_cache_slices = 0;
   opts.client.heal_probe_period = 4;
   ReplicaSet rs(clock, opts);
   ASSERT_TRUE(AddViaClient(rs, 1).ok());
@@ -196,48 +187,7 @@ TEST(ClusterClientTest, HealProbesBackOffToEveryKthRead) {
   EXPECT_EQ(rs.client().GetStats().heal_probes, 3u);
 }
 
-// ---- FetchSince delta-fetch cache ----
-
-TEST(ClusterClientCacheTest, RepeatPollsServeFromCacheAndDeltaFetch) {
-  VirtualClock clock;
-  ReplicaSet rs(clock, ReplicaSetOptions{});  // cache on by default
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(AddViaClient(rs, i).ok());
-  }
-  ASSERT_TRUE(rs.PumpUntilSynced());
-  const auto reference = rs.primary().GetSince(0);
-
-  // First poll is the cold fill; every repeat is a probe-only hit.
-  for (int i = 0; i < 10; ++i) {
-    auto fetched = rs.client().FetchSince(0);
-    ASSERT_TRUE(fetched.ok());
-    EXPECT_EQ(fetched.value(), reference);
-  }
-  auto stats = rs.client().GetStats();
-  EXPECT_EQ(stats.cache_hits, 9u);
-  EXPECT_EQ(stats.cache_delta_fetches, 0u) << "nothing grew: no data moved";
-  std::uint64_t gets_on_followers = 0;
-  for (std::size_t f = 0; f < rs.follower_count(); ++f) {
-    gets_on_followers += rs.follower(f).GetStats().gets_served;
-  }
-  EXPECT_EQ(gets_on_followers, 1u) << "only the cold fill hit a GET path";
-
-  // New entries: the next poll transfers ONLY the suffix.
-  for (std::uint32_t i = 6; i < 9; ++i) {
-    ASSERT_TRUE(AddViaClient(rs, i).ok());
-  }
-  ASSERT_TRUE(rs.PumpUntilSynced());
-  auto grown = rs.client().FetchSince(0);
-  ASSERT_TRUE(grown.ok());
-  EXPECT_EQ(grown.value(), rs.primary().GetSince(0));
-  stats = rs.client().GetStats();
-  EXPECT_EQ(stats.cache_delta_fetches, 1u);
-  // And the spliced slice serves the next poll outright.
-  ASSERT_TRUE(rs.client().FetchSince(0).ok());
-  EXPECT_EQ(rs.client().GetStats().cache_delta_fetches, 1u);
-}
-
-TEST(ClusterClientCacheTest, CachedRepliesSurviveFailoverByteIdentically) {
+TEST(ClusterClientTest, RepliesStayByteIdenticalUnderEdgeChurn) {
   VirtualClock clock;
   ReplicaSetOptions opts;
   opts.followers = 2;
@@ -247,10 +197,10 @@ TEST(ClusterClientCacheTest, CachedRepliesSurviveFailoverByteIdentically) {
   }
   ASSERT_TRUE(rs.PumpUntilSynced());
   const auto reference = rs.primary().GetSince(0);
-  ASSERT_TRUE(rs.client().FetchSince(0).ok());  // warm the cache
+  ASSERT_TRUE(rs.client().FetchSince(0).ok());
 
-  // Churn every edge; whatever mix of cached and fresh bytes the client
-  // serves must stay byte-identical to the reference stream.
+  // Churn every edge; whichever endpoint answers, the client must serve
+  // a stream byte-identical to the reference.
   for (int round = 0; round < 3; ++round) {
     rs.SetFollowerDown(0, true);
     auto a = rs.client().FetchSince(0);
@@ -263,22 +213,20 @@ TEST(ClusterClientCacheTest, CachedRepliesSurviveFailoverByteIdentically) {
     EXPECT_EQ(b.value(), reference);
     rs.SetFollowerDown(1, false);
   }
-  EXPECT_GT(rs.client().GetStats().cache_invalidations, 0u)
-      << "failovers must conservatively drop cached slices";
 }
 
-TEST(ClusterClientCacheTest, LineageChangeInvalidatesCachedSlices) {
+TEST(ClusterClientTest, ReadAfterCompactServesTheNewLineage) {
   VirtualClock clock;
   ReplicaSetOptions opts;
-  opts.followers = 0;  // primary-only: the probe answers from it
+  opts.followers = 0;  // primary-only
   ReplicaSet rs(clock, opts);
   for (std::uint32_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(AddViaClient(rs, i).ok());
   }
-  ASSERT_TRUE(rs.client().FetchSince(0).ok());  // warm: slice upto=5
+  ASSERT_TRUE(rs.client().FetchSince(0).ok());
 
-  // Compaction rewrites the log under a new epoch: the cached slice
-  // must never be spliced with (or served instead of) new-lineage data.
+  // Compaction rewrites the log under a new epoch: the next read must
+  // serve the new lineage's bytes, never the old ones.
   ASSERT_TRUE(rs.primary().MarkSuperseded(1));
   ASSERT_TRUE(rs.primary().MarkSuperseded(3));
   ASSERT_EQ(rs.primary().Compact(), 2u);
@@ -287,7 +235,55 @@ TEST(ClusterClientCacheTest, LineageChangeInvalidatesCachedSlices) {
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched.value(), rs.primary().GetSince(0));
   EXPECT_EQ(fetched.value().size(), 3u);
-  EXPECT_GT(rs.client().GetStats().cache_invalidations, 0u);
+}
+
+TEST(ClusterClientTest, ReplicaTeachesTheClientThePrimarysNewLineage) {
+  // The client caches the primary's epoch. After Compact() the followers
+  // catch up to the new lineage first; the client must learn it from
+  // them, drop the old lineage's floor, and keep reading from the
+  // followers instead of skipping them and settling for short reads.
+  VirtualClock clock;
+  ReplicaSetOptions opts;
+  opts.followers = 2;
+  ReplicaSet rs(clock, opts);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(AddViaClient(rs, i).ok());
+  }
+  ASSERT_TRUE(rs.PumpUntilSynced());
+  ASSERT_TRUE(rs.client().FetchSince(0).ok());
+  EXPECT_EQ(rs.client().known_log_size(), 5u);
+
+  ASSERT_TRUE(rs.primary().MarkSuperseded(1));
+  ASSERT_TRUE(rs.primary().MarkSuperseded(3));
+  ASSERT_EQ(rs.primary().Compact(), 2u);
+  ASSERT_TRUE(rs.PumpUntilSynced());
+  ASSERT_TRUE(rs.FollowersConverged());
+
+  auto gets = [&] {
+    std::uint64_t followers = 0;
+    for (std::size_t f = 0; f < rs.follower_count(); ++f) {
+      followers += rs.follower(f).GetStats().gets_served;
+    }
+    return std::pair{followers, rs.primary().GetStats().gets_served};
+  };
+  const auto [followers_before, primary_before] = gets();
+  const std::uint64_t f1_before = rs.follower(1).GetStats().gets_served;
+  const auto reference = rs.primary().GetSince(0);
+  for (int i = 0; i < 10; ++i) {
+    auto fetched = rs.client().FetchSince(0);
+    ASSERT_TRUE(fetched.ok());
+    EXPECT_EQ(fetched.value(), reference);
+  }
+  const auto [followers_after, primary_after] = gets();
+  EXPECT_EQ(followers_after - followers_before, 10u);
+  EXPECT_EQ(primary_after - primary_before, 0u);
+  EXPECT_GT(rs.follower(1).GetStats().gets_served, f1_before)
+      << "both followers serve once their new epoch is known";
+  const auto stats = rs.client().GetStats();
+  EXPECT_EQ(stats.short_reads, 0u);
+  EXPECT_EQ(stats.epoch_skips, 0u);
+  EXPECT_EQ(stats.stale_read_retries, 0u);
+  EXPECT_EQ(rs.client().known_log_size(), 3u) << "the floor is per lineage";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,16 @@
 // DoS containment (§III-C1, §IV-B): flooding and slow-down attacks are
 // bounded by the combination of encrypted ids, the 10/day rate limit, the
-// adjacency rejection, the depth >= 5 rule and the nesting check.
+// per-community quota, the adjacency rejection, the depth >= 5 rule and
+// the nesting check.
 #include <gtest/gtest.h>
-
-#include <iostream>
 
 #include "bytecode/synthetic.hpp"
 #include "communix/agent.hpp"
 #include "communix/client.hpp"
-#include "communix/cluster/router.hpp"
 #include "communix/server.hpp"
 #include "dimmunix/runtime.hpp"
 #include "net/inproc.hpp"
 #include "sim/attacker.hpp"
-#include "sim/replica_set.hpp"
 #include "util/clock.hpp"
 #include "util/stopwatch.hpp"
 
@@ -150,39 +147,23 @@ TEST(DosContainmentTest, WorstCaseHistoryBoundedByNestedSites) {
       << "history growth is capped by the nested-site inventory";
 }
 
-TEST(DosContainmentTest, ShardedFloodIsContainedToTheVictimGroup) {
-  // Multi-tenant scale-out flood: a sybil swarm inside ONE community
-  // (many distinct ids, each well under the per-user limit) hammers its
-  // home group. Containment must be structural, not probabilistic:
-  //  * the tenant quota stops the aggregate on the victim group,
-  //  * the bystander group never sees a byte of flood traffic,
-  //  * bystander tenants keep a 100% accept rate with zero bounces.
+TEST(DosContainmentTest, CommunityFloodIsContainedByTheTenantQuota) {
+  // A sybil swarm inside ONE community (many distinct ids, each well
+  // under the per-user limit) floods the server. The per-community quota
+  // caps the aggregate, while a bystander community on the same server
+  // keeps a 100% accept rate.
   VirtualClock clock;
-  sim::ShardedDeploymentOptions opts;
-  opts.groups = 2;
-  opts.group_options.followers = 1;
-  opts.group_options.server.per_user_daily_limit = 10;
-  opts.group_options.server.per_tenant_daily_limit = 20;
+  CommunixServer::Options opts;
+  opts.per_user_daily_limit = 10;
+  opts.per_tenant_daily_limit = 20;
+  CommunixServer server(clock, opts);
   const CommunityId victim = 1;
   const CommunityId bystander = 2;
-  // Pin the two tenants to different groups so "cross-group interference"
-  // has a deterministic meaning regardless of the HRW hash.
-  opts.pins = {{victim, 1}, {bystander, 2}};
-  sim::ShardedDeployment sd(clock, opts);
   Rng rng(4);
 
   auto add = [&](CommunityId c, std::uint64_t member) {
-    const UserToken token =
-        sd.group(0).primary().IssueToken(MakeUserId(c, member));
-    net::Request req;
-    req.type = net::MsgType::kAddSignature;
-    BinaryWriter w;
-    w.WriteRaw(std::span<const std::uint8_t>(token.data(), token.size()));
-    const auto bytes = sim::MakeRandomFakeSignature(rng).ToBytes();
-    w.WriteRaw(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
-    req.payload = w.take();
-    auto result = sd.client().CallFor(c, req);
-    return result.ok() && result.value().ok();
+    const UserToken token = server.IssueToken(MakeUserId(c, member));
+    return server.AddSignature(token, sim::MakeRandomFakeSignature(rng)).ok();
   };
 
   // 40 sybil ids x 2 sigs each: every id stays far under the per-user
@@ -201,45 +182,9 @@ TEST(DosContainmentTest, ShardedFloodIsContainedToTheVictimGroup) {
     }
   }
 
-  // Victim group: the aggregate was capped by the tenant quota...
   EXPECT_LE(flood_accepted, 20u);
-  CommunixServer& victim_primary = sd.group(0).primary();
-  const auto victim_stats = victim_primary.GetStats();
-  EXPECT_GE(victim_stats.rejected_tenant_quota, 60u);
-  // ...and the per-tenant ledger names the offender.
-  bool found_victim_row = false;
-  for (const auto& [community, counters] : victim_stats.tenants) {
-    if (community != victim) continue;
-    found_victim_row = true;
-    EXPECT_GT(counters.adds_rejected_quota, 0u);
-  }
-  EXPECT_TRUE(found_victim_row);
-
-  // Bystander group: zero flood bytes, zero quota pressure, 100% accept.
-  CommunixServer& bystander_primary = sd.group(1).primary();
+  EXPECT_GE(server.GetStats().rejected_tenant_quota, 60u);
   EXPECT_EQ(bystander_ok, bystander_sent);
-  EXPECT_EQ(bystander_primary.db_size(), bystander_ok);
-  bystander_primary.VisitEntries(
-      0, UINT64_MAX, [&](std::uint64_t, const store::EntryView& e) {
-        EXPECT_EQ(CommunityOf(e.sender), bystander)
-            << "flood traffic leaked across the shard boundary";
-      });
-  const auto bystander_stats = bystander_primary.GetStats();
-  EXPECT_EQ(bystander_stats.rejected_tenant_quota, 0u);
-  EXPECT_EQ(bystander_stats.wrong_group_bounces, 0u);
-  // The map never changed, so routing never bounced anywhere.
-  EXPECT_EQ(sd.client().GetStats().wrong_group_bounces, 0u);
-
-  // Per-tenant latency monitors: the flood pays its own latency bill;
-  // print both p99s so CI logs show the isolation.
-  const auto& victim_lat = *sd.client().TenantLatencyFor(victim).add;
-  const auto& bystander_lat = *sd.client().TenantLatencyFor(bystander).add;
-  EXPECT_EQ(victim_lat.TotalCount(), 80u);
-  EXPECT_EQ(bystander_lat.TotalCount(), bystander_sent);
-  std::cout << "[sharded-flood] victim ADD p99 <= " << victim_lat.ApproxP99()
-            << " ns over " << victim_lat.TotalCount()
-            << " ops; bystander ADD p99 <= " << bystander_lat.ApproxP99()
-            << " ns over " << bystander_lat.TotalCount() << " ops\n";
 }
 
 TEST(DosContainmentTest, PaperScaleFloodProcessedQuickly) {

@@ -31,10 +31,14 @@ TEST(MessageTest, RequestRejectsUnknownType) {
   Request req;
   req.type = MsgType::kPing;
   auto bytes = req.Serialize();
-  bytes[0] = 200;  // invalid type
-  EXPECT_FALSE(Request::Deserialize(
-                   std::span<const std::uint8_t>(bytes.data(), bytes.size()))
-                   .has_value());
+  // 200 was never a verb; 8 is retired (the deleted shard-map fetch).
+  for (const std::uint8_t invalid : {200, 8}) {
+    bytes[0] = invalid;
+    EXPECT_FALSE(Request::Deserialize(std::span<const std::uint8_t>(
+                     bytes.data(), bytes.size()))
+                     .has_value())
+        << "type " << int{invalid};
+  }
 }
 
 TEST(MessageTest, RequestRejectsTrailingGarbage) {
@@ -94,11 +98,11 @@ TEST(MessageTest, AddBatchTypeIsValidOnTheWire) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->type, MsgType::kAddBatch);
 
-  // The replication, routing and introspection verbs are valid; the
-  // next enum slot is rejected.
+  // The replication, mark and introspection verbs are valid; the next
+  // enum slot is rejected.
   auto corrupted = bytes;
-  for (const MsgType valid : {MsgType::kCheckpoint, MsgType::kShardMap,
-                              MsgType::kMarkSuperseded, MsgType::kStats}) {
+  for (const MsgType valid : {MsgType::kCheckpoint, MsgType::kMarkSuperseded,
+                              MsgType::kStats}) {
     corrupted[0] = static_cast<std::uint8_t>(valid);
     EXPECT_TRUE(Request::Deserialize(std::span<const std::uint8_t>(
                     corrupted.data(), corrupted.size()))

@@ -50,9 +50,7 @@ TEST(GaugeTest, SetAndUpdateMax) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram bucket boundaries (the satellite: 1, 2^k, 2^k+1, zero,
-// saturation — for the registry histogram; the util twin is pinned in
-// tests/util/latency_monitor_test.cpp).
+// Histogram bucket boundaries: 1, 2^k, 2^k+1, zero and saturation.
 // ---------------------------------------------------------------------------
 
 TEST(HistogramTest, BucketBoundaries) {

@@ -27,48 +27,6 @@ TEST(LatencyMonitorTest, ReportsAccumulateAndAverage) {
   EXPECT_EQ(lat.TotalNanos(LatencyOp::kRelease), 0u);
 }
 
-// Bucket-boundary pins for the power-of-2 histogram: bucket 0 takes
-// {0, 1}, each 2^k starts bucket k (2^k - 1 stays in k-1, 2^k + 1 stays
-// in k), and the top bucket saturates instead of overflowing. The
-// bucket is observed through ApproxQuantile's upper bound — the
-// registry twin (obs::Histogram) pins the same table directly in
-// tests/obs/metrics_test.cpp.
-TEST(LatencyHistogramTest, BucketBoundaries) {
-  auto sole_bucket_upper = [](std::uint64_t sample) {
-    LatencyHistogram h;
-    h.Report(sample);
-    return h.ApproxQuantile(1.0);
-  };
-  EXPECT_EQ(sole_bucket_upper(0), 1u);
-  EXPECT_EQ(sole_bucket_upper(1), 1u);
-  for (std::size_t k = 1; k < 62; ++k) {
-    const std::uint64_t pow = std::uint64_t{1} << k;
-    const std::uint64_t upper = (std::uint64_t{1} << (k + 1)) - 1;
-    EXPECT_EQ(sole_bucket_upper(pow), upper) << "2^" << k;
-    EXPECT_EQ(sole_bucket_upper(pow + 1), upper) << "2^" << k << "+1";
-    EXPECT_EQ(sole_bucket_upper(pow - 1), pow - 1)
-        << "2^" << k << "-1 belongs to the previous bucket";
-  }
-  // The last two buckets saturate to "unbounded" rather than wrapping.
-  EXPECT_EQ(sole_bucket_upper(std::uint64_t{1} << 63), UINT64_MAX);
-  EXPECT_EQ(sole_bucket_upper(UINT64_MAX), UINT64_MAX);
-}
-
-TEST(LatencyHistogramTest, CountsMeanAndReset) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.TotalCount(), 0u);
-  EXPECT_EQ(h.ApproxQuantile(0.5), 0u) << "empty histogram";
-  h.Report(0);
-  h.Report(10);
-  h.Report(20);
-  EXPECT_EQ(h.TotalCount(), 3u);
-  EXPECT_DOUBLE_EQ(h.MeanNanos(), 10.0);
-  EXPECT_EQ(h.ApproxP99(), 31u) << "upper bound of [16, 32)";
-  h.Reset();
-  EXPECT_EQ(h.TotalCount(), 0u);
-  EXPECT_DOUBLE_EQ(h.MeanNanos(), 0.0);
-}
-
 TEST(LatencyMonitorTest, ConcurrentReportsLoseNothing) {
   LatencyMonitors lat;
   constexpr int kThreads = 4;

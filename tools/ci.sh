@@ -18,12 +18,15 @@
 # Both modes additionally run the cluster smoke:
 # a primary + 2 log-shipping followers over inproc transport with a
 # kill-primary failover check (tests/cluster/cluster_client_test.cpp,
-# suite ClusterSmoke), plus the store-tier smoke: checkpoint bootstrap
-# of a far-behind follower and the client read cache exercised both on
-# (ClusterClientCacheTest, equivalence trace) and off (the routing tests
-# pin read_cache_slices = 0), and the sharded smoke: 2 community-sharded
-# primary groups (2 followers each) behind the shard-map routing tier
-# with a mid-run map bump (suite ShardedSmoke).
+# suite ClusterSmoke), the client's reads across a Compact() lineage
+# change (ClusterClientTest.*Lineage*), checkpoint bootstrap of a
+# far-behind follower, and the kMarkSuperseded verb (wire fuzzing and
+# serving, tests/cluster/mark_superseded_test.cpp).
+#
+# Every filtered gtest run goes through run_filtered, which fails when a
+# ':'-separated pattern of its --gtest_filter matches no test: the
+# installed gtest (1.11) has no --gtest_fail_if_no_test_run, so a stale
+# pattern would otherwise pass silently.
 #
 # The default mode also repeats the monitor wake-path stress (many
 # waiters + churning bargers, handoff racing an RCU index republish)
@@ -51,6 +54,24 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# run_filtered BINARY FILTER [GTEST_ARGS...]: checks that every
+# ':'-separated pattern of FILTER matches at least one test of BINARY,
+# then runs BINARY --gtest_filter=FILTER GTEST_ARGS...
+run_filtered() {
+  local bin="$1" filter="$2" pattern listed
+  shift 2
+  local -a patterns
+  IFS=':' read -ra patterns <<< "${filter}"
+  for pattern in "${patterns[@]}"; do
+    listed="$("${bin}" --gtest_list_tests --gtest_filter="${pattern}")"
+    if ! grep -q '^  ' <<< "${listed}"; then
+      echo "ci: gtest filter pattern '${pattern}' matches no test in ${bin}"
+      exit 1
+    fi
+  done
+  "${bin}" --gtest_filter="${filter}" "$@"
+}
+
 if [[ "${1:-}" == "--tsan" ]]; then
   cmake -B build-tsan -S . -DCOMMUNIX_TSAN=ON
   cmake --build build-tsan -j"${JOBS}" --target dimmunix_tests util_tests \
@@ -64,37 +85,37 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # regression) and the wakeup-ordering harness scripts (two-sided
   # suspension drains, hook-selected winners), repeated — the interesting
   # interleavings are rare in a single pass.
-  TSAN_OPTIONS="${TSAN}" ./build-tsan/dimmunix_tests \
-      --gtest_filter='FairnessTest.*:ScheduleHarnessTest.TwoSidedSuspensionRacesAreDeterministic:ScheduleHarnessTest.MultiWaiterHandoffDrainsInFifoOrder:ScheduleHarnessTest.WakeupOrderingHookControlsWhichWaiterWins' \
+  TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/dimmunix_tests \
+      'FairnessTest.*:ScheduleHarnessTest.TwoSidedSuspensionRacesAreDeterministic:ScheduleHarnessTest.MultiWaiterHandoffDrainsInFifoOrder:ScheduleHarnessTest.WakeupOrderingHookControlsWhichWaiterWins' \
       --gtest_repeat=5
   TSAN_OPTIONS="${TSAN}" ./build-tsan/util_tests
   # Store-tier smoke under TSAN: concurrent ReadSince (arena runs read
   # lock-free while appends cross block boundaries) racing ADDs on both
   # backends, the arena's block edges, and replies that outlive a log
   # swap (RCU publish of a fresh log) and the store itself.
-  TSAN_OPTIONS="${TSAN}" ./build-tsan/communix_tests \
-      --gtest_filter='*ConcurrentReadersAndWritersStayCoherent*:ArenaReadTest.*:*ReplyPinTest*'
+  TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/communix_tests \
+      '*ConcurrentReadersAndWritersStayCoherent*:ArenaReadTest.*:*ReplyPinTest*'
   # Cluster smoke under TSAN: kill-primary failover, the background
   # shipper racing ADDs and lock-free feed reads, the commit-driven
   # daemon cases (the park/wake handshake on the primary's commit
   # sequence is a lost-wakeup hazard), checkpoint bootstrap of a
-  # far-behind follower, and the client read cache (on in the cache
-  # suite, off in the routing tests it replaces).
-  TSAN_OPTIONS="${TSAN}" ./build-tsan/cluster_tests \
-      --gtest_filter='ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:LogShipperTest.Daemon*:CheckpointBootstrapTest.*:ClusterClientCacheTest.*:ShardedSmoke.*'
+  # far-behind follower, the client's reads across a lineage change,
+  # and the kMarkSuperseded verb.
+  TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/cluster_tests \
+      'ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:LogShipperTest.Daemon*:CheckpointBootstrapTest.*:ClusterClientTest.*Lineage*:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
   # Net smoke under TSAN: the poll-loop/worker conn handoff, the
   # non-blocking gather flush racing POLLOUT re-arms, slow-client
   # containment, and the two-process shipper (a TSAN parent driving
   # TSAN-built communix_server children over real sockets).
-  TSAN_OPTIONS="${TSAN}" ./build-tsan/net_tests \
-      --gtest_filter='SlowClientTest.*:FramingTest.*:TcpTest.*'
+  TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/net_tests \
+      'SlowClientTest.*:FramingTest.*:TcpTest.*'
   # Two-process shipper plus the observability scrape: StatsScrape drives
   # ADDs at a real primary, polls the follower's kStats snapshot until
   # replication catches up, and runs the communix_stats CLI (popen'd from
   # the TSAN parent against TSAN-built daemons) over both processes.
-  TSAN_OPTIONS="${TSAN}" ./build-tsan/cluster_tests \
-      --gtest_filter='TwoProcessShipper.*:StatsScrape.*'
-  echo "ci: tsan clean (dimmunix_tests, util_tests, store-tier smoke, cluster + sharded smoke, net smoke, stats scrape)"
+  TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/cluster_tests \
+      'TwoProcessShipper.*:StatsScrape.*'
+  echo "ci: tsan clean (dimmunix_tests, util_tests, store-tier smoke, cluster smoke, net smoke, stats scrape)"
   exit 0
 fi
 
@@ -107,15 +128,15 @@ if [[ "${1:-}" == "--asan" ]]; then
   ASAN_OPTIONS="${ASAN}" ./build-asan/util_tests
   # Store and server: the log arena, replies pinning a swapped-out log,
   # and the zero-copy reply accounting on both backends.
-  ASAN_OPTIONS="${ASAN}" ./build-asan/communix_tests \
-      --gtest_filter='SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:*CheckpointStoreTest*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*'
+  ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/communix_tests \
+      'SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:*CheckpointStoreTest*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*'
   # Net: replies of many runs flushed across partial writes, and a slow
   # reader disconnected with its queue still holding pinned runs.
-  ASAN_OPTIONS="${ASAN}" ./build-asan/net_tests \
-      --gtest_filter='FramingTest.*:SlowClientTest.*'
+  ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/net_tests \
+      'FramingTest.*:SlowClientTest.*'
   # Two-process shipper against ASan-built communix_server daemons.
-  ASAN_OPTIONS="${ASAN}" ./build-asan/cluster_tests \
-      --gtest_filter='TwoProcessShipper.*'
+  ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/cluster_tests \
+      'TwoProcessShipper.*'
   echo "ci: asan clean (dimmunix_tests, util_tests, store + server +" \
        "zero-copy, framing + slow-client, two-process shipper)"
   exit 0
@@ -129,33 +150,30 @@ ctest --test-dir build --output-on-failure -j"${JOBS}"
 # plus the handoff-during-RCU-republish regression, repeated so a lost
 # wakeup (which hangs) or a dropped queue entry (which undercounts) has
 # many chances to fire.
-./build/dimmunix_tests \
-    --gtest_filter='FairnessTest.WakePathStressManyWaitersChurningBargers:FairnessTest.HandoffDuringIndexRepublishDoesNotLoseWakeup' \
+run_filtered ./build/dimmunix_tests \
+    'FairnessTest.WakePathStressManyWaitersChurningBargers:FairnessTest.HandoffDuringIndexRepublishDoesNotLoseWakeup' \
     --gtest_repeat=10
 echo "ci: wake-path stress smoke passed"
 
 # Commit-driven shipper smoke: the daemon parks on the primary's commit
 # sequence with a 60 s retry period, so a lost wakeup shows up as a
 # missed 5 s deadline. Repeated for the rare interleavings.
-./build/cluster_tests --gtest_filter='LogShipperTest.Daemon*' \
-    --gtest_repeat=20
+run_filtered ./build/cluster_tests 'LogShipperTest.Daemon*' --gtest_repeat=20
 echo "ci: commit-driven shipper smoke passed"
 
 # Cluster smoke: primary + 2 followers over inproc, kill-primary failover,
-# checkpoint bootstrap of a far-behind follower, and the client read cache
-# on (ClusterClientCacheTest) and off (the routing tests pin it off).
-# Sharded smoke: 2 groups x (primary + 2 followers) behind the shard-map
-# routing tier, with a mid-run map bump the client must self-heal from.
-./build/cluster_tests \
-    --gtest_filter='ClusterSmoke.*:CheckpointBootstrapTest.*:ClusterClientCacheTest.*:ShardedSmoke.*'
-echo "ci: cluster smoke passed (failover, checkpoint bootstrap, read cache, sharded routing)"
+# the client's reads across a Compact() lineage change, checkpoint
+# bootstrap of a far-behind follower, and the kMarkSuperseded verb.
+run_filtered ./build/cluster_tests \
+    'ClusterSmoke.*:ClusterClientTest.*Lineage*:CheckpointBootstrapTest.*:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
+echo "ci: cluster smoke passed (failover, lineage change, checkpoint bootstrap, kMarkSuperseded)"
 
 # Net smoke: slow-client containment + hostile framing on the
 # non-blocking reply path, the zero-copy reply accounting on both store
 # backends, and the two-process shipper over real daemons.
-./build/net_tests --gtest_filter='SlowClientTest.*:FramingTest.*'
-./build/communix_tests --gtest_filter='*ZeroCopyReplyTest*'
-./build/cluster_tests --gtest_filter='TwoProcessShipper.*:StatsScrape.*'
+run_filtered ./build/net_tests 'SlowClientTest.*:FramingTest.*'
+run_filtered ./build/communix_tests '*ZeroCopyReplyTest*'
+run_filtered ./build/cluster_tests 'TwoProcessShipper.*:StatsScrape.*'
 echo "ci: net smoke passed (slow-client containment, framing, zero-copy replies, two-process shipper, stats scrape)"
 
 # Observability smoke: a live two-process deployment (primary shipping to
@@ -229,7 +247,7 @@ trap - EXIT
 echo "ci: observability smoke passed (kStats scrape of both daemons," \
      "ledger ${SHIPPED}==${APPLIED}, JSON snapshot re-rendered)"
 
-./build/fig2_server_throughput --smoke --compare --replicas=2 --groups=2 \
+./build/fig2_server_throughput --smoke --compare --replicas=2 \
     --json=BENCH_fig2.json
 ./build/table2_dos_overhead --smoke --json=BENCH_overhead.json
 echo "ci: wrote $(pwd)/BENCH_fig2.json and $(pwd)/BENCH_overhead.json"
