@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "../tests/testutil.hpp"
-#include "communix/store/signature_store.hpp"
 #include "dimmunix/signature.hpp"
 #include "util/rng.hpp"
 
@@ -54,20 +53,6 @@ inline bool FlagValue(const char* arg, const char* name, std::string* out) {
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   *out = arg + n + 1;
   return true;
-}
-
-/// Parses the sharded-vs-monolithic comparison knob shared by the server
-/// benches. Exits with usage on an unknown value.
-inline store::Backend ParseBackend(const std::string& value) {
-  if (value == "sharded") return store::Backend::kSharded;
-  if (value == "monolithic") return store::Backend::kMonolithic;
-  std::fprintf(stderr, "unknown backend '%s' (sharded|monolithic)\n",
-               value.c_str());
-  std::exit(2);
-}
-
-inline const char* BackendName(store::Backend backend) {
-  return backend == store::Backend::kSharded ? "sharded" : "monolithic";
 }
 
 // ---- perf-trajectory JSON (BENCH_<name>.json) ----

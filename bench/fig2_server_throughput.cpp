@@ -14,11 +14,6 @@
 // database, exactly the paper's worst case.
 //
 // Knobs:
-//   --backend=sharded|monolithic  store backend for the sweep
-//   --compare                     sharded-vs-monolithic ADD throughput at
-//                                 --workers threads (default 8), with and
-//                                 without concurrent GET(0) scan load
-//   --workers=N                   worker threads for --compare
 //   --replicas=N                  read-scaling section: GET(0) scans via
 //                                 the failover-aware cluster client over
 //                                 a primary + N log-shipping followers,
@@ -33,8 +28,8 @@
 // Always-on sections (the read/bootstrap performance tier):
 //   bootstrap  fresh-follower sync time + entries replayed, checkpoint
 //              cutover vs full entry replay
-//   scan_cost  pure GET(0) scan throughput per backend at a fixed db
-//              size — isolates the scan term of the --compare workload
+//   scan_cost  pure GET(0) scan throughput at a fixed db size —
+//              isolates the scan term of the sweep's sequences
 //   net        repeat GET polls over the real TCP server: zero-copy
 //              reply accounting (reply_bytes_shared vs _copied) and
 //              gather-flush counters from the non-blocking reply path
@@ -65,13 +60,12 @@ using communix::UserId;
 using communix::UserToken;
 using communix::VirtualClock;
 
-CommunixServer::Options ServerOptions(communix::store::Backend backend) {
+CommunixServer::Options ServerOptions() {
   CommunixServer::Options opts;
   // The paper's bench streams random signatures from synthetic load
   // generators; per-user daily quotas are not the measured effect. Use
   // one user id per session and a high quota.
   opts.per_user_daily_limit = 1'000'000;
-  opts.store.backend = backend;
   return opts;
 }
 
@@ -82,9 +76,9 @@ struct Row {
   std::uint64_t db_size;
 };
 
-Row RunSweepPoint(std::size_t sessions, communix::store::Backend backend) {
+Row RunSweepPoint(std::size_t sessions) {
   VirtualClock clock;  // virtual day never ends: rate limits don't distort
-  CommunixServer server(clock, ServerOptions(backend));
+  CommunixServer server(clock, ServerOptions());
 
   const std::size_t workers =
       std::min<std::size_t>(std::thread::hardware_concurrency() * 4,
@@ -126,122 +120,6 @@ Row RunSweepPoint(std::size_t sessions, communix::store::Backend backend) {
   row.requests_per_second = (2.0 * static_cast<double>(sessions)) / seconds;
   row.db_size = server.db_size();
   return row;
-}
-
-// ---------------------------------------------------------------------------
-// --compare: ADD throughput, sharded vs the single-mutex baseline.
-//
-// Everything except the server call is precomputed (tokens, signatures),
-// so the timed region is the validation pipeline + store itself. One user
-// per ADD, as in the sweep: the contended resource is the store, not one
-// user's quota state. The scan variant interleaves GET(0) database scans
-// the way the paper's sequences do — on the monolithic store those scans
-// hold the reader lock and block every ADD; on the sharded store they
-// are lock-free.
-// ---------------------------------------------------------------------------
-struct CompareResult {
-  double adds_per_second;
-  double seconds;
-  std::uint64_t accepted;
-};
-
-CompareResult RunAddThroughput(communix::store::Backend backend,
-                               std::size_t workers, std::size_t total_adds,
-                               bool with_scans) {
-  VirtualClock clock;
-  CommunixServer server(clock, ServerOptions(backend));
-
-  struct Prepared {
-    UserToken token;
-    communix::dimmunix::Signature sig;
-  };
-  std::vector<std::vector<Prepared>> per_thread(workers);
-  {
-    Rng rng(0xF162);
-    std::size_t next_id = 1;
-    for (std::size_t w = 0; w < workers; ++w) {
-      per_thread[w].reserve(total_adds / workers + 1);
-      for (std::size_t i = w; i < total_adds; i += workers) {
-        Prepared p{
-            server.IssueToken(static_cast<UserId>(next_id)),
-            communix::bench::RandomSignature(
-                rng, static_cast<std::uint32_t>(next_id))};
-        ++next_id;
-        per_thread[w].push_back(std::move(p));
-      }
-    }
-  }
-
-  std::atomic<std::uint64_t> accepted{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  Stopwatch watch;
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      std::uint64_t ok = 0;
-      std::uint64_t scanned = 0;
-      std::size_t n = 0;
-      for (const auto& p : per_thread[w]) {
-        if (server.AddSignature(p.token, p.sig).ok()) ++ok;
-        if (with_scans && (++n % 16) == 0) {
-          // One GET(0) scan per 16 ADDs keeps the scan share of total
-          // work bounded while still exercising reader/writer contention.
-          server.VisitSince(0,
-                            [&](std::uint64_t,
-                                std::span<const std::uint8_t> bytes) {
-                              scanned += bytes.size();
-                            });
-        }
-      }
-      accepted.fetch_add(ok, std::memory_order_relaxed);
-      (void)scanned;
-    });
-  }
-  for (auto& t : pool) t.join();
-  const double seconds = watch.ElapsedSeconds();
-
-  CompareResult result;
-  result.seconds = seconds;
-  result.accepted = accepted.load();
-  result.adds_per_second = static_cast<double>(total_adds) / seconds;
-  return result;
-}
-
-void RunCompare(std::size_t workers, std::size_t total_adds,
-                communix::bench::BenchJson& json) {
-  communix::bench::PrintHeader(
-      "Sharded store vs single-mutex baseline (ADD throughput, " +
-      std::to_string(workers) + " worker threads)");
-  std::printf("%12s %12s %16s %10s %12s\n", "workload", "backend",
-              "adds/sec", "seconds", "accepted");
-  for (const bool with_scans : {false, true}) {
-    const char* workload = with_scans ? "add+scan" : "add-only";
-    double rate[2] = {0, 0};
-    int i = 0;
-    for (const auto backend : {communix::store::Backend::kMonolithic,
-                               communix::store::Backend::kSharded}) {
-      const CompareResult r =
-          RunAddThroughput(backend, workers, total_adds, with_scans);
-      rate[i++] = r.adds_per_second;
-      std::printf("%12s %12s %16.0f %10.3f %12llu\n", workload,
-                  communix::bench::BackendName(backend), r.adds_per_second,
-                  r.seconds, static_cast<unsigned long long>(r.accepted));
-      json.AddRow("compare",
-                  {{"workers", static_cast<double>(workers)},
-                   {"total_adds", static_cast<double>(total_adds)},
-                   {"with_scans", with_scans ? 1.0 : 0.0},
-                   {"sharded",
-                    backend == communix::store::Backend::kSharded ? 1.0 : 0.0},
-                   {"adds_per_second", r.adds_per_second},
-                   {"seconds", r.seconds}});
-    }
-    std::printf("%12s %12s %15.2fx\n", workload, "speedup",
-                rate[1] / rate[0]);
-    json.AddRow("compare_speedup",
-                {{"workers", static_cast<double>(workers)},
-                 {"with_scans", with_scans ? 1.0 : 0.0},
-                 {"speedup", rate[1] / rate[0]}});
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -450,16 +328,14 @@ void RunBootstrapSeries(bool smoke, communix::bench::BenchJson& json) {
 }
 
 // ---------------------------------------------------------------------------
-// scan_cost: the scan term of --compare, isolated.
+// scan_cost: the scan term of the sweep, isolated.
 //
-// The --compare add+scan speedup once dipped to ~0.94x on the sharded
-// store: every GET(0) was paying one segment-pointer chase (an acquire
-// load) *per entry* inside SignatureLog iteration, which swamped the
-// lock-freedom win at bench db sizes. Visit() now hoists the chase to
-// once per 1024-entry segment (signature_log.cpp); this section times
-// pure whole-database scans per backend — no concurrent ADDs — so any
-// future regression of the scan term shows up here directly instead of
-// buried in the mixed-workload ratio.
+// Every GET(0) once paid one segment-pointer chase (an acquire load)
+// *per entry* inside SignatureLog iteration. Visit() now hoists the chase
+// to once per 1024-entry segment (signature_log.cpp); this section times
+// pure whole-database scans — no concurrent ADDs — so any future
+// regression of the scan term shows up here directly instead of buried
+// in the mixed-workload sweep.
 // ---------------------------------------------------------------------------
 void RunScanCost(bool smoke, communix::bench::BenchJson& json) {
   const std::size_t preload = smoke ? 500 : 4000;
@@ -467,40 +343,33 @@ void RunScanCost(bool smoke, communix::bench::BenchJson& json) {
 
   communix::bench::PrintHeader(
       "Scan cost: whole-database GET(0) iteration, no write load");
-  std::printf("%12s %12s %12s\n", "backend", "scans/sec", "db size");
+  std::printf("%12s %12s\n", "scans/sec", "db size");
 
-  for (const auto backend : {communix::store::Backend::kMonolithic,
-                             communix::store::Backend::kSharded}) {
-    VirtualClock clock;
-    CommunixServer server(clock, ServerOptions(backend));
-    Rng rng(0x5CAB);
-    for (std::size_t i = 0; i < preload; ++i) {
-      (void)server.AddSignature(
-          server.IssueToken(static_cast<UserId>(i + 1)),
-          communix::bench::RandomSignature(
-              rng, static_cast<std::uint32_t>(i + 1)));
-    }
-
-    std::uint64_t bytes = 0;
-    Stopwatch watch;
-    for (std::size_t s = 0; s < scans; ++s) {
-      server.VisitSince(0, [&](std::uint64_t,
-                               std::span<const std::uint8_t> b) {
-        bytes += b.size();
-      });
-    }
-    const double seconds = watch.ElapsedSeconds();
-    const double rate = static_cast<double>(scans) / seconds;
-    (void)bytes;
-
-    std::printf("%12s %12.0f %12llu\n", communix::bench::BackendName(backend),
-                rate, static_cast<unsigned long long>(server.db_size()));
-    json.AddRow("scan_cost",
-                {{"sharded",
-                  backend == communix::store::Backend::kSharded ? 1.0 : 0.0},
-                 {"db_size", static_cast<double>(server.db_size())},
-                 {"scans_per_second", rate}});
+  VirtualClock clock;
+  CommunixServer server(clock, ServerOptions());
+  Rng rng(0x5CAB);
+  for (std::size_t i = 0; i < preload; ++i) {
+    (void)server.AddSignature(
+        server.IssueToken(static_cast<UserId>(i + 1)),
+        communix::bench::RandomSignature(rng,
+                                         static_cast<std::uint32_t>(i + 1)));
   }
+
+  std::uint64_t bytes = 0;
+  Stopwatch watch;
+  for (std::size_t s = 0; s < scans; ++s) {
+    server.VisitSince(0, [&](std::uint64_t, std::span<const std::uint8_t> b) {
+      bytes += b.size();
+    });
+  }
+  const double seconds = watch.ElapsedSeconds();
+  const double rate = static_cast<double>(scans) / seconds;
+  (void)bytes;
+
+  std::printf("%12.0f %12llu\n", rate,
+              static_cast<unsigned long long>(server.db_size()));
+  json.AddRow("scan_cost", {{"db_size", static_cast<double>(server.db_size())},
+                            {"scans_per_second", rate}});
 }
 
 // ---------------------------------------------------------------------------
@@ -608,44 +477,23 @@ void RunNetSeries(bool smoke, communix::bench::BenchJson& json) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool compare = false;
-  std::string backend_name = "sharded";
-  std::string workers_value = "8";
   std::string replicas_value = "0";
   std::string json_path = "BENCH_fig2.json";
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (communix::bench::FlagIs(argv[i], "--smoke")) {
       smoke = true;
-    } else if (communix::bench::FlagIs(argv[i], "--compare")) {
-      compare = true;
-    } else if (communix::bench::FlagValue(argv[i], "--backend",
-                                          &backend_name) ||
-               communix::bench::FlagValue(argv[i], "--workers",
-                                          &workers_value) ||
-               communix::bench::FlagValue(argv[i], "--replicas",
+    } else if (communix::bench::FlagValue(argv[i], "--replicas",
                                           &replicas_value) ||
                communix::bench::FlagValue(argv[i], "--json", &json_path)) {
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--compare] "
-                   "[--backend=sharded|monolithic] [--workers=N] "
-                   "[--replicas=N] [--json=PATH]\n",
+                   "usage: %s [--smoke] [--replicas=N] [--json=PATH]\n",
                    argv[0]);
       return 2;
     }
   }
-  const auto backend = communix::bench::ParseBackend(backend_name);
   char* end = nullptr;
-  const unsigned long workers_parsed =
-      std::strtoul(workers_value.c_str(), &end, 10);
-  if (workers_value.empty() || *end != '\0' || workers_parsed == 0 ||
-      workers_parsed > 1024) {
-    std::fprintf(stderr, "--workers must be an integer in [1, 1024]\n");
-    return 2;
-  }
-  const std::size_t workers = workers_parsed;
-  end = nullptr;
   const unsigned long replicas_parsed =
       std::strtoul(replicas_value.c_str(), &end, 10);
   if (replicas_value.empty() || *end != '\0' || replicas_parsed > 64) {
@@ -657,9 +505,7 @@ int main(int argc, char** argv) {
   communix::bench::BenchJson json("fig2_server_throughput");
 
   communix::bench::PrintHeader(
-      std::string("Figure 2: Communix server throughput "
-                  "(ADD(sig),GET(0) sequences, ") +
-      communix::bench::BackendName(backend) + " store)");
+      "Figure 2: Communix server throughput (ADD(sig),GET(0) sequences)");
   std::printf("%12s %16s %10s %10s\n", "sessions(k)", "requests/sec",
               "seconds", "db size");
   // The paper sweeps 1k..100k; GET(0) iteration cost is O(db), i.e. the
@@ -668,14 +514,12 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{1, 5}
             : std::vector<std::size_t>{1, 5, 10, 20, 30, 40, 50, 75, 100};
   for (std::size_t thousands : sweep) {
-    const Row row = RunSweepPoint(thousands * 1'000, backend);
+    const Row row = RunSweepPoint(thousands * 1'000);
     std::printf("%12zu %16.0f %10.2f %10llu\n", thousands,
                 row.requests_per_second, row.seconds,
                 static_cast<unsigned long long>(row.db_size));
     json.AddRow("sweep",
                 {{"sessions", static_cast<double>(row.sessions)},
-                 {"sharded",
-                  backend == communix::store::Backend::kSharded ? 1.0 : 0.0},
                  {"requests_per_second", row.requests_per_second},
                  {"seconds", row.seconds},
                  {"db_size", static_cast<double>(row.db_size)}});
@@ -683,10 +527,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper: scales to ~30k simultaneous sequences, peak ~9,000 req/s,\n"
       "degrading toward 100k as GET(0) iterates an ever-larger database.\n");
-
-  if (compare) {
-    RunCompare(workers, smoke ? 8'000 : 40'000, json);
-  }
 
   if (replicas > 0) {
     RunReplicaScaling(replicas, smoke, json);

@@ -40,11 +40,10 @@ struct Row {
   double megabytes_received;
 };
 
-Row RunOnce(int clients, communix::store::Backend backend) {
+Row RunOnce(int clients) {
   VirtualClock clock;
   CommunixServer::Options opts;
   opts.per_user_daily_limit = 1'000'000;
-  opts.store.backend = backend;
   CommunixServer server(clock, opts);
   communix::net::TcpServer tcp(server);
   if (!tcp.Start().ok()) {
@@ -120,32 +119,25 @@ Row RunOnce(int clients, communix::store::Backend backend) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string backend_name = "sharded";
   for (int i = 1; i < argc; ++i) {
     if (communix::bench::FlagIs(argv[i], "--smoke")) {
       smoke = true;
-    } else if (communix::bench::FlagValue(argv[i], "--backend",
-                                          &backend_name)) {
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--backend=sharded|monolithic]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
       return 2;
     }
   }
-  const auto backend = communix::bench::ParseBackend(backend_name);
 
   communix::bench::PrintHeader(
-      std::string("Figure 3: end-to-end signature distribution over TCP "
-                  "(10 ADD,GET(0) sequences per client, ") +
-      communix::bench::BackendName(backend) + " store)");
+      "Figure 3: end-to-end signature distribution over TCP "
+      "(10 ADD,GET(0) sequences per client)");
   std::printf("%8s %26s %10s %14s\n", "clients", "replies/sec per client",
               "seconds", "MB received");
   const std::vector<int> sweep =
       smoke ? std::vector<int>{10, 20}
             : std::vector<int>{10, 20, 30, 40, 50, 75, 100, 200};
   for (int clients : sweep) {
-    const Row row = RunOnce(clients, backend);
+    const Row row = RunOnce(clients);
     std::printf("%8d %26.1f %10.3f %14.2f\n", row.clients,
                 row.replies_per_second_per_client, row.seconds,
                 row.megabytes_received);

@@ -25,7 +25,7 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
     : clock_(clock),
       options_(options),
       authority_(options.server_key),
-      store_(store::SignatureStore::Create(options.store)),
+      store_(store::SignatureStore::Create({})),
       metrics_(options.metrics ? options.metrics
                                : std::make_shared<obs::MetricsRegistry>()) {
   obs::MetricsRegistry& reg = *metrics_;
@@ -67,7 +67,7 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
   get_latency_[kCheckpointInstall] =
       reg.GetHistogram("server.checkpoint.install_ns");
   obs::TraceRing::Options trace_opts;
-  trace_opts.slow_threshold_ns = options_.store.slow_request_ns;
+  trace_opts.slow_threshold_ns = options_.slow_request_ns;
   trace_ring_ = std::make_shared<obs::TraceRing>(trace_opts);
   store_probe_ = reg.RegisterProbe([this](obs::ProbeSink& sink) {
     sink.EmitGauge("store.db_size", store_->size());

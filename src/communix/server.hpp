@@ -19,13 +19,12 @@
 // The server itself is a thin, stateless validation pipeline; all state
 // (database, per-user quota/adjacency, dedup, persistence) lives in a
 // store::SignatureStore. The cluster tier (communix/cluster/) runs the
-// same class in two roles over the same store interface: a primary, as
-// above, and followers that refuse ADDs and instead ingest the primary's
-// committed log entries via kReplBatch — so any replica serves GET(k)
-// with byte-identical, cursor-stable results. The default sharded store lets concurrent ADDs
+// same class in two roles over the same store: a primary, as above, and
+// followers that refuse ADDs and instead ingest the primary's committed
+// log entries via kReplBatch — so any replica serves GET(k) with
+// byte-identical, cursor-stable results. The store lets concurrent ADDs
 // from different users proceed in parallel and serves GET scans without
-// blocking writers; Options.store.backend selects the seed's single-mutex
-// layout for comparison (Figure 2's bench knob).
+// blocking writers.
 //
 // Thread-safety: fully thread-safe; Figure 2 drives Handle()/AddSignature
 // from tens of thousands of logical sessions.
@@ -66,7 +65,6 @@ class CommunixServer final : public net::RequestHandler {
     AesKey server_key = kDefaultServerKey;
     std::size_t per_user_daily_limit = 10;
     bool adjacency_check_enabled = true;  // ablation knob (§III-C2 math)
-    store::StoreOptions store;            // backend + shard counts
     ServerRole role = ServerRole::kPrimary;
     /// Upper bound on entries shipped per kReplPull reply (defensive:
     /// a reply frame stays bounded regardless of the requested limit).
@@ -79,8 +77,12 @@ class CommunixServer final : public net::RequestHandler {
     /// deployment shares one registry across its co-located components
     /// (server, TCP tier, shipper, runtime) so one kStats snapshot
     /// covers the whole process; when null the server creates a private
-    /// one. The slow-request trace threshold is store.slow_request_ns.
+    /// one.
     std::shared_ptr<obs::MetricsRegistry> metrics;
+    /// Requests whose total stage time is >= this are kept in the
+    /// slow-trace ring and logged (obs/trace.hpp). 0 disables slow-request
+    /// tracing (the all-requests ring still fills).
+    std::uint64_t slow_request_ns = 0;
   };
 
   explicit CommunixServer(Clock& clock) : CommunixServer(clock, Options{}) {}
@@ -101,10 +103,9 @@ class CommunixServer final : public net::RequestHandler {
                                std::span<const dimmunix::Signature> sigs);
 
   /// GET(k) iteration: visits every stored signature with index >= `from`
-  /// in index order. On the sharded store this reads committed entries
-  /// without blocking ADDs; the Figure-2 bench iterates with a counting
-  /// visitor, matching the paper's "iterating through the entire
-  /// database".
+  /// in index order, reading committed entries without blocking ADDs.
+  /// The Figure-2 bench iterates with a counting visitor, matching the
+  /// paper's "iterating through the entire database".
   void VisitSince(std::uint64_t from,
                   const std::function<void(std::uint64_t index,
                                            std::span<const std::uint8_t>
@@ -154,7 +155,7 @@ class CommunixServer final : public net::RequestHandler {
   /// Persistence: the signature database plus per-user adjacency state
   /// survive server restarts (indexes are implicit in insertion order, so
   /// clients' incremental GET(k) cursors stay valid across restarts).
-  /// Delegates to the store; the on-disk format is backend-independent.
+  /// Delegates to the store.
   Status SaveToFile(const std::string& path) const;
   Status LoadFromFile(const std::string& path);
 
@@ -206,7 +207,7 @@ class CommunixServer final : public net::RequestHandler {
     return metrics_;
   }
   /// Per-stage trace ring every handled request lands in (obs tier);
-  /// slow threshold = Options::store.slow_request_ns. Never null.
+  /// slow threshold = Options::slow_request_ns. Never null.
   const std::shared_ptr<obs::TraceRing>& trace_ring() const {
     return trace_ring_;
   }

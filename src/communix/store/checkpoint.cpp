@@ -20,6 +20,12 @@ constexpr std::uint32_t kVersionV3 = 3;         // framed + checksummed
 constexpr std::uint8_t kFlagSuperseded = 0x01;
 constexpr std::uint8_t kKnownFlags = kFlagSuperseded;
 
+/// Smallest encoded record (an empty signature): sender, added_at and the
+/// u32 length, plus the flags byte in v3. A count the remaining bytes
+/// cannot hold at this size is refused before anything is reserved for it.
+constexpr std::size_t kMinLegacyRecordBytes = 8 + 8 + 4;
+constexpr std::size_t kMinV3RecordBytes = 1 + kMinLegacyRecordBytes;
+
 Status Corrupt(const char* what) {
   return Status::Error(ErrorCode::kDataLoss, what);
 }
@@ -46,6 +52,9 @@ Status FinishRecord(CheckpointRecord& rec,
 Status ParseLegacyBody(BinaryReader& r, CheckpointData& data) {
   const std::uint32_t count = r.ReadU32();
   if (!r.ok()) return Corrupt("truncated server DB header");
+  if (count > r.remaining() / kMinLegacyRecordBytes) {
+    return Corrupt("server DB record count exceeds the file");
+  }
   std::unordered_set<std::uint64_t> seen;
   seen.reserve(count);
   data.records.reserve(count);
@@ -83,6 +92,9 @@ Status ParseV3Body(BinaryReader& r, CheckpointData& data) {
   if (HeaderChecksum(data.epoch, total_count, frame_count) !=
       header_checksum) {
     return Corrupt("checkpoint header checksum mismatch");
+  }
+  if (total_count > r.remaining() / kMinV3RecordBytes) {
+    return Corrupt("checkpoint entry count exceeds the blob");
   }
   std::unordered_set<std::uint64_t> seen;
   seen.reserve(total_count);

@@ -158,9 +158,8 @@ void SignatureLog::ForEachSlot(std::uint64_t from, std::uint64_t upto,
   while (i < n) {
     // One segment-pointer chase per segment. The per-entry At() loop
     // this replaces cost an acquire load (a cache-miss-prone indirection
-    // on the shared atomic array) for every single entry — measurable as
-    // the sharded backend losing to the monolithic contiguous-vector
-    // scan in the fig2 `compare --with-scans` run.
+    // on the shared atomic array) for every single entry; fig2's
+    // scan_cost series times this loop.
     const std::size_t seg = static_cast<std::size_t>(i >> kSegmentBits);
     const Segment* segment = segments_[seg].load(std::memory_order_acquire);
     const std::uint64_t seg_end =

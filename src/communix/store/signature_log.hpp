@@ -21,8 +21,8 @@
 // entries in them — the same protocol the segment pointers use.
 //
 // Indexes are assigned in append order and never change, so clients'
-// incremental GET(k) cursors stay valid (same guarantee the monolithic
-// server gave).
+// incremental GET(k) cursors stay valid (same guarantee the seed server
+// gave).
 #pragma once
 
 #include <atomic>

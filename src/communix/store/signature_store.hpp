@@ -4,41 +4,37 @@
 // sender tokens, checks signature well-formedness and maps outcomes to
 // wire statuses. Everything stateful — the signature database, the
 // per-user rate-limit/adjacency state, the dedup set and persistence —
-// lives behind this interface.
+// lives in this store.
 //
-// Two backends implement the exact same §III-C decision procedure (the
-// shared pipeline in RunAddPipeline below is the single source of truth,
-// so accept/reject/duplicate outcomes and assigned GET indexes are
-// bit-identical for any serialized order of operations):
+// The store is a SignatureLog (lock-free committed reads) plus
+// UserStateShards (per-user lock striping) plus a DedupIndex. Concurrent
+// ADDs from different users never contend, GET scans never block ADDs,
+// and a GET reply is byte runs pointing into the log's wire-format
+// arena: no GET copies an entry, whatever its cursor. The §III-C
+// decision procedure lives in Add alone; the store tests check it
+// against a reference model written from the paper's rules
+// (tests/communix/reference_store.hpp).
 //
-//   kMonolithic — the seed's layout: one shared_mutex over a vector, a
-//     set and a user map. Baseline for the Figure-2 comparison bench and
-//     the reference the equivalence tests compare against; every GET
-//     copies its reply out of the vector.
-//   kSharded    — SignatureLog (lock-free committed reads) +
-//     UserStateShards (per-user lock striping) + DedupIndex. Concurrent
-//     ADDs from different users never contend, GET scans never block
-//     ADDs, and a GET reply is byte runs pointing into the log's
-//     wire-format arena: no GET copies an entry, whatever its cursor.
-//
-// The two backends share the on-disk format: a database saved by either
-// loads into the other, and clients' incremental GET(k) cursors stay
-// valid across restarts. Version 3 (checkpoint.hpp) frames and
+// Clients' incremental GET(k) cursors stay valid across restarts: the
+// database saves in index order. Version 3 (checkpoint.hpp) frames and
 // checksums the record stream so the same blob doubles as the wire
 // checkpoint a far-behind follower bootstraps from; v2 (epoch in the
 // header) and v1 (the seed server's exact layout, adopting a fresh
 // epoch on load) still load.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "communix/ids.hpp"
 #include "communix/store/checkpoint.hpp"
+#include "communix/store/dedup_index.hpp"
 #include "communix/store/signature_log.hpp"
 #include "communix/store/user_state_shards.hpp"
 #include "dimmunix/signature.hpp"
@@ -80,24 +76,10 @@ struct Limits {
   std::size_t per_tenant_daily_limit = 0;
 };
 
-enum class Backend {
-  kSharded,
-  kMonolithic,
-};
-
 struct StoreOptions {
-  Backend backend = Backend::kSharded;
-  /// Lock stripes for per-user state / the dedup set (sharded backend
-  /// only; rounded up to powers of two).
-  std::size_t user_shards = 16;
-  std::size_t dedup_shards = 16;
   /// Log epoch (replication lineage id); 0 generates a fresh
   /// process-unique nonzero value. Tests pin it for determinism.
   std::uint64_t epoch = 0;
-  /// Requests whose total stage time is >= this are kept in the server's
-  /// slow-trace ring and logged (obs/trace.hpp). 0 disables slow-request
-  /// tracing (the all-requests ring still fills).
-  std::uint64_t slow_request_ns = 0;
 };
 
 /// A fresh, process-unique, nonzero log epoch.
@@ -105,7 +87,12 @@ std::uint64_t GenerateEpoch();
 
 class SignatureStore {
  public:
-  virtual ~SignatureStore() = default;
+  explicit SignatureStore(const StoreOptions& options);
+
+  SignatureStore(const SignatureStore&) = delete;
+  SignatureStore& operator=(const SignatureStore&) = delete;
+
+  static std::unique_ptr<SignatureStore> Create(const StoreOptions& options);
 
   /// Runs the stateful part of ADD validation for an already
   /// authenticated, well-formed signature: day-quota, adjacency, dedup;
@@ -113,20 +100,19 @@ class SignatureStore {
   /// caller's clock day, `tops` = TopFrameSet(sig), `content_id` =
   /// sig.ContentId(). The signature is serialized only on acceptance —
   /// rejection paths never pay for ToBytes().
-  virtual AddOutcome Add(UserId sender, std::int64_t day,
-                         const TopFrameKeys& tops, std::uint64_t content_id,
-                         const dimmunix::Signature& sig, TimePoint added_at,
-                         const Limits& limits) = 0;
+  AddOutcome Add(UserId sender, std::int64_t day, const TopFrameKeys& tops,
+                 std::uint64_t content_id, const dimmunix::Signature& sig,
+                 TimePoint added_at, const Limits& limits);
 
   /// Visits serialized signatures with index in [from, min(upto, size()))
-  /// in index order. On the sharded backend this never blocks writers.
-  virtual void VisitRange(
+  /// in index order, without blocking writers.
+  void VisitRange(
       std::uint64_t from, std::uint64_t upto,
       const std::function<void(std::uint64_t index,
                                std::span<const std::uint8_t> sig_bytes)>& fn)
-      const = 0;
+      const;
 
-  virtual std::uint64_t size() const = 0;
+  std::uint64_t size() const;
 
   // ---- replication (cluster tier) ---------------------------------------
 
@@ -135,16 +121,16 @@ class SignatureStore {
   /// metadata (sender, added_at, bytes) replication must ship for the
   /// follower's log to be byte-identical. Same non-blocking guarantees
   /// as VisitRange.
-  virtual void VisitEntries(
+  void VisitEntries(
       std::uint64_t from, std::uint64_t upto,
       const std::function<void(std::uint64_t index, const EntryView& entry)>&
-          fn) const = 0;
+          fn) const;
 
   /// Log lineage id. Two stores with equal epochs hold byte-identical
   /// prefixes of the same log; the epoch changes only when the log's
   /// identity does (ResetForReplication, loading a file of another
   /// lineage). Lock-free read.
-  virtual std::uint64_t epoch() const = 0;
+  std::uint64_t epoch() const;
 
   /// Follower ingest: commits an entry the primary already accepted, at
   /// exactly `index` (which must equal size() — replication is ordered).
@@ -153,41 +139,38 @@ class SignatureStore {
   /// kFailedPrecondition on an index gap, kDataLoss if the bytes fail to
   /// parse or duplicate the dedup set (lineage corruption). Safe against
   /// concurrent reads; ingest itself is serialized internally.
-  virtual Status ApplyReplicated(std::uint64_t index,
-                                 StoredSignature entry) = 0;
+  Status ApplyReplicated(std::uint64_t index, StoredSignature entry);
 
   /// Clears the whole store and adopts `new_epoch` — the catch-up path a
   /// follower takes when its lineage diverged from the primary's. This
-  /// runs on a LIVE follower: it is safe against concurrent reads (the
-  /// sharded backend publishes a fresh log and in-flight scans finish
-  /// against the retired one) and serialized against ApplyReplicated.
-  /// Only concurrent Add is excluded — followers refuse ADDs anyway.
-  virtual void ResetForReplication(std::uint64_t new_epoch) = 0;
+  /// runs on a LIVE follower: it is safe against concurrent reads (a
+  /// fresh log is published and in-flight scans finish against the
+  /// retired one) and serialized against ApplyReplicated. Only
+  /// concurrent Add is excluded — followers refuse ADDs anyway.
+  void ResetForReplication(std::uint64_t new_epoch);
 
   /// Persistence. Saves write DB format v3 (checkpoint.hpp: framed,
   /// checksummed); v1 (seed layout) and v2 (+epoch) files still load.
-  virtual Status SaveToFile(const std::string& path) const = 0;
+  Status SaveToFile(const std::string& path) const;
   /// Restart-time only (like the seed's whole-db swap): not safe against
   /// concurrent Add/Visit.
-  virtual Status LoadFromFile(const std::string& path) = 0;
+  Status LoadFromFile(const std::string& path);
 
   // ---- read/bootstrap performance tier ----------------------------------
 
   /// The GET(from) reply body: the count of entries [from, size()) and
-  /// their wire encodings (u32 length + bytes each) as byte runs. On the
-  /// sharded backend the runs point into the log's arena, one per block,
-  /// and pin the log they were read from, so a reply stays
-  /// self-consistent and valid across a concurrent ResetForReplication,
-  /// Compact or InstallSnapshot; no entry is copied and writers are
-  /// never blocked. The monolithic backend copies the entries into one
-  /// owned run. A cursor at or past the committed length gets count 0
-  /// and no runs.
-  virtual SuffixReply ReadSince(std::uint64_t from) const = 0;
+  /// their wire encodings (u32 length + bytes each) as byte runs into the
+  /// log's arena, one per block. The runs pin the log they were read
+  /// from, so a reply stays self-consistent and valid across a
+  /// concurrent ResetForReplication, Compact or InstallSnapshot; no entry
+  /// is copied and writers are never blocked. A cursor at or past the
+  /// committed length gets count 0 and no runs.
+  SuffixReply ReadSince(std::uint64_t from) const;
 
   /// Copy of the committed prefix (entries [0, size()) with superseded
-  /// flags folded in) — the checkpoint input. On the sharded backend this
-  /// reads the immutable committed prefix without blocking writers.
-  virtual std::vector<StoredSignature> CaptureSnapshot() const = 0;
+  /// flags folded in) — the checkpoint input. Reads the immutable
+  /// committed prefix without blocking writers.
+  std::vector<StoredSignature> CaptureSnapshot() const;
 
   /// Installs a ParseCheckpoint-validated snapshot, replacing the whole
   /// store and adopting `epoch` — the bootstrap path a far-behind
@@ -195,15 +178,15 @@ class SignatureStore {
   /// suffix via ApplyReplicated. Same liveness contract as
   /// ResetForReplication: safe against concurrent reads, serialized
   /// against ingest, concurrent Add excluded.
-  virtual void InstallSnapshot(std::uint64_t epoch,
-                               std::vector<CheckpointRecord> records) = 0;
+  void InstallSnapshot(std::uint64_t epoch,
+                       std::vector<CheckpointRecord> records);
 
   /// Marks committed entry `index` superseded (ReplaceSignature /
   /// FP-disable lineage). Idempotent: true on the first mark, false if
   /// already marked or out of range. The entry keeps streaming in GETs
   /// until Compact — marks never perturb live cursors.
-  virtual bool MarkSuperseded(std::uint64_t index) = 0;
-  virtual std::uint64_t superseded_count() const = 0;
+  bool MarkSuperseded(std::uint64_t index);
+  std::uint64_t superseded_count() const;
 
   /// Drops every superseded entry, renumbering the survivors into a
   /// fresh log with a fresh epoch — compaction is a lineage change, and
@@ -217,9 +200,37 @@ class SignatureStore {
   /// the invariant the store tests pin. Safe against concurrent reads;
   /// concurrent Add excluded, like ResetForReplication. Returns the
   /// number of entries dropped.
-  virtual std::uint64_t Compact() = 0;
+  std::uint64_t Compact();
 
-  static std::unique_ptr<SignatureStore> Create(const StoreOptions& options);
+ private:
+  /// Lock stripes of the per-user, per-community and dedup state.
+  static constexpr std::size_t kStripes = 16;
+
+  std::shared_ptr<SignatureLog> Log() const {
+    return log_.load(std::memory_order_acquire);
+  }
+
+  /// Swaps the published log + epoch. Caller holds ingest_mu_ (swaps
+  /// are serialized).
+  void PublishLogLocked(std::shared_ptr<SignatureLog> log,
+                        std::uint64_t new_epoch);
+
+  UserStateShards users_{kStripes};
+  /// Per-community day quota (only the day/processed_today fields are
+  /// used), striped independently of users_. Cleared wherever users_ is.
+  UserStateShards tenants_{kStripes};
+  DedupIndex dedup_{kStripes};
+  /// The log is published through an atomic shared_ptr (the same RCU
+  /// pattern as the dimmunix avoidance index): readers snapshot the
+  /// pointer and walk that log lock-free, so replacing the whole
+  /// database installs a fresh log object and lets in-flight readers
+  /// finish against the retired one. A GET reply holds the log it was
+  /// read from until its last byte run is flushed.
+  std::atomic<std::shared_ptr<SignatureLog>> log_;
+  /// Serializes ingest and log swaps (ApplyReplicated, resets, installs,
+  /// Compact).
+  std::mutex ingest_mu_;
+  std::atomic<std::uint64_t> epoch_;
 };
 
 }  // namespace communix::store

@@ -19,9 +19,9 @@
 //
 // Records land in a per-server TraceRing: a small ring of the most
 // recent requests plus a second ring of requests over the slow
-// threshold (StoreOptions::slow_request_ns), which are also logged.
-// The kStats verb serves the slow ring remotely, so tail latency is
-// attributable per stage across a live deployment without a debugger.
+// threshold (CommunixServer::Options::slow_request_ns), which are also
+// logged. The kStats verb serves the slow ring remotely, so tail latency
+// is attributable per stage across a live deployment without a debugger.
 //
 // The flush stage completes after the handler has returned (the reply
 // may sit in the outbound queue of a backpressured connection), so the

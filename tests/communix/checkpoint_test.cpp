@@ -2,8 +2,10 @@
 // round-trips, the compact ≡ checkpoint-of-survivors invariant, and —
 // the reason the frames exist — detection of every damage mode:
 // truncation at and inside every frame boundary, bit corruption in any
-// frame, trailing garbage, and unknown record flags all surface as a
-// clean kDataLoss instead of a half-installed database.
+// frame, trailing garbage, unknown record flags and record counts the
+// bytes cannot hold all surface as a clean kDataLoss instead of a
+// half-installed database or an aborted process. Hand-built v1 and v2
+// files check that the legacy formats still load.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +15,7 @@
 #include "../testutil.hpp"
 #include "communix/store/checkpoint.hpp"
 #include "communix/store/signature_store.hpp"
+#include "util/fnv.hpp"
 
 namespace communix::store {
 namespace {
@@ -133,6 +136,63 @@ TEST(CheckpointTest, TrailingGarbageIsRejected) {
                    .ok());
 }
 
+constexpr std::uint32_t kDbMagic = 0x434D5342;  // "CMSB"
+
+/// The header of a hand-built DB file: magic, version, and for v2 the
+/// epoch.
+BinaryWriter LegacyHeader(std::uint32_t version, std::uint64_t epoch) {
+  BinaryWriter w;
+  w.WriteU32(kDbMagic);
+  w.WriteU32(version);
+  if (version == 2) w.WriteU64(epoch);
+  return w;
+}
+
+/// A 16-byte v1 or 24-byte v2 file that claims 0xFFFFFFFF records.
+std::vector<std::uint8_t> HostileLegacyFile(std::uint32_t version) {
+  BinaryWriter w = LegacyHeader(version, 42);
+  w.WriteU32(0xFFFFFFFFu);
+  w.WriteU32(0);
+  return w.take();
+}
+
+/// A v3 header that claims 2^40 entries, with a header checksum that is
+/// correct for that count.
+std::vector<std::uint8_t> HostileV3Header() {
+  constexpr std::uint64_t kEpoch = 42;
+  constexpr std::uint64_t kTotal = std::uint64_t{1} << 40;
+  constexpr std::uint32_t kFrames = 1;
+  BinaryWriter covered;
+  covered.WriteU64(kEpoch);
+  covered.WriteU64(kTotal);
+  covered.WriteU32(kFrames);
+  BinaryWriter w;
+  w.WriteU32(kDbMagic);
+  w.WriteU32(3);
+  w.WriteU64(kEpoch);
+  w.WriteU64(kTotal);
+  w.WriteU32(kFrames);
+  w.WriteU64(Fnv1a(std::span<const std::uint8_t>(covered.data())));
+  return w.take();
+}
+
+std::vector<std::vector<std::uint8_t>> HostileCountBlobs() {
+  return {HostileLegacyFile(1), HostileLegacyFile(2), HostileV3Header()};
+}
+
+TEST(CheckpointTest, HostileRecordCountsAreDataLoss) {
+  // A count the remaining bytes cannot hold is refused before anything
+  // is reserved for it, instead of aborting on a huge allocation.
+  for (const auto& blob : HostileCountBlobs()) {
+    CheckpointData data;
+    EXPECT_EQ(ParseCheckpoint(std::span<const std::uint8_t>(blob), &data)
+                  .code(),
+              ErrorCode::kDataLoss)
+        << "a " << blob.size() << "-byte blob";
+    EXPECT_TRUE(data.records.empty());
+  }
+}
+
 TEST(CheckpointTest, ZeroEntryCheckpointIsValid) {
   const auto blob =
       SerializeCheckpoint(31, std::span<const StoredSignature>());
@@ -147,14 +207,10 @@ TEST(CheckpointTest, ZeroEntryCheckpointIsValid) {
 
 // ---- store-level invariants over the format ----
 
-class CheckpointStoreTest : public ::testing::TestWithParam<Backend> {
+class CheckpointStoreTest : public ::testing::Test {
  protected:
-  std::unique_ptr<SignatureStore> Make() const {
-    StoreOptions opts;
-    opts.backend = GetParam();
-    opts.user_shards = 4;
-    opts.dedup_shards = 4;
-    return SignatureStore::Create(opts);
+  static std::unique_ptr<SignatureStore> Make() {
+    return SignatureStore::Create({});
   }
 
   void Add(SignatureStore& store, std::uint32_t salt) {
@@ -167,7 +223,7 @@ class CheckpointStoreTest : public ::testing::TestWithParam<Backend> {
   Limits limits_{.per_user_daily_limit = 1u << 20};
 };
 
-TEST_P(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
+TEST_F(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
   auto store = Make();
   for (std::uint32_t i = 0; i < 30; ++i) Add(*store, i);
   ASSERT_TRUE(store->MarkSuperseded(5));
@@ -194,7 +250,7 @@ TEST_P(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
             AddOutcome::kDuplicate);
 }
 
-TEST_P(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
+TEST_F(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
   // The invariant Compact() documents: compacting in place must be
   // indistinguishable from checkpointing the survivors and installing
   // that checkpoint into a fresh store — same bytes, same dedup state.
@@ -241,7 +297,7 @@ TEST_P(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
   EXPECT_EQ(ra, AddOutcome::kAccepted);
 }
 
-TEST_P(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
+TEST_F(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "communix_ckpt_v3.bin")
           .string();
@@ -273,14 +329,104 @@ TEST_P(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
   std::filesystem::remove(path);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, CheckpointStoreTest,
-                         ::testing::Values(Backend::kSharded,
-                                           Backend::kMonolithic),
-                         [](const auto& info) {
-                           return info.param == Backend::kSharded
-                                      ? "Sharded"
-                                      : "Monolithic";
-                         });
+void WriteFile(const std::string& path,
+               const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(CheckpointStoreTest, HostileCountFilesLeaveTheStoreUntouched) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "communix_ckpt_hostile.bin")
+          .string();
+  auto store = Make();
+  Add(*store, 1);
+  const std::uint64_t epoch = store->epoch();
+  for (const auto& blob : HostileCountBlobs()) {
+    WriteFile(path, blob);
+    EXPECT_EQ(store->LoadFromFile(path).code(), ErrorCode::kDataLoss);
+    EXPECT_EQ(store->size(), 1u) << "failed load must not wipe the store";
+    EXPECT_EQ(store->epoch(), epoch);
+  }
+  std::filesystem::remove(path);
+}
+
+/// A v1 or v2 DB file in the layout those versions wrote: the header, a
+/// u32 count, then per record the u64 sender, the i64 timestamp, and
+/// the u32 length and bytes of the signature. No flags, frames or
+/// checksums.
+std::vector<std::uint8_t> LegacyFile(
+    std::uint32_t version, std::uint64_t epoch,
+    const std::vector<StoredSignature>& entries) {
+  BinaryWriter w = LegacyHeader(version, epoch);
+  w.WriteU32(static_cast<std::uint32_t>(entries.size()));
+  for (const StoredSignature& e : entries) {
+    w.WriteU64(e.sender);
+    w.WriteI64(e.added_at);
+    w.WriteBytes(std::span<const std::uint8_t>(e.bytes));
+  }
+  return w.take();
+}
+
+TEST_F(CheckpointStoreTest, LegacyV1AndV2FilesLoad) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "communix_ckpt_legacy.bin")
+          .string();
+  constexpr std::uint64_t kEpoch = 4242;
+  const auto entries = MakeEntries(6);
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    WriteFile(path, LegacyFile(version, kEpoch, entries));
+    auto store = Make();
+    ASSERT_TRUE(store->LoadFromFile(path).ok());
+
+    const std::vector<StoredSignature> loaded = store->CaptureSnapshot();
+    ASSERT_EQ(loaded.size(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(loaded[i].bytes, entries[i].bytes) << i;
+      EXPECT_EQ(loaded[i].content_id, entries[i].content_id) << i;
+      EXPECT_EQ(loaded[i].sender, entries[i].sender) << i;
+      EXPECT_EQ(loaded[i].added_at, entries[i].added_at) << i;
+    }
+    // v1 recorded no epoch, so the store adopts a fresh one; v2 keeps
+    // the epoch in its header.
+    if (version == 1) {
+      EXPECT_NE(store->epoch(), 0u);
+      EXPECT_NE(store->epoch(), kEpoch);
+    } else {
+      EXPECT_EQ(store->epoch(), kEpoch);
+    }
+
+    // Dedup and adjacency state were rebuilt from the file: entry 0
+    // (MakeSig(0), sent by user 1) is a duplicate for anyone, and a
+    // signature sharing two of its four top frames is adjacent for
+    // user 1.
+    const Signature dup = MakeSig(0);
+    EXPECT_EQ(store->Add(9, 0, TopFrameSet(dup), dup.ContentId(), dup, 0,
+                         limits_),
+              AddOutcome::kDuplicate);
+    const Signature adjacent =
+        Sig2(ChainStack("ck.A", 6, F("ck.A", "s1", 100)),
+             ChainStack("ck.A", 6, F("ck.A", "i1", 9100)),
+             ChainStack("ck.C", 6, F("ck.C", "s3", 1)),
+             ChainStack("ck.C", 6, F("ck.C", "i3", 2)));
+    ASSERT_EQ(entries[0].sender, 1u);
+    EXPECT_EQ(store->Add(1, 0, TopFrameSet(adjacent), adjacent.ContentId(),
+                         adjacent, 0, limits_),
+              AddOutcome::kAdjacent);
+
+    // The next save writes v3.
+    ASSERT_TRUE(store->SaveToFile(path).ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> saved(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    BinaryReader r(std::span<const std::uint8_t>(saved.data(), saved.size()));
+    EXPECT_EQ(r.ReadU32(), kDbMagic);
+    EXPECT_EQ(r.ReadU32(), 3u);
+  }
+  std::filesystem::remove(path);
+}
 
 }  // namespace
 }  // namespace communix::store

@@ -1,8 +1,8 @@
 // Tests for the store's GET read path, ReadSince: the count plus byte
 // runs into the signature log's wire-format arena. Replies must match
-// the monolithic backend's copied reply byte for byte at every cursor,
-// across arena block edges, and must stay valid and unchanged after the
-// log they point into is swapped out or the store is destroyed.
+// the reference model's reply byte for byte at every cursor, across
+// arena block edges, and must stay valid and unchanged after the log
+// they point into is swapped out or the store is destroyed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include "../testutil.hpp"
 #include "communix/store/checkpoint.hpp"
 #include "communix/store/signature_store.hpp"
+#include "reference_store.hpp"
 #include "util/serde.hpp"
 
 namespace communix::store {
@@ -22,6 +23,7 @@ using dimmunix::Signature;
 using testutil::ChainStack;
 using testutil::F;
 using testutil::Flatten;
+using testutil::ReferenceStore;
 using testutil::Sig2;
 
 constexpr std::size_t kBlock = SignatureLog::kBlockBytes;
@@ -50,18 +52,13 @@ std::vector<std::uint8_t> Entries(const SuffixReply& reply) {
   return flat;
 }
 
-class ReadSinceTest : public ::testing::TestWithParam<Backend> {
+class ReadSinceTest : public ::testing::Test {
  protected:
   ReadSinceTest() { limits_.per_user_daily_limit = 1u << 20; }
 
-  static std::unique_ptr<SignatureStore> Make(Backend backend) {
-    StoreOptions opts;
-    opts.backend = backend;
-    opts.user_shards = 4;
-    opts.dedup_shards = 4;
-    return SignatureStore::Create(opts);
+  static std::unique_ptr<SignatureStore> Make() {
+    return SignatureStore::Create({});
   }
-  std::unique_ptr<SignatureStore> Make() const { return Make(GetParam()); }
 
   void Add(SignatureStore& store, std::uint32_t salt) {
     const Signature sig = MakeSig(salt);
@@ -73,7 +70,7 @@ class ReadSinceTest : public ::testing::TestWithParam<Backend> {
   Limits limits_;
 };
 
-TEST_P(ReadSinceTest, EmptyCursorPollsReturnNoRuns) {
+TEST_F(ReadSinceTest, EmptyCursorPollsReturnNoRuns) {
   auto store = Make();
   for (std::uint32_t i = 0; i < 3; ++i) Add(*store, i);
   for (const std::uint64_t from : {3u, 99u}) {
@@ -83,7 +80,7 @@ TEST_P(ReadSinceTest, EmptyCursorPollsReturnNoRuns) {
   }
 }
 
-TEST_P(ReadSinceTest, CompactRenumbersAndRepliesStayConsistent) {
+TEST_F(ReadSinceTest, CompactRenumbersAndRepliesStayConsistent) {
   auto store = Make();
   for (std::uint32_t i = 0; i < 12; ++i) Add(*store, i);
   ASSERT_EQ(store->ReadSince(0).count, 12u);
@@ -98,26 +95,23 @@ TEST_P(ReadSinceTest, CompactRenumbersAndRepliesStayConsistent) {
   EXPECT_NE(store->epoch(), epoch_before) << "compaction is a new lineage";
   EXPECT_EQ(store->ReadSince(0).count, 10u);
   // The compacted log serves the survivors, in order.
-  auto expect = Make(Backend::kMonolithic);
+  ReferenceStore expect(limits_);
   for (std::uint32_t i = 0; i < 12; ++i) {
-    if (i != 3 && i != 7) Add(*expect, i);
+    if (i != 3 && i != 7) {
+      ASSERT_EQ(expect.Add(1 + i % 5, 0, MakeSig(i)), AddOutcome::kAccepted);
+    }
   }
-  EXPECT_EQ(Flatten(store->ReadSince(0)), Flatten(expect->ReadSince(0)));
+  EXPECT_EQ(Flatten(store->ReadSince(0)), expect.Get(0));
 }
 
-// The arena's edge cases against the monolithic backend's copied reply:
-// an entry ending exactly at a block boundary, a block sealed with
-// slack, and an entry larger than a block, on a log of five blocks.
-TEST(ArenaReadTest, BlockEdgesMatchMonolithicAtEveryCursor) {
-  StoreOptions opts;
-  opts.user_shards = 4;
-  opts.dedup_shards = 4;
-  opts.backend = Backend::kSharded;
-  auto arena = SignatureStore::Create(opts);
-  opts.backend = Backend::kMonolithic;
-  auto reference = SignatureStore::Create(opts);
+// The arena's edge cases against the reference model's reply: an entry
+// ending exactly at a block boundary, a block sealed with slack, and an
+// entry larger than a block, on a log of five blocks.
+TEST(ArenaReadTest, BlockEdgesMatchTheModelAtEveryCursor) {
+  auto arena = SignatureStore::Create({});
   Limits limits;
   limits.per_user_daily_limit = 1u << 20;
+  ReferenceStore reference(limits);
 
   std::vector<std::size_t> wire_sizes;
   // Block 0: nine 100 KB entries, then one that ends exactly at the
@@ -136,11 +130,10 @@ TEST(ArenaReadTest, BlockEdgesMatchMonolithicAtEveryCursor) {
     const auto salt = static_cast<std::uint32_t>(i);
     const Signature sig = SigOfWireSize(salt, wire_sizes[i]);
     ASSERT_EQ(4 + sig.ToBytes().size(), wire_sizes[i]);
-    for (auto* store : {arena.get(), reference.get()}) {
-      ASSERT_EQ(store->Add(1 + salt % 5, 0, TopFrameSet(sig), sig.ContentId(),
-                           sig, 0, limits),
-                AddOutcome::kAccepted);
-    }
+    ASSERT_EQ(arena->Add(1 + salt % 5, 0, TopFrameSet(sig), sig.ContentId(),
+                         sig, 0, limits),
+              AddOutcome::kAccepted);
+    ASSERT_EQ(reference.Add(1 + salt % 5, 0, sig), AddOutcome::kAccepted);
   }
 
   // GET(0) is one run per block, each exactly its block's entries: the
@@ -156,8 +149,7 @@ TEST(ArenaReadTest, BlockEdgesMatchMonolithicAtEveryCursor) {
                                                   kBlock + 4'321, small}));
   const std::uint64_t n = wire_sizes.size();
   for (std::uint64_t from = 0; from <= n + 1; ++from) {
-    EXPECT_EQ(Flatten(arena->ReadSince(from)),
-              Flatten(reference->ReadSince(from)))
+    EXPECT_EQ(Flatten(arena->ReadSince(from)), reference.Get(from))
         << "from=" << from;
   }
   // A reply touches only the blocks from its cursor's block onwards.
@@ -172,14 +164,11 @@ TEST(ArenaReadTest, BlockEdgesMatchMonolithicAtEveryCursor) {
 // three live log swaps, and after the store itself is gone.
 enum class Swap { kResetForReplication, kCompact, kInstallSnapshot };
 
-class ReplyPinTest
-    : public ::testing::TestWithParam<std::tuple<Backend, Swap>> {};
+class ReplyPinTest : public ::testing::TestWithParam<Swap> {};
 
 TEST_P(ReplyPinTest, ReplyOutlivesLogSwapAndStore) {
-  const auto [backend, swap] = GetParam();
-  StoreOptions opts;
-  opts.backend = backend;
-  auto store = SignatureStore::Create(opts);
+  const Swap swap = GetParam();
+  auto store = SignatureStore::Create({});
   Limits limits;
   limits.per_user_daily_limit = 1u << 20;
   for (std::uint32_t i = 0; i < 40; ++i) {
@@ -193,9 +182,7 @@ TEST_P(ReplyPinTest, ReplyOutlivesLogSwapAndStore) {
   const SuffixReply reply = store->ReadSince(3);
   const std::vector<std::uint8_t> before = Flatten(reply);
   ASSERT_EQ(reply.count, 37u);
-  if (backend == Backend::kSharded) {
-    ASSERT_EQ(reply.runs.size(), 4u) << "a log of four arena blocks";
-  }
+  ASSERT_EQ(reply.runs.size(), 4u) << "a log of four arena blocks";
 
   switch (swap) {
     case Swap::kResetForReplication:
@@ -223,24 +210,17 @@ TEST_P(ReplyPinTest, ReplyOutlivesLogSwapAndStore) {
   EXPECT_EQ(Flatten(reply), before) << "the reply outlives the store";
 }
 
-std::string PinCaseName(
-    const ::testing::TestParamInfo<std::tuple<Backend, Swap>>& info) {
+std::string PinCaseName(const ::testing::TestParamInfo<Swap>& info) {
   static constexpr const char* kSwaps[] = {"ResetForReplication", "Compact",
                                            "InstallSnapshot"};
-  return std::string(std::get<0>(info.param) == Backend::kSharded
-                         ? "Sharded"
-                         : "Monolithic") +
-         kSwaps[static_cast<int>(std::get<1>(info.param))];
+  return kSwaps[static_cast<int>(info.param)];
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SwapsOnBothBackends, ReplyPinTest,
-    ::testing::Combine(::testing::Values(Backend::kSharded,
-                                         Backend::kMonolithic),
-                       ::testing::Values(Swap::kResetForReplication,
-                                         Swap::kCompact,
-                                         Swap::kInstallSnapshot)),
-    PinCaseName);
+INSTANTIATE_TEST_SUITE_P(Swaps, ReplyPinTest,
+                         ::testing::Values(Swap::kResetForReplication,
+                                           Swap::kCompact,
+                                           Swap::kInstallSnapshot),
+                         PinCaseName);
 
 /// Number of length-prefixed entries in an entries region, or -1 if it
 /// does not parse to whole entries.
@@ -255,7 +235,7 @@ long CountEntries(const std::vector<std::uint8_t>& entries) {
   return count;
 }
 
-TEST_P(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {
+TEST_F(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {
   // Hammer ReadSince from two readers on the same cursor while ADDs
   // land: every reply must be internally consistent (its entries region
   // parses to exactly `count` entries) and a prefix of the log. The 8 KB
@@ -316,15 +296,6 @@ TEST_P(ReadSinceTest, ConcurrentReadersAndWritersStayCoherent) {
   EXPECT_EQ(final_reply.count, kEntries);
   EXPECT_EQ(Entries(final_reply), expected);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReadSinceTest,
-                         ::testing::Values(Backend::kSharded,
-                                           Backend::kMonolithic),
-                         [](const auto& info) {
-                           return info.param == Backend::kSharded
-                                      ? "Sharded"
-                                      : "Monolithic";
-                         });
 
 }  // namespace
 }  // namespace communix::store

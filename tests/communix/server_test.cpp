@@ -506,19 +506,14 @@ TEST_F(ServerTest, GetScansRaceConcurrentBatchAppends) {
 
 // ---------------------------------------------------------------------------
 // Zero-copy reply accounting: a repeat-poll GET workload must serve the
-// entries region as shared segments (runs into the log's arena on the
-// sharded backend, one owned run on the monolithic one) and copy only
-// the 4-byte count prefix per request — on BOTH store backends. This is
-// the structural proof that the wire tier never re-memcpys O(db) per
-// connection.
+// entries region as shared segments (runs into the log's arena) and copy
+// only the 4-byte count prefix per request. This is the structural proof
+// that the wire tier never re-memcpys O(db) per connection.
 // ---------------------------------------------------------------------------
-class ZeroCopyReplyTest : public ::testing::TestWithParam<store::Backend> {};
-
-TEST_P(ZeroCopyReplyTest, GetsCopyOnlyTheCountPrefix) {
+TEST(ZeroCopyReplyTest, GetsCopyOnlyTheCountPrefix) {
   VirtualClock clock;
   CommunixServer::Options opts;
   opts.per_user_daily_limit = 1000;
-  opts.store.backend = GetParam();
   CommunixServer server(clock, opts);
 
   constexpr std::uint32_t kSigs = 50;
@@ -573,10 +568,6 @@ TEST_P(ZeroCopyReplyTest, GetsCopyOnlyTheCountPrefix) {
   EXPECT_EQ(again.FlattenedPayload(), flat);
   EXPECT_EQ(again.Serialize(), first.Serialize());
 }
-
-INSTANTIATE_TEST_SUITE_P(BothBackends, ZeroCopyReplyTest,
-                         ::testing::Values(store::Backend::kSharded,
-                                           store::Backend::kMonolithic));
 
 // GetStats (and the kStats snapshot behind it) must never tear the ADD
 // ledger: every snapshot satisfies sum(outcome counters) <=

@@ -1,16 +1,19 @@
-// Property test: the sharded and monolithic store backends make
-// bit-identical validation decisions. Random ADD/GET interleavings —
-// including token forgeries, duplicates, adjacency collisions, rate-limit
-// pressure and day rollovers — are applied to servers over every backend
-// configuration; per-op statuses, Stats totals, DB contents and index
-// order must agree regardless of shard count.
+// Property test: the server's store makes the decisions of the reference
+// model (reference_store.hpp), which restates the §III-C rules without
+// the store's code. Random ADD/GET interleavings — including token
+// forgeries, duplicates, adjacency collisions, rate-limit pressure and
+// day rollovers — are applied to a server and the model; per-op
+// statuses, GET replies at random cursors, Stats totals, DB contents and
+// index order must agree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
 #include "../testutil.hpp"
 #include "communix/server.hpp"
+#include "reference_store.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
 
@@ -18,67 +21,78 @@ namespace communix {
 namespace {
 
 using dimmunix::Signature;
+using store::AddOutcome;
 using testutil::ChainStack;
 using testutil::F;
+using testutil::ReferenceStore;
 using testutil::Sig2;
 
-struct Config {
-  store::Backend backend;
-  std::size_t shards;
-};
-
-std::vector<Config> Configs() {
-  return {{store::Backend::kMonolithic, 0},
-          {store::Backend::kSharded, 1},
-          {store::Backend::kSharded, 4},
-          {store::Backend::kSharded, 16}};
-}
-
-CommunixServer::Options MakeOptions(const Config& config) {
-  CommunixServer::Options opts;
-  opts.store.backend = config.backend;
-  opts.store.user_shards = config.shards;
-  opts.store.dedup_shards = config.shards;
-  return opts;
-}
-
 /// A signature whose top-frame lines come from a small pool, so random
-/// picks collide: same salt twice = exact duplicate, overlapping salts =
+/// picks collide: same salts twice = exact duplicate, overlapping salts =
 /// adjacent (some-but-not-all shared tops), disjoint salts = accepted.
-Signature PooledSig(std::uint32_t a, std::uint32_t b) {
+/// `c` moves one inner top alone, so two signatures can share every
+/// outer top and still differ.
+Signature PooledSig(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
   return Sig2(ChainStack("eq.A", 6, F("eq.A", "s", 10 + a)),
-              ChainStack("eq.A", 6, F("eq.A", "i", 500 + a)),
+              ChainStack("eq.A", 6, F("eq.A", "i", 500 + a + 1000 * c)),
               ChainStack("eq.B", 6, F("eq.B", "s", 10 + b)),
               ChainStack("eq.B", 6, F("eq.B", "i", 500 + b)));
 }
 
-bool StatsEqual(const CommunixServer::Stats& x,
-                const CommunixServer::Stats& y) {
-  return x.adds_accepted == y.adds_accepted &&
-         x.adds_duplicate == y.adds_duplicate &&
-         x.rejected_bad_token == y.rejected_bad_token &&
-         x.rejected_rate_limited == y.rejected_rate_limited &&
-         x.rejected_adjacent == y.rejected_adjacent &&
-         x.rejected_malformed == y.rejected_malformed &&
-         x.gets_served == y.gets_served;
+/// The status code the server answers a store outcome with.
+ErrorCode CodeOf(AddOutcome outcome) {
+  switch (outcome) {
+    case AddOutcome::kAccepted:
+      return ErrorCode::kOk;
+    case AddOutcome::kDuplicate:
+      return ErrorCode::kAlreadyExists;
+    case AddOutcome::kRateLimited:
+    case AddOutcome::kTenantRateLimited:
+      return ErrorCode::kResourceExhausted;
+    case AddOutcome::kAdjacent:
+      return ErrorCode::kPermissionDenied;
+  }
+  return ErrorCode::kInternal;
 }
 
-TEST(StoreEquivalenceTest, RandomInterleavingsAgreeAcrossShardCounts) {
+/// The server's ADD counters equal the model's tallies plus the forged
+/// tokens the test sent.
+void ExpectStatsMatch(const CommunixServer::Stats& got,
+                      const ReferenceStore::Counts& want,
+                      std::uint64_t bad_tokens) {
+  EXPECT_EQ(got.adds_accepted, want.accepted);
+  EXPECT_EQ(got.adds_duplicate, want.duplicate);
+  EXPECT_EQ(got.rejected_rate_limited, want.rate_limited);
+  EXPECT_EQ(got.rejected_tenant_quota, want.tenant_rate_limited);
+  EXPECT_EQ(got.rejected_adjacent, want.adjacent);
+  EXPECT_EQ(got.rejected_bad_token, bad_tokens);
+  EXPECT_EQ(got.rejected_malformed, 0u);
+}
+
+/// GET(from) through the wire handler, as one flat payload.
+std::vector<std::uint8_t> Get(CommunixServer& server, std::uint64_t from) {
+  net::Request req;
+  req.type = net::MsgType::kGetSignatures;
+  BinaryWriter w;
+  w.WriteU64(from);
+  req.payload = w.take();
+  return server.Handle(req).FlattenedPayload();
+}
+
+TEST(StoreEquivalenceTest, RandomInterleavingsMatchTheModel) {
   constexpr int kOps = 4'000;
   constexpr int kUsers = 12;
   constexpr std::uint32_t kTopPool = 40;
 
-  const auto configs = Configs();
-  std::vector<std::unique_ptr<VirtualClock>> clocks;
-  std::vector<std::unique_ptr<CommunixServer>> servers;
-  for (const Config& config : configs) {
-    auto opts = MakeOptions(config);
-    // A tight quota makes rate-limit rejections common in the mix.
-    opts.per_user_daily_limit = 2;
-    clocks.push_back(std::make_unique<VirtualClock>());
-    servers.push_back(
-        std::make_unique<CommunixServer>(*clocks.back(), opts));
-  }
+  VirtualClock clock;
+  CommunixServer::Options opts;
+  // A tight quota makes rate-limit rejections common in the mix.
+  opts.per_user_daily_limit = 2;
+  CommunixServer server(clock, opts);
+  ReferenceStore model(store::Limits{.per_user_daily_limit = 2});
+  const auto today = [&] { return clock.Now() / kNanosPerDay; };
+  std::uint64_t bad_tokens = 0;
+  std::uint64_t gets = 0;
 
   Rng rng(0xE0E0);
   for (int op = 0; op < kOps; ++op) {
@@ -89,117 +103,110 @@ TEST(StoreEquivalenceTest, RandomInterleavingsAgreeAcrossShardCounts) {
       const std::uint32_t a = rng.NextBounded(kTopPool);
       const std::uint32_t b = rng.NextBounded(kTopPool);
       const bool forge = rng.NextBounded(20) == 0;
-      const Signature sig = PooledSig(a, b);
-      Status first = Status::Ok();
-      for (std::size_t s = 0; s < servers.size(); ++s) {
-        UserToken token = servers[s]->IssueToken(user);
-        if (forge) token[3] ^= 0x5A;
-        const Status got = servers[s]->AddSignature(token, sig);
-        if (s == 0) {
-          first = got;
-        } else {
-          ASSERT_EQ(got.code(), first.code())
-              << "op " << op << " backend " << s;
-        }
+      const Signature sig = PooledSig(a, b, rng.NextBounded(2));
+      UserToken token = server.IssueToken(user);
+      if (forge) token[3] ^= 0x5A;
+      const Status got = server.AddSignature(token, sig);
+      if (forge) {
+        ++bad_tokens;
+        ASSERT_EQ(got.code(), ErrorCode::kPermissionDenied) << "op " << op;
+      } else {
+        ASSERT_EQ(got.code(), CodeOf(model.Add(user, today(), sig)))
+            << "op " << op;
       }
     } else if (kind < 90) {
-      // GET(k): identical suffix on every backend.
-      const std::uint64_t size = servers[0]->db_size();
+      // GET(k): the model's reply, byte for byte.
+      const std::uint64_t size = server.db_size();
       const std::uint64_t from = size == 0 ? 0 : rng.NextBounded(
           static_cast<std::uint32_t>(size + 1));
-      const auto expect = servers[0]->GetSince(from);
-      for (std::size_t s = 1; s < servers.size(); ++s) {
-        ASSERT_EQ(servers[s]->GetSince(from), expect) << "op " << op;
-      }
+      ASSERT_EQ(Get(server, from), model.Get(from)) << "op " << op;
+      ++gets;
     } else if (kind < 97) {
       // Batched ADD of 1-4 pooled signatures.
       const UserId user = 1 + rng.NextBounded(kUsers);
       std::vector<Signature> sigs;
       const std::uint32_t n = 1 + rng.NextBounded(4);
       for (std::uint32_t i = 0; i < n; ++i) {
-        sigs.push_back(PooledSig(rng.NextBounded(kTopPool),
-                                 rng.NextBounded(kTopPool)));
+        const std::uint32_t a = rng.NextBounded(kTopPool);
+        const std::uint32_t b = rng.NextBounded(kTopPool);
+        sigs.push_back(PooledSig(a, b, rng.NextBounded(2)));
       }
-      std::vector<Status> first;
-      for (std::size_t s = 0; s < servers.size(); ++s) {
-        const auto got = servers[s]->AddBatch(
-            servers[s]->IssueToken(user),
-            std::span<const Signature>(sigs.data(), sigs.size()));
-        if (s == 0) {
-          first = got;
-        } else {
-          ASSERT_EQ(got.size(), first.size());
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i].code(), first[i].code()) << "op " << op;
-          }
-        }
+      const auto got = server.AddBatch(
+          server.IssueToken(user),
+          std::span<const Signature>(sigs.data(), sigs.size()));
+      ASSERT_EQ(got.size(), sigs.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].code(), CodeOf(model.Add(user, today(), sigs[i])))
+            << "op " << op;
       }
     } else {
-      // Day rollover: quotas reset identically.
-      for (auto& clock : clocks) clock->AdvanceDays(1.0);
+      // Day rollover: quotas reset.
+      clock.AdvanceDays(1.0);
     }
   }
 
-  const auto expect_stats = servers[0]->GetStats();
-  const auto expect_db = servers[0]->GetSince(0);
-  EXPECT_GT(expect_stats.adds_accepted, 0u);
-  EXPECT_GT(expect_stats.adds_duplicate, 0u);
-  EXPECT_GT(expect_stats.rejected_adjacent, 0u);
-  EXPECT_GT(expect_stats.rejected_rate_limited, 0u);
-  EXPECT_GT(expect_stats.rejected_bad_token, 0u);
-  for (std::size_t s = 1; s < servers.size(); ++s) {
-    EXPECT_TRUE(StatsEqual(servers[s]->GetStats(), expect_stats))
-        << "backend " << s;
-    EXPECT_EQ(servers[s]->GetSince(0), expect_db) << "backend " << s;
-  }
+  const auto stats = server.GetStats();
+  EXPECT_GT(stats.adds_accepted, 0u);
+  EXPECT_GT(stats.adds_duplicate, 0u);
+  EXPECT_GT(stats.rejected_adjacent, 0u);
+  EXPECT_GT(stats.rejected_rate_limited, 0u);
+  EXPECT_GT(stats.rejected_bad_token, 0u);
+  ExpectStatsMatch(stats, model.counts(), bad_tokens);
+  EXPECT_EQ(stats.gets_served, gets);
+  EXPECT_EQ(server.GetSince(0), model.Since(0));
+}
+
+/// Thread `t`'s `i`-th signature: disjoint line pools per thread, so
+/// never adjacent and never a duplicate.
+Signature DisjointSig(int t, int i) {
+  const std::uint32_t salt =
+      static_cast<std::uint32_t>(10'000 + t * 100'000 + i * 10);
+  return Sig2(ChainStack("cc.A", 6, F("cc.A", "s", salt)),
+              ChainStack("cc.A", 6, F("cc.A", "i", salt + 1)),
+              ChainStack("cc.B", 6, F("cc.B", "s", salt + 2)),
+              ChainStack("cc.B", 6, F("cc.B", "i", salt + 3)));
 }
 
 TEST(StoreEquivalenceTest, ConcurrentDisjointLoadYieldsIdenticalTotals) {
   // Under real concurrency the interleaving is nondeterministic, but with
   // per-user disjoint workloads and globally unique contents the decision
-  // totals are not: every ADD must be accepted on every backend, and the
-  // final databases must hold the same multiset of signatures.
+  // totals are not: every ADD must be accepted, and the final database
+  // must hold the multiset of signatures the model accepts from the same
+  // ADDs in serial order.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 250;
 
-  std::vector<std::vector<std::vector<std::uint8_t>>> dbs;
-  std::vector<CommunixServer::Stats> stats;
-  for (const Config& config : Configs()) {
-    VirtualClock clock;
-    auto opts = MakeOptions(config);
-    opts.per_user_daily_limit = 1'000'000;
-    CommunixServer server(clock, opts);
-    std::atomic<int> accepted{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        const UserToken token =
-            server.IssueToken(static_cast<UserId>(t + 1));
-        for (int i = 0; i < kPerThread; ++i) {
-          // Disjoint line pools per thread: never adjacent, never dup.
-          const std::uint32_t salt =
-              static_cast<std::uint32_t>(10'000 + t * 100'000 + i * 10);
-          const Signature sig =
-              Sig2(ChainStack("cc.A", 6, F("cc.A", "s", salt)),
-                   ChainStack("cc.A", 6, F("cc.A", "i", salt + 1)),
-                   ChainStack("cc.B", 6, F("cc.B", "s", salt + 2)),
-                   ChainStack("cc.B", 6, F("cc.B", "i", salt + 3)));
-          if (server.AddSignature(token, sig).ok()) accepted.fetch_add(1);
+  VirtualClock clock;
+  CommunixServer::Options opts;
+  opts.per_user_daily_limit = 1'000'000;
+  CommunixServer server(clock, opts);
+  std::atomic<int> accepted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const UserToken token = server.IssueToken(static_cast<UserId>(t + 1));
+      for (int i = 0; i < kPerThread; ++i) {
+        if (server.AddSignature(token, DisjointSig(t, i)).ok()) {
+          accepted.fetch_add(1);
         }
-      });
-    }
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(accepted.load(), kThreads * kPerThread);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(accepted.load(), kThreads * kPerThread);
 
-    auto db = server.GetSince(0);
-    std::sort(db.begin(), db.end());
-    dbs.push_back(std::move(db));
-    stats.push_back(server.GetStats());
+  ReferenceStore model(store::Limits{.per_user_daily_limit = 1'000'000});
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      model.Add(static_cast<UserId>(t + 1), 0, DisjointSig(t, i));
+    }
   }
-  for (std::size_t s = 1; s < dbs.size(); ++s) {
-    EXPECT_EQ(dbs[s], dbs[0]) << "backend " << s;
-    EXPECT_TRUE(StatsEqual(stats[s], stats[0])) << "backend " << s;
-  }
+  auto db = server.GetSince(0);
+  auto expect_db = model.Since(0);
+  std::sort(db.begin(), db.end());
+  std::sort(expect_db.begin(), expect_db.end());
+  EXPECT_EQ(db, expect_db);
+  ExpectStatsMatch(server.GetStats(), model.counts(), 0);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Unit tests for the store subsystem: the segmented SignatureLog and its
 // lock-free committed reads, the lock-striped user state and dedup index,
-// and both SignatureStore backends (including cross-backend persistence:
-// the on-disk format is backend-independent).
+// and the SignatureStore's §III-C decisions and persistence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -233,16 +232,12 @@ TEST(DedupIndexTest, ConcurrentInsertOfSameIdHasOneWinner) {
       << "each id must be won exactly once across all threads";
 }
 
-// ---- SignatureStore backends ----
+// ---- SignatureStore ----
 
-class StoreBackendTest : public ::testing::TestWithParam<Backend> {
+class StoreBackendTest : public ::testing::Test {
  protected:
-  std::unique_ptr<SignatureStore> Make() const {
-    StoreOptions opts;
-    opts.backend = GetParam();
-    opts.user_shards = 4;
-    opts.dedup_shards = 4;
-    return SignatureStore::Create(opts);
+  static std::unique_ptr<SignatureStore> Make() {
+    return SignatureStore::Create({});
   }
 
   static Signature MakeSig(std::uint32_t salt) {
@@ -261,7 +256,7 @@ class StoreBackendTest : public ::testing::TestWithParam<Backend> {
   Limits limits_;
 };
 
-TEST_P(StoreBackendTest, AcceptDuplicateAndIndexOrder) {
+TEST_F(StoreBackendTest, AcceptDuplicateAndIndexOrder) {
   auto store = Make();
   EXPECT_EQ(Add(*store, 1, MakeSig(0)), AddOutcome::kAccepted);
   EXPECT_EQ(Add(*store, 2, MakeSig(1000)), AddOutcome::kAccepted);
@@ -276,7 +271,7 @@ TEST_P(StoreBackendTest, AcceptDuplicateAndIndexOrder) {
   EXPECT_EQ(indexes, (std::vector<std::uint64_t>{0, 1}));
 }
 
-TEST_P(StoreBackendTest, RateLimitCountsProcessedNotAccepted) {
+TEST_F(StoreBackendTest, RateLimitCountsProcessedNotAccepted) {
   auto store = Make();
   limits_.per_user_daily_limit = 3;
   // Duplicates consume quota too ("10 signatures *processed* per day").
@@ -288,7 +283,7 @@ TEST_P(StoreBackendTest, RateLimitCountsProcessedNotAccepted) {
   EXPECT_EQ(Add(*store, 1, MakeSig(9000), /*day=*/1), AddOutcome::kAccepted);
 }
 
-TEST_P(StoreBackendTest, TenantQuotaCapsTheCommunityAggregate) {
+TEST_F(StoreBackendTest, TenantQuotaCapsTheCommunityAggregate) {
   auto store = Make();
   limits_.per_user_daily_limit = 10;
   limits_.per_tenant_daily_limit = 3;
@@ -310,7 +305,7 @@ TEST_P(StoreBackendTest, TenantQuotaCapsTheCommunityAggregate) {
             AddOutcome::kAccepted);
 }
 
-TEST_P(StoreBackendTest, TenantQuotaCountsProcessedAfterUserQuota) {
+TEST_F(StoreBackendTest, TenantQuotaCountsProcessedAfterUserQuota) {
   auto store = Make();
   limits_.per_user_daily_limit = 1;
   limits_.per_tenant_daily_limit = 3;
@@ -338,7 +333,7 @@ TEST_P(StoreBackendTest, TenantQuotaCountsProcessedAfterUserQuota) {
   }
 }
 
-TEST_P(StoreBackendTest, AdjacencyRejectedPerUser) {
+TEST_F(StoreBackendTest, AdjacencyRejectedPerUser) {
   auto store = Make();
   const auto shared_top = F("st.A", "s1", 100);
   const Signature s1 = Sig2(ChainStack("st.A", 6, shared_top),
@@ -360,7 +355,7 @@ TEST_P(StoreBackendTest, AdjacencyRejectedPerUser) {
   EXPECT_EQ(Add(*store2, 1, s2), AddOutcome::kAccepted);
 }
 
-TEST_P(StoreBackendTest, PersistenceRoundTripsAcrossBothBackends) {
+TEST_F(StoreBackendTest, PersistenceRoundTrips) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "communix_store_xb.bin")
           .string();
@@ -369,30 +364,25 @@ TEST_P(StoreBackendTest, PersistenceRoundTripsAcrossBothBackends) {
   ASSERT_EQ(Add(*store, 2, MakeSig(1000)), AddOutcome::kAccepted);
   ASSERT_TRUE(store->SaveToFile(path).ok());
 
-  // Load into BOTH backends: the format is backend-independent, and the
-  // rebuilt dedup/adjacency state keeps enforcing the same rules.
-  for (const Backend other : {Backend::kSharded, Backend::kMonolithic}) {
-    StoreOptions opts;
-    opts.backend = other;
-    auto loaded = SignatureStore::Create(opts);
-    ASSERT_TRUE(loaded->LoadFromFile(path).ok());
-    EXPECT_EQ(loaded->size(), 2u);
-    EXPECT_EQ(Add(*loaded, 9, MakeSig(0)), AddOutcome::kDuplicate);
-    std::vector<std::vector<std::uint8_t>> orig, reread;
-    store->VisitRange(0, UINT64_MAX,
-                      [&](std::uint64_t, std::span<const std::uint8_t> b) {
-                        orig.emplace_back(b.begin(), b.end());
-                      });
-    loaded->VisitRange(0, UINT64_MAX,
-                       [&](std::uint64_t, std::span<const std::uint8_t> b) {
-                         reread.emplace_back(b.begin(), b.end());
-                       });
-    EXPECT_EQ(orig, reread) << "index order must survive the round trip";
-  }
+  // The rebuilt dedup/adjacency state keeps enforcing the same rules.
+  auto loaded = Make();
+  ASSERT_TRUE(loaded->LoadFromFile(path).ok());
+  EXPECT_EQ(loaded->size(), 2u);
+  EXPECT_EQ(Add(*loaded, 9, MakeSig(0)), AddOutcome::kDuplicate);
+  std::vector<std::vector<std::uint8_t>> orig, reread;
+  store->VisitRange(0, UINT64_MAX,
+                    [&](std::uint64_t, std::span<const std::uint8_t> b) {
+                      orig.emplace_back(b.begin(), b.end());
+                    });
+  loaded->VisitRange(0, UINT64_MAX,
+                     [&](std::uint64_t, std::span<const std::uint8_t> b) {
+                       reread.emplace_back(b.begin(), b.end());
+                     });
+  EXPECT_EQ(orig, reread) << "index order must survive the round trip";
   std::remove(path.c_str());
 }
 
-TEST_P(StoreBackendTest, ConcurrentAddsFromDistinctUsersAllLand)
+TEST_F(StoreBackendTest, ConcurrentAddsFromDistinctUsersAllLand)
 {
   auto store = Make();
   limits_.per_user_daily_limit = 1'000'000;
@@ -425,15 +415,6 @@ TEST_P(StoreBackendTest, ConcurrentAddsFromDistinctUsersAllLand)
                     });
   EXPECT_EQ(visited, store->size());
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, StoreBackendTest,
-                         ::testing::Values(Backend::kSharded,
-                                           Backend::kMonolithic),
-                         [](const auto& info) {
-                           return info.param == Backend::kSharded
-                                      ? "sharded"
-                                      : "monolithic";
-                         });
 
 }  // namespace
 }  // namespace communix::store

@@ -238,7 +238,7 @@ TEST(StatsServingTest, MalformedStatsFrameCountsAsMalformed) {
 TEST(StatsServingTest, SlowTracesServedButStatsNeverTraced) {
   VirtualClock clock;
   CommunixServer::Options opts;
-  opts.store.slow_request_ns = 1;  // every traced request is "slow"
+  opts.slow_request_ns = 1;  // every traced request is "slow"
   CommunixServer server(clock, opts);
 
   for (int i = 0; i < 3; ++i) {

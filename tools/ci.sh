@@ -2,9 +2,10 @@
 # CI entry point.
 #
 # Default: tier-1 verify (configure + build + full ctest) followed by the
-# Figure-2 server bench (sharded-vs-monolithic comparison) and the
-# Table-II overhead bench (fast-path-vs-global-lock comparison), both in
-# smoke mode, recording the perf trajectory in BENCH_fig2.json and
+# Figure-2 server bench (throughput sweep, replica read fan-out, follower
+# bootstrap, scan cost and zero-copy net series) and the Table-II
+# overhead bench (fast-path-vs-global-lock comparison), both in smoke
+# mode, recording the perf trajectory in BENCH_fig2.json and
 # BENCH_overhead.json at the repo root.
 #
 # Both the default and --tsan modes additionally run the net smoke:
@@ -45,10 +46,12 @@
 # --asan: AddressSanitizer build (separate build-asan dir) running the
 # dimmunix + util test binaries — lifetime coverage for the context
 # reaper and the entry sharing across delta-rebuilt index snapshots —
-# plus the store, server, zero-copy, framing, slow-client and
-# two-process suites over ASan-built daemons: GET replies carry raw
-# pointers into log memory through the outbound queue, pinned only by
-# their owner, which is exactly the lifetime error ASan catches.
+# plus the store, checkpoint parser, server, zero-copy, framing,
+# slow-client and two-process suites over ASan-built daemons: GET
+# replies carry raw pointers into log memory through the outbound queue,
+# pinned only by their owner, which is exactly the lifetime error ASan
+# catches, and the checkpoint parser reads every truncated, bit-flipped
+# and hostile-count blob of CheckpointTest.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,9 +93,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
       --gtest_repeat=5
   TSAN_OPTIONS="${TSAN}" ./build-tsan/util_tests
   # Store-tier smoke under TSAN: concurrent ReadSince (arena runs read
-  # lock-free while appends cross block boundaries) racing ADDs on both
-  # backends, the arena's block edges, and replies that outlive a log
-  # swap (RCU publish of a fresh log) and the store itself.
+  # lock-free while appends cross block boundaries) racing ADDs, the
+  # arena's block edges, and replies that outlive a log swap (RCU
+  # publish of a fresh log) and the store itself.
   TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/communix_tests \
       '*ConcurrentReadersAndWritersStayCoherent*:ArenaReadTest.*:*ReplyPinTest*'
   # Cluster smoke under TSAN: kill-primary failover, the background
@@ -127,9 +130,10 @@ if [[ "${1:-}" == "--asan" ]]; then
   ASAN_OPTIONS="${ASAN}" ./build-asan/dimmunix_tests
   ASAN_OPTIONS="${ASAN}" ./build-asan/util_tests
   # Store and server: the log arena, replies pinning a swapped-out log,
-  # and the zero-copy reply accounting on both backends.
+  # the checkpoint parser on damaged and hostile blobs, and the zero-copy
+  # reply accounting.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/communix_tests \
-      'SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:*CheckpointStoreTest*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*'
+      'SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:CheckpointTest.*:*CheckpointStoreTest*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*'
   # Net: replies of many runs flushed across partial writes, and a slow
   # reader disconnected with its queue still holding pinned runs.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/net_tests \
@@ -137,8 +141,8 @@ if [[ "${1:-}" == "--asan" ]]; then
   # Two-process shipper against ASan-built communix_server daemons.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/cluster_tests \
       'TwoProcessShipper.*'
-  echo "ci: asan clean (dimmunix_tests, util_tests, store + server +" \
-       "zero-copy, framing + slow-client, two-process shipper)"
+  echo "ci: asan clean (dimmunix_tests, util_tests, store + checkpoint +" \
+       "server + zero-copy, framing + slow-client, two-process shipper)"
   exit 0
 fi
 
@@ -169,8 +173,8 @@ run_filtered ./build/cluster_tests \
 echo "ci: cluster smoke passed (failover, lineage change, checkpoint bootstrap, kMarkSuperseded)"
 
 # Net smoke: slow-client containment + hostile framing on the
-# non-blocking reply path, the zero-copy reply accounting on both store
-# backends, and the two-process shipper over real daemons.
+# non-blocking reply path, the zero-copy reply accounting, and the
+# two-process shipper over real daemons.
 run_filtered ./build/net_tests 'SlowClientTest.*:FramingTest.*'
 run_filtered ./build/communix_tests '*ZeroCopyReplyTest*'
 run_filtered ./build/cluster_tests 'TwoProcessShipper.*:StatsScrape.*'
@@ -247,7 +251,6 @@ trap - EXIT
 echo "ci: observability smoke passed (kStats scrape of both daemons," \
      "ledger ${SHIPPED}==${APPLIED}, JSON snapshot re-rendered)"
 
-./build/fig2_server_throughput --smoke --compare --replicas=2 \
-    --json=BENCH_fig2.json
+./build/fig2_server_throughput --smoke --replicas=2 --json=BENCH_fig2.json
 ./build/table2_dos_overhead --smoke --json=BENCH_overhead.json
 echo "ci: wrote $(pwd)/BENCH_fig2.json and $(pwd)/BENCH_overhead.json"

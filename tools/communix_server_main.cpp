@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   options.per_user_daily_limit = limit;
   options.role = role;
   options.metrics = metrics;
-  options.store.slow_request_ns = slow_ns;
+  options.slow_request_ns = slow_ns;
   communix::CommunixServer server(communix::SystemClock::Instance(), options);
 
   // The runtime tier: the daemon carries a DimmunixRuntime (the paper's
