@@ -44,7 +44,8 @@ Status LogShipper::DropSessionLocked(Session& s, Status cause) {
 
 Status LogShipper::HandshakeLocked(Session& s) {
   // Anti-entropy handshake: probe the follower's (epoch, length).
-  const std::uint64_t epoch = primary_.epoch();
+  const std::shared_ptr<const store::SignatureLog> log = primary_.log();
+  const std::uint64_t epoch = log->epoch();
   const net::ReplPullRequest probe{epoch, 0, 0};
   auto called = s.transport->Call(net::BuildReplPullRequest(probe));
   if (!called.ok()) return DropSessionLocked(s, called.status());
@@ -64,7 +65,7 @@ Status LogShipper::HandshakeLocked(Session& s) {
   // entries than we hold outran a primary restarted from a stale
   // snapshot — the logs forked under one epoch, and the only safe
   // repair is a full rebuild.
-  if (reply->epoch == epoch && reply->log_size <= primary_.db_size()) {
+  if (reply->epoch == epoch && reply->log_size <= log->size()) {
     s.cursor = reply->log_size;  // resume where the follower stands
     s.pending_reset = false;
   } else {
@@ -99,26 +100,27 @@ std::uint64_t LogShipper::LagLocked(const Session& s, std::uint64_t size,
   return live ? size - std::min<std::uint64_t>(*s.cursor, size) : size;
 }
 
-void LogShipper::RefreshCheckpointLocked() {
-  const std::uint64_t epoch = primary_.epoch();
-  const std::uint64_t size = primary_.db_size();
-  if (ckpt_blob_ != nullptr && ckpt_epoch_ == epoch &&
+void LogShipper::RefreshCheckpointLocked(const store::SignatureLog& log) {
+  const std::uint64_t size = log.size();
+  if (ckpt_blob_ != nullptr && ckpt_epoch_ == log.epoch() &&
       size - ckpt_entries_ < options_.checkpoint_lag_threshold) {
     return;  // cached blob still buys the full bootstrap saving
   }
   // One capture serves every follower that needs a rebuild this epoch.
   ckpt_blob_ = std::make_shared<const std::vector<std::uint8_t>>(
-      primary_.CaptureCheckpointBlob());
-  ckpt_epoch_ = epoch;
-  // Entries appended between the epoch read above and the capture are
+      primary_.CaptureCheckpointBlob(log));
+  ckpt_epoch_ = log.epoch();
+  // Entries appended between the size read above and the capture are
   // simply part of the suffix; undercounting here only refreshes the
   // blob a little early.
-  ckpt_entries_ = std::min<std::uint64_t>(size, primary_.db_size());
+  ckpt_entries_ = size;
 }
 
 std::optional<LogShipper::PreparedStep> LogShipper::PrepareSendLocked(
     Session& s) {
-  const std::uint64_t size = primary_.db_size();
+  // One log snapshot: the frame's epoch and entries name the same log.
+  const std::shared_ptr<const store::SignatureLog> log = primary_.log();
+  const std::uint64_t size = log->size();
   if (*s.cursor > size) {
     // Fork seen from a live session: the primary's log shrank under us
     // (stale-snapshot reload). Rebuild the follower.
@@ -131,7 +133,7 @@ std::optional<LogShipper::PreparedStep> LogShipper::PrepareSendLocked(
       size >= options_.checkpoint_lag_threshold) {
     // Far-behind rebuild: one snapshot blob instead of size/batch_limit
     // reset batches. The follower replays only the suffix afterwards.
-    RefreshCheckpointLocked();
+    RefreshCheckpointLocked(*log);
     net::CheckpointTransfer ckpt;
     ckpt.token.assign(repl_token_.begin(), repl_token_.end());
     ckpt.blob = *ckpt_blob_;
@@ -144,12 +146,12 @@ std::optional<LogShipper::PreparedStep> LogShipper::PrepareSendLocked(
 
   net::ReplBatchRequest batch;
   batch.token.assign(repl_token_.begin(), repl_token_.end());
-  batch.epoch = primary_.epoch();
+  batch.epoch = log->epoch();
   batch.reset = s.pending_reset;
   batch.from_index = *s.cursor;
   const std::uint64_t upto =
       std::min<std::uint64_t>(size, *s.cursor + options_.batch_limit);
-  primary_.VisitEntries(
+  log->Visit(
       *s.cursor, upto,
       [&](std::uint64_t, const store::EntryView& entry) {
         batch.entries.push_back(net::ReplEntry{
@@ -303,8 +305,9 @@ LogShipper::RoundOutcome LogShipper::RunRound(bool backoff) {
   }
 
   if (frames > 0) ++rounds_;
-  const std::uint64_t size = primary_.db_size();
-  const std::uint64_t epoch = primary_.epoch();
+  const std::shared_ptr<const store::SignatureLog> log = primary_.log();
+  const std::uint64_t size = log->size();
+  const std::uint64_t epoch = log->epoch();
   outcome.behind = std::any_of(
       sessions_.begin(), sessions_.end(),
       [&](const Session& s) { return !SyncedLocked(s, size, epoch); });
@@ -355,8 +358,9 @@ void LogShipper::DaemonLoop() {
 
 LogShipper::FollowerStatus LogShipper::GetFollowerStatus(
     std::size_t id) const {
-  const std::uint64_t size = primary_.db_size();
-  const std::uint64_t epoch = primary_.epoch();
+  const std::shared_ptr<const store::SignatureLog> log = primary_.log();
+  const std::uint64_t size = log->size();
+  const std::uint64_t epoch = log->epoch();
   std::lock_guard lock(mu_);
   const Session& s = sessions_.at(id);
   FollowerStatus out;
@@ -380,8 +384,9 @@ std::size_t LogShipper::active_feed_cursors() const {
 
 obs::ProbeHandle LogShipper::ExportStats(obs::MetricsRegistry& registry) const {
   return registry.RegisterProbe([this](obs::ProbeSink& sink) {
-    const std::uint64_t size = primary_.db_size();
-    const std::uint64_t epoch = primary_.epoch();
+    const std::shared_ptr<const store::SignatureLog> log = primary_.log();
+    const std::uint64_t size = log->size();
+    const std::uint64_t epoch = log->epoch();
     std::uint64_t shipped = 0, handshakes = 0, resets = 0, drops = 0;
     std::uint64_t checkpoints = 0, lag = 0, cursors = 0, followers = 0;
     std::uint64_t rounds = 0;

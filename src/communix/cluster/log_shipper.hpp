@@ -217,8 +217,9 @@ class LogShipper {
   /// changed or the cached snapshot fell a full threshold behind (a
   /// same-epoch stale blob is usable — the entry feed covers the
   /// suffix — but a very stale one forfeits the bootstrap saving).
-  /// Caller holds mu_.
-  void RefreshCheckpointLocked();
+  /// `log` is the snapshot the caller's frame is read from. Caller holds
+  /// mu_.
+  void RefreshCheckpointLocked(const store::SignatureLog& log);
 
   /// ShipRound's body. `backoff` (daemon rounds) skips sessions dropped
   /// less than ship_period_ms ago.

@@ -19,6 +19,12 @@ std::uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+/// The kReplBatch/kCheckpoint reply: the lineage and length of one log.
+net::Response ReplBatchReplyOf(const store::SignatureLog& log) {
+  return net::BuildReplBatchReply(
+      net::ReplBatchReply{log.epoch(), log.size()});
+}
+
 }  // namespace
 
 CommunixServer::CommunixServer(Clock& clock, Options options)
@@ -66,13 +72,21 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
       reg.GetHistogram("server.checkpoint.build_ns");
   get_latency_[kCheckpointInstall] =
       reg.GetHistogram("server.checkpoint.install_ns");
+  save_ns_ = reg.GetHistogram("store.persist.save_ns");
   obs::TraceRing::Options trace_opts;
   trace_opts.slow_threshold_ns = options_.slow_request_ns;
   trace_ring_ = std::make_shared<obs::TraceRing>(trace_opts);
   store_probe_ = reg.RegisterProbe([this](obs::ProbeSink& sink) {
-    sink.EmitGauge("store.db_size", store_->size());
-    sink.EmitGauge("store.epoch", store_->epoch());
-    sink.EmitGauge("store.superseded", store_->superseded_count());
+    const std::shared_ptr<const store::SignatureLog> log = store_->log();
+    sink.EmitGauge("store.db_size", log->size());
+    sink.EmitGauge("store.epoch", log->epoch());
+    sink.EmitGauge("store.superseded", log->superseded_count());
+    const store::SignatureStore::PersistStats persist =
+        store_->persist_stats();
+    sink.EmitGauge("store.persist.entries", persist.entries);
+    sink.EmitGauge("store.persist.superseded", persist.superseded);
+    sink.EmitCounter("store.persist.bytes_written", persist.bytes_written);
+    sink.EmitCounter("store.persist.rewrites", persist.rewrites);
   });
 }
 
@@ -249,11 +263,13 @@ net::Response CommunixServer::HandleReplPull(const net::Request& request) {
       return resp;
     }
   }
+  // One log snapshot, its committed length pinned once: the epoch,
+  // start/count and entries all name the same log while ADDs keep
+  // landing and lineage changes publish new logs.
+  const std::shared_ptr<const store::SignatureLog> log = store_->log();
   net::ReplPullReply reply;
-  reply.epoch = store_->epoch();
-  // Pin the committed length once so start/count/entries are consistent
-  // while ADDs keep landing.
-  reply.log_size = store_->size();
+  reply.epoch = log->epoch();
+  reply.log_size = log->size();
   // Anti-entropy handshake: a requester on another lineage must restart
   // from 0 under our epoch — its cursor means nothing in this log.
   reply.reset = pull->epoch != reply.epoch;
@@ -266,7 +282,7 @@ net::Response CommunixServer::HandleReplPull(const net::Request& request) {
       std::min<std::uint64_t>(reply.log_size, reply.start_index + limit);
   {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
-    store_->VisitEntries(
+    log->Visit(
         reply.start_index, upto,
         [&](std::uint64_t, const store::EntryView& entry) {
           reply.entries.push_back(net::ReplEntry{
@@ -356,8 +372,7 @@ net::Response CommunixServer::HandleReplBatch(const net::Request& request) {
   stats_.repl_entries_applied->Add(applied);
   stats_.repl_entries_skipped->Add(
       std::min<std::uint64_t>(skip, batch->entries.size()));
-  return net::BuildReplBatchReply(
-      net::ReplBatchReply{store_->epoch(), store_->size()});
+  return ReplBatchReplyOf(*store_->log());
 }
 
 net::Response CommunixServer::HandleCheckpoint(const net::Request& request) {
@@ -419,8 +434,7 @@ net::Response CommunixServer::HandleCheckpoint(const net::Request& request) {
   stats_.checkpoint_entries_installed->Add(installed);
   // Same reply shape as kReplBatch: the shipper resumes its entry feed
   // from log_size, so only the post-checkpoint suffix is replayed.
-  return net::BuildReplBatchReply(
-      net::ReplBatchReply{store_->epoch(), store_->size()});
+  return ReplBatchReplyOf(*store_->log());
 }
 
 net::Response CommunixServer::Handle(const net::Request& request) {
@@ -615,8 +629,14 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
   return resp;
 }
 
-Status CommunixServer::SaveToFile(const std::string& path) const {
-  return store_->SaveToFile(path);
+Status CommunixServer::SaveToFile(const std::string& path) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t before = store_->persist_stats().bytes_written;
+  const Status saved = store_->SaveToFile(path);
+  if (store_->persist_stats().bytes_written != before) {
+    save_ns_->Report(NanosSince(start));
+  }
+  return saved;
 }
 
 Status CommunixServer::LoadFromFile(const std::string& path) {
@@ -625,22 +645,12 @@ Status CommunixServer::LoadFromFile(const std::string& path) {
   return loaded;
 }
 
-std::vector<std::uint8_t> CommunixServer::CaptureCheckpointBlob() const {
+std::vector<std::uint8_t> CommunixServer::CaptureCheckpointBlob(
+    const store::SignatureLog& log) const {
   const auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    // Epoch-consistency loop: a lineage change (reset, compaction)
-    // between the epoch read and the snapshot would pair the new log's
-    // entries with the old epoch, so re-read and retry on mismatch.
-    // Epochs are random nonzero ids — recurrence is not a concern.
-    const std::uint64_t e = store_->epoch();
-    std::vector<store::StoredSignature> snapshot = store_->CaptureSnapshot();
-    if (store_->epoch() != e) continue;
-    auto blob = store::SerializeCheckpoint(
-        e, std::span<const store::StoredSignature>(snapshot.data(),
-                                                   snapshot.size()));
-    get_latency_[kCheckpointBuild]->Report(NanosSince(start));
-    return blob;
-  }
+  std::vector<std::uint8_t> blob = store::SerializeCheckpoint(log);
+  get_latency_[kCheckpointBuild]->Report(NanosSince(start));
+  return blob;
 }
 
 bool CommunixServer::MarkSuperseded(std::uint64_t index) {

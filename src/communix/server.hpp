@@ -121,6 +121,12 @@ class CommunixServer final : public net::RequestHandler {
   ServerRole role() const { return options_.role; }
   /// Log lineage id (see store::SignatureStore::epoch).
   std::uint64_t epoch() const { return store_->epoch(); }
+  /// One snapshot of the published log, whose epoch, length and entries
+  /// belong together (see store::SignatureStore::log). A reader that
+  /// pairs them — the log shipper — reads them from one snapshot.
+  std::shared_ptr<const store::SignatureLog> log() const {
+    return store_->log();
+  }
   /// Committed-entry feed with full metadata — what the log shipper
   /// reads on the primary. Delegates to the store.
   void VisitEntries(std::uint64_t from, std::uint64_t upto,
@@ -155,17 +161,20 @@ class CommunixServer final : public net::RequestHandler {
   /// Persistence: the signature database plus per-user adjacency state
   /// survive server restarts (indexes are implicit in insertion order, so
   /// clients' incremental GET(k) cursors stay valid across restarts).
-  /// Delegates to the store.
-  Status SaveToFile(const std::string& path) const;
+  /// Delegates to the store, whose saves append to the DB file (format
+  /// v4) what committed since the last one; a save that wrote something
+  /// reports its duration to store.persist.save_ns.
+  Status SaveToFile(const std::string& path);
   Status LoadFromFile(const std::string& path);
 
   // ---- read/bootstrap performance tier ----
 
-  /// An epoch-consistent checkpoint blob of this server's store (DB
-  /// format v3) — what the LogShipper sends a far-behind follower via
-  /// net::MsgType::kCheckpoint, and byte-identical to what SaveToFile
-  /// writes. Built from an immutable snapshot; never blocks reads.
-  std::vector<std::uint8_t> CaptureCheckpointBlob() const;
+  /// The checkpoint blob (format v3) of one log snapshot: what the
+  /// LogShipper sends a far-behind follower via net::MsgType::kCheckpoint.
+  /// Its epoch and entries come from that one log, encoded straight from
+  /// its arena; never blocks reads or writers.
+  std::vector<std::uint8_t> CaptureCheckpointBlob(
+      const store::SignatureLog& log) const;
 
   /// Maintenance: marks entry `index` superseded (ReplaceSignature /
   /// FP-disable); Compact() later drops marked entries into a fresh
@@ -312,9 +321,12 @@ class CommunixServer final : public net::RequestHandler {
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   Counters stats_;
   std::array<obs::Histogram*, kNumGetLatencyBuckets> get_latency_{};
+  /// store.persist.save_ns: saves that wrote something.
+  obs::Histogram* save_ns_ = nullptr;
   std::shared_ptr<obs::TraceRing> trace_ring_;
   /// Snapshot-time export of the store tier (db size, epoch, superseded
-  /// marks) — state the store aggregates itself.
+  /// marks, what the DB file holds and what saving cost) — state the
+  /// store aggregates itself.
   obs::ProbeHandle store_probe_;
 
   /// Commit notification (see NoteCommit / WaitForCommit). Both atomics

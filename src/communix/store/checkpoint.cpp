@@ -16,13 +16,15 @@ constexpr std::uint32_t kDbMagic = 0x434D5342;  // "CMSB"
 constexpr std::uint32_t kVersionV1 = 1;         // seed layout, no epoch
 constexpr std::uint32_t kVersionV2 = 2;         // +epoch in the header
 constexpr std::uint32_t kVersionV3 = 3;         // framed + checksummed
+constexpr std::uint32_t kVersionV4 = 4;         // frames until end of file
 
 constexpr std::uint8_t kFlagSuperseded = 0x01;
 constexpr std::uint8_t kKnownFlags = kFlagSuperseded;
 
 /// Smallest encoded record (an empty signature): sender, added_at and the
-/// u32 length, plus the flags byte in v3. A count the remaining bytes
-/// cannot hold at this size is refused before anything is reserved for it.
+/// u32 length, plus the flags byte in v3 and v4. A count the remaining
+/// bytes cannot hold at this size is refused before anything is reserved
+/// for it.
 constexpr std::size_t kMinLegacyRecordBytes = 8 + 8 + 4;
 constexpr std::size_t kMinV3RecordBytes = 1 + kMinLegacyRecordBytes;
 
@@ -84,6 +86,67 @@ std::uint64_t HeaderChecksum(std::uint64_t epoch, std::uint64_t total_count,
       std::span<const std::uint8_t>(hdr.data().data(), hdr.size()));
 }
 
+/// FNV over a v4 frame's entry_count and payload_len: a damaged length
+/// fails it, so it cannot pass for a payload cut short by a kill.
+std::uint64_t FrameHeaderChecksum(std::uint32_t entry_count,
+                                  std::uint32_t payload_len) {
+  return Fnv1aU64(entry_count | std::uint64_t{payload_len} << 32);
+}
+
+/// Bytes of a v4 frame header.
+constexpr std::size_t kV4FrameHeaderBytes = 4 + 4 + 8 + 8;
+
+/// Appends the records of `log` entries [from, upto) to `out`; returns
+/// how many of them are marked superseded.
+std::uint64_t EncodeRecords(const SignatureLog& log, std::uint64_t from,
+                            std::uint64_t upto, BinaryWriter& out) {
+  std::uint64_t superseded = 0;
+  log.Visit(from, upto, [&](std::uint64_t i, const EntryView& e) {
+    const bool marked = log.IsSuperseded(i);
+    superseded += marked ? 1 : 0;
+    out.WriteU8(marked ? kFlagSuperseded : 0);
+    out.WriteU64(e.sender);
+    out.WriteI64(e.added_at);
+    out.WriteBytes(e.bytes);
+  });
+  return superseded;
+}
+
+/// Reads one frame's payload of `entry_count` records (v3 and v4 alike),
+/// checks it against `checksum` and appends its records to `data`.
+Status ParseFrame(BinaryReader& r, std::uint32_t entry_count,
+                  std::uint32_t payload_len, std::uint64_t checksum,
+                  std::unordered_set<std::uint64_t>& seen,
+                  CheckpointData& data) {
+  if (entry_count == 0 || entry_count > kCheckpointFrameEntries) {
+    return Corrupt("checkpoint frame entry count out of range");
+  }
+  const std::vector<std::uint8_t> payload = r.ReadRaw(payload_len);
+  if (!r.ok()) return Corrupt("truncated checkpoint frame payload");
+  if (Fnv1a(std::span<const std::uint8_t>(payload.data(), payload.size())) !=
+      checksum) {
+    return Corrupt("checkpoint frame checksum mismatch");
+  }
+  BinaryReader body(
+      std::span<const std::uint8_t>(payload.data(), payload.size()));
+  for (std::uint32_t i = 0; i < entry_count; ++i) {
+    CheckpointRecord rec;
+    const std::uint8_t flags = body.ReadU8();
+    rec.entry.sender = body.ReadU64();
+    rec.entry.added_at = body.ReadI64();
+    rec.entry.bytes = body.ReadBytes();
+    if (!body.ok()) return Corrupt("corrupt checkpoint record");
+    if ((flags & ~kKnownFlags) != 0) {
+      return Corrupt("checkpoint record carries unknown flags");
+    }
+    rec.entry.superseded = (flags & kFlagSuperseded) != 0;
+    if (auto s = FinishRecord(rec, seen); !s.ok()) return s;
+    data.records.push_back(std::move(rec));
+  }
+  if (!body.AtEnd()) return Corrupt("checkpoint frame payload overlong");
+  return Status::Ok();
+}
+
 Status ParseV3Body(BinaryReader& r, CheckpointData& data) {
   const std::uint64_t total_count = r.ReadU64();
   const std::uint32_t frame_count = r.ReadU32();
@@ -104,32 +167,10 @@ Status ParseV3Body(BinaryReader& r, CheckpointData& data) {
     const std::uint32_t payload_len = r.ReadU32();
     const std::uint64_t checksum = r.ReadU64();
     if (!r.ok()) return Corrupt("truncated checkpoint frame header");
-    if (entry_count == 0 || entry_count > kCheckpointFrameEntries) {
-      return Corrupt("checkpoint frame entry count out of range");
+    if (auto s = ParseFrame(r, entry_count, payload_len, checksum, seen, data);
+        !s.ok()) {
+      return s;
     }
-    const std::vector<std::uint8_t> payload = r.ReadRaw(payload_len);
-    if (!r.ok()) return Corrupt("truncated checkpoint frame payload");
-    if (Fnv1a(std::span<const std::uint8_t>(payload.data(), payload.size())) !=
-        checksum) {
-      return Corrupt("checkpoint frame checksum mismatch");
-    }
-    BinaryReader body(
-        std::span<const std::uint8_t>(payload.data(), payload.size()));
-    for (std::uint32_t i = 0; i < entry_count; ++i) {
-      CheckpointRecord rec;
-      const std::uint8_t flags = body.ReadU8();
-      rec.entry.sender = body.ReadU64();
-      rec.entry.added_at = body.ReadI64();
-      rec.entry.bytes = body.ReadBytes();
-      if (!body.ok()) return Corrupt("corrupt checkpoint record");
-      if ((flags & ~kKnownFlags) != 0) {
-        return Corrupt("checkpoint record carries unknown flags");
-      }
-      rec.entry.superseded = (flags & kFlagSuperseded) != 0;
-      if (auto s = FinishRecord(rec, seen); !s.ok()) return s;
-      data.records.push_back(std::move(rec));
-    }
-    if (!body.AtEnd()) return Corrupt("checkpoint frame payload overlong");
   }
   if (data.records.size() != total_count) {
     return Corrupt("checkpoint entry count mismatch (truncated?)");
@@ -137,39 +178,85 @@ Status ParseV3Body(BinaryReader& r, CheckpointData& data) {
   return Status::Ok();
 }
 
+/// The v4 body after the epoch: the header checksum, then frames until
+/// end of file. Returns the length of the whole frames in `*v4_bytes`.
+Status ParseV4Body(BinaryReader& r, std::size_t file_bytes,
+                   CheckpointData& data, std::uint64_t* v4_bytes) {
+  const std::uint64_t header_checksum = r.ReadU64();
+  if (!r.ok()) return Corrupt("truncated DB file header");
+  if (Fnv1aU64(data.epoch) != header_checksum) {
+    return Corrupt("DB file header checksum mismatch");
+  }
+  std::unordered_set<std::uint64_t> seen;
+  std::uint64_t whole = file_bytes - r.remaining();
+  // A final frame cut short (its header incomplete, or its payload
+  // running past end of file) ends the loop and is dropped.
+  while (r.remaining() >= kV4FrameHeaderBytes) {
+    const std::uint32_t entry_count = r.ReadU32();
+    const std::uint32_t payload_len = r.ReadU32();
+    const std::uint64_t checksum = r.ReadU64();
+    const std::uint64_t header_checksum = r.ReadU64();
+    if (FrameHeaderChecksum(entry_count, payload_len) != header_checksum) {
+      return Corrupt("DB file frame header checksum mismatch");
+    }
+    if (payload_len > r.remaining()) break;
+    if (auto s = ParseFrame(r, entry_count, payload_len, checksum, seen, data);
+        !s.ok()) {
+      return s;
+    }
+    whole = file_bytes - r.remaining();
+  }
+  *v4_bytes = whole;
+  return Status::Ok();
+}
+
+/// Reads the magic and version; kDataLoss unless the version is in
+/// [kVersionV1, max_version].
+Status ReadVersion(BinaryReader& r, std::uint32_t max_version,
+                   std::uint32_t* version) {
+  const std::uint32_t magic = r.ReadU32();
+  *version = r.ReadU32();
+  if (!r.ok() || magic != kDbMagic || *version < kVersionV1 ||
+      *version > max_version) {
+    return Corrupt("bad server DB header");
+  }
+  return Status::Ok();
+}
+
+/// A v1-v3 body after the version: the epoch (v2 and v3), then the
+/// records, then end of input.
+Status ParseUpToV3(BinaryReader& r, std::uint32_t version,
+                   CheckpointData& data) {
+  data.epoch = version >= kVersionV2 ? r.ReadU64() : 0;
+  Status s = version == kVersionV3 ? ParseV3Body(r, data)
+                                   : ParseLegacyBody(r, data);
+  if (!s.ok()) return s;
+  if (!r.AtEnd()) return Corrupt("trailing bytes after server DB body");
+  return Status::Ok();
+}
+
 }  // namespace
 
-std::vector<std::uint8_t> SerializeCheckpoint(
-    std::uint64_t epoch, std::span<const StoredSignature> entries) {
-  const std::size_t frame_count =
-      (entries.size() + kCheckpointFrameEntries - 1) / kCheckpointFrameEntries;
+std::vector<std::uint8_t> SerializeCheckpoint(const SignatureLog& log) {
+  const std::uint64_t n = log.size();
+  const auto frame_count = static_cast<std::uint32_t>(
+      (n + kCheckpointFrameEntries - 1) / kCheckpointFrameEntries);
   BinaryWriter w;
   w.WriteU32(kDbMagic);
   w.WriteU32(kVersionV3);
-  w.WriteU64(epoch);
-  w.WriteU64(entries.size());
-  w.WriteU32(static_cast<std::uint32_t>(frame_count));
-  w.WriteU64(HeaderChecksum(epoch, entries.size(),
-                            static_cast<std::uint32_t>(frame_count)));
-  for (std::size_t base = 0; base < entries.size();
-       base += kCheckpointFrameEntries) {
-    const std::size_t n =
-        std::min(kCheckpointFrameEntries, entries.size() - base);
-    BinaryWriter frame;
-    for (std::size_t i = 0; i < n; ++i) {
-      const StoredSignature& s = entries[base + i];
-      frame.WriteU8(s.superseded ? kFlagSuperseded : 0);
-      frame.WriteU64(s.sender);
-      frame.WriteI64(s.added_at);
-      frame.WriteBytes(
-          std::span<const std::uint8_t>(s.bytes.data(), s.bytes.size()));
-    }
-    w.WriteU32(static_cast<std::uint32_t>(n));
-    w.WriteU32(static_cast<std::uint32_t>(frame.size()));
-    w.WriteU64(Fnv1a(
-        std::span<const std::uint8_t>(frame.data().data(), frame.size())));
-    w.WriteRaw(std::span<const std::uint8_t>(frame.data().data(),
-                                             frame.size()));
+  w.WriteU64(log.epoch());
+  w.WriteU64(n);
+  w.WriteU32(frame_count);
+  w.WriteU64(HeaderChecksum(log.epoch(), n, frame_count));
+  for (std::uint64_t base = 0; base < n; base += kCheckpointFrameEntries) {
+    const std::uint64_t upto =
+        std::min<std::uint64_t>(n, base + kCheckpointFrameEntries);
+    BinaryWriter payload;
+    EncodeRecords(log, base, upto, payload);
+    w.WriteU32(static_cast<std::uint32_t>(upto - base));
+    w.WriteU32(static_cast<std::uint32_t>(payload.size()));
+    w.WriteU64(Fnv1a(std::span<const std::uint8_t>(payload.data())));
+    w.WriteRaw(std::span<const std::uint8_t>(payload.data()));
   }
   return w.take();
 }
@@ -177,20 +264,57 @@ std::vector<std::uint8_t> SerializeCheckpoint(
 Status ParseCheckpoint(std::span<const std::uint8_t> bytes,
                        CheckpointData* out) {
   BinaryReader r(bytes);
-  const std::uint32_t magic = r.ReadU32();
-  const std::uint32_t version = r.ReadU32();
-  if (!r.ok() || magic != kDbMagic ||
-      (version != kVersionV1 && version != kVersionV2 &&
-       version != kVersionV3)) {
-    return Corrupt("bad server DB header");
-  }
+  std::uint32_t version = 0;
+  if (auto s = ReadVersion(r, kVersionV3, &version); !s.ok()) return s;
   CheckpointData data;
-  data.epoch = version >= kVersionV2 ? r.ReadU64() : 0;
-  Status s = version == kVersionV3 ? ParseV3Body(r, data)
-                                   : ParseLegacyBody(r, data);
-  if (!s.ok()) return s;
-  if (!r.AtEnd()) return Corrupt("trailing bytes after server DB body");
+  if (auto s = ParseUpToV3(r, version, data); !s.ok()) return s;
   *out = std::move(data);
+  return Status::Ok();
+}
+
+std::vector<std::uint8_t> EncodeDbHeader(std::uint64_t epoch) {
+  BinaryWriter w;
+  w.WriteU32(kDbMagic);
+  w.WriteU32(kVersionV4);
+  w.WriteU64(epoch);
+  w.WriteU64(Fnv1aU64(epoch));
+  return w.take();
+}
+
+std::vector<std::uint8_t> EncodeDbFrame(const SignatureLog& log,
+                                        std::uint64_t from,
+                                        std::uint64_t upto,
+                                        std::uint64_t* superseded) {
+  BinaryWriter payload;
+  *superseded += EncodeRecords(log, from, upto, payload);
+  const auto count = static_cast<std::uint32_t>(upto - from);
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  BinaryWriter w;
+  w.WriteU32(count);
+  w.WriteU32(len);
+  w.WriteU64(Fnv1a(std::span<const std::uint8_t>(payload.data())));
+  w.WriteU64(FrameHeaderChecksum(count, len));
+  w.WriteRaw(std::span<const std::uint8_t>(payload.data()));
+  return w.take();
+}
+
+Status ParseDbFile(std::span<const std::uint8_t> bytes, DbFileContents* out) {
+  BinaryReader r(bytes);
+  std::uint32_t version = 0;
+  if (auto s = ReadVersion(r, kVersionV4, &version); !s.ok()) return s;
+  DbFileContents file;
+  if (version == kVersionV4) {
+    file.snapshot.epoch = r.ReadU64();
+    std::uint64_t whole = 0;
+    if (auto s = ParseV4Body(r, bytes.size(), file.snapshot, &whole);
+        !s.ok()) {
+      return s;
+    }
+    file.v4_bytes = whole;
+  } else if (auto s = ParseUpToV3(r, version, file.snapshot); !s.ok()) {
+    return s;
+  }
+  *out = std::move(file);
   return Status::Ok();
 }
 

@@ -1,13 +1,17 @@
-// Epoch-consistent store checkpoints (DB format v3).
+// Store checkpoints and the DB file: one record encoding, two framings.
 //
-// One serialized blob format serves two consumers:
+//   * The wire checkpoint (DB format v3). The LogShipper ships it to a
+//     follower whose lineage diverged (net::MsgType::kCheckpoint), so it
+//     installs a snapshot and replays only the log suffix instead of
+//     re-ingesting the whole database entry by entry. Its header pins the
+//     entry and frame counts up front.
+//   * The DB file (format v4) SaveToFile writes. Its header pins only the
+//     lineage, and frames follow until end of file, so a save appends the
+//     entries committed since the last one instead of rewriting the file.
 //
-//   * persistence — SaveToFile/LoadFromFile write and read it, and the
-//     v1 (seed layout) and v2 (+epoch) files still load;
-//   * bootstrap — the LogShipper ships the same blob over the wire
-//     (net::MsgType::kCheckpoint) to a follower whose lineage diverged,
-//     so it installs a snapshot and replays only the log suffix instead
-//     of re-ingesting the whole database entry by entry.
+// Both encode straight from a live SignatureLog's arena: no save and no
+// checkpoint copies the database first. v1 (the seed layout), v2
+// (+epoch) and v3 files still load.
 //
 // v3 layout (little-endian):
 //
@@ -19,19 +23,35 @@
 //   record:  u8 flags (bit0: superseded) | u64 sender | i64 added_at
 //            u32 sig_len + sig bytes
 //
-// The framing is what makes a damaged checkpoint *detectably* damaged:
-// the header pins the total entry count up front (truncation at any
-// frame boundary leaves a count shortfall), payload lengths bound every
-// frame (mid-frame truncation fails the bounds-checked reader), the
-// per-frame FNV-1a checksum catches byte corruption, and the header's
-// own checksum covers the metadata the frame checksums don't (a flipped
-// epoch byte must not parse as a valid checkpoint of another lineage). ParseCheckpoint
-// validates ALL of it — including that every signature's bytes round-trip
-// and that no content id repeats — before returning, so a follower can
-// fully vet a blob before wiping its store to install it.
+// v4 layout:
+//
+//   header:  u32 magic "CMSB" | u32 version=4 | u64 epoch | u64 fnv1a(epoch)
+//   frame:   u32 entry_count | u32 payload_len | u64 fnv1a(payload)
+//            u64 fnv1a(entry_count | payload_len), then the payload
+//   ...      frames until end of file
+//
+// The framing is what makes a damaged file *detectably* damaged: the v3
+// header pins the total entry count (truncation at a frame boundary
+// leaves a shortfall), payload lengths bound every frame, the per-frame
+// FNV-1a checksum catches byte corruption, and the header checksums
+// cover the metadata the payload checksums don't (a flipped epoch byte
+// must not parse as a valid file of another lineage).
+//
+// v4 recovery rule. A save appends frames with plain writes and never
+// syncs, so a kill can leave the last frame cut short: its header
+// incomplete, or its header intact (checksum and all) with the payload
+// running past end of file. A load drops such a final frame and keeps
+// the whole frames before it, and the next save rewrites the file rather
+// than append after the cut. Every other defect — a header or frame
+// checksum mismatch (a damaged length included: the frame header's own
+// checksum keeps it from passing for a cut-short tail), a bad record, a
+// repeated content id — is kDataLoss. Parsers validate everything,
+// including that every signature's bytes round-trip, before returning,
+// so a store can vet a file or blob in full before it is replaced.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -56,20 +76,43 @@ struct CheckpointData {
   std::vector<CheckpointRecord> records;
 };
 
-/// Entries per v3 frame (also the truncation-test granularity).
+/// Entries per v3 or v4 frame (also the truncation-test granularity).
 constexpr std::size_t kCheckpointFrameEntries = 512;
 
-/// Serializes `entries` as a v3 blob. The caller provides an immutable
-/// snapshot (SignatureStore::CaptureSnapshot) — the committed prefix of
-/// a log never mutates, so capture + serialize never blocks readers.
-std::vector<std::uint8_t> SerializeCheckpoint(
-    std::uint64_t epoch, std::span<const StoredSignature> entries);
+/// The v3 checkpoint of `log`'s committed prefix, its length read once.
+/// Encodes straight from the arena; never blocks the log's writers.
+std::vector<std::uint8_t> SerializeCheckpoint(const SignatureLog& log);
 
-/// Parses and fully validates a checkpoint/DB blob of any supported
-/// version (v1 seed layout, v2 +epoch, v3 framed). kDataLoss on any
-/// header/frame/checksum/signature/duplicate defect; the out-param is
-/// untouched on failure.
+/// Parses and fully validates a v1, v2 or v3 blob (a v4 file is not a
+/// wire checkpoint). kDataLoss on any header/frame/checksum/signature/
+/// duplicate defect; the out-param is untouched on failure.
 Status ParseCheckpoint(std::span<const std::uint8_t> bytes,
                        CheckpointData* out);
+
+// ---- the DB file (v4) ----------------------------------------------------
+
+/// The v4 file header of lineage `epoch`.
+std::vector<std::uint8_t> EncodeDbHeader(std::uint64_t epoch);
+
+/// One v4 frame holding `log` entries [from, upto), at most
+/// kCheckpointFrameEntries of them, all committed. Adds the number of
+/// them marked superseded to `*superseded`.
+std::vector<std::uint8_t> EncodeDbFrame(const SignatureLog& log,
+                                        std::uint64_t from,
+                                        std::uint64_t upto,
+                                        std::uint64_t* superseded);
+
+/// A parsed DB file.
+struct DbFileContents {
+  CheckpointData snapshot;
+  /// For a v4 file, the length of its whole frames: the file length,
+  /// less a final frame cut short. Unset for a v1-v3 file.
+  std::optional<std::uint64_t> v4_bytes;
+};
+
+/// Parses and fully validates a DB file of any version, v1 to v4,
+/// applying the v4 recovery rule above. kDataLoss on every other
+/// defect; the out-param is untouched on failure.
+Status ParseDbFile(std::span<const std::uint8_t> bytes, DbFileContents* out);
 
 }  // namespace communix::store

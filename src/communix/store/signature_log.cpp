@@ -48,9 +48,10 @@ EntryView ViewIn(const std::uint8_t* block, std::uint32_t offset,
 
 }  // namespace
 
-SignatureLog::SignatureLog()
+SignatureLog::SignatureLog(std::uint64_t epoch)
     : segments_(new std::atomic<Segment*>[kMaxSegments]),
-      blocks_(new std::atomic<Block*>[kMaxBlocks]) {
+      blocks_(new std::atomic<Block*>[kMaxBlocks]),
+      epoch_(epoch) {
   for (std::size_t i = 0; i < kMaxSegments; ++i) {
     segments_[i].store(nullptr, std::memory_order_relaxed);
   }

@@ -99,7 +99,8 @@ class SignatureLog {
   /// 16Ki blocks = 16 GiB of signatures; Append aborts past it.
   static constexpr std::size_t kMaxBlocks = std::size_t{1} << 14;
 
-  SignatureLog();
+  /// An empty log of lineage `epoch`.
+  explicit SignatureLog(std::uint64_t epoch);
   ~SignatureLog();
 
   SignatureLog(const SignatureLog&) = delete;
@@ -109,6 +110,12 @@ class SignatureLog {
   /// returns its index. Thread-safe against concurrent Append and
   /// against lock-free readers.
   std::uint64_t Append(const EntryView& entry);
+
+  /// Log lineage id. It names this log object: every lineage change
+  /// (reset, compaction, snapshot install, load) publishes a new log, so
+  /// a reader holding one log snapshot reads an epoch, a length and
+  /// entries that always belong together.
+  std::uint64_t epoch() const { return epoch_; }
 
   /// Committed length. Entries with index < size() are fully visible.
   std::uint64_t size() const {
@@ -198,6 +205,10 @@ class SignatureLog {
   /// bytes used in the last one.
   std::size_t blocks_used_ = 0;
   std::size_t tail_used_ = 0;
+  /// Last, so the fields above keep their cache lines: which of them
+  /// readers and appenders share moved fig2's concurrent ADD + GET(0)
+  /// sweep by about 3x when the epoch came first.
+  const std::uint64_t epoch_;
 };
 
 }  // namespace communix::store

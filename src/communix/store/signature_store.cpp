@@ -1,9 +1,15 @@
 #include "communix/store/signature_store.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
+#include <cerrno>
+#include <cstring>
 #include <random>
+#include <utility>
 
 #include "communix/store/checkpoint.hpp"
 
@@ -55,42 +61,89 @@ bool ConsumeQuota(UserState& quota, std::int64_t day, std::size_t limit) {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence. The format lives in checkpoint.{hpp,cpp} now — saves
-// write the framed/checksummed v3 layout (which doubles as the wire
-// checkpoint a follower bootstraps from); v1/v2 files still load. This
-// file keeps only the file-I/O shell around it.
+// Persistence. The byte formats live in checkpoint.{hpp,cpp}; this file
+// keeps the file-I/O shell around them.
 // ---------------------------------------------------------------------------
-Status WriteDbFile(const std::string& path,
-                   const std::vector<std::uint8_t>& blob) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Error(ErrorCode::kUnavailable, "cannot open " + tmp);
-    }
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-    if (!out) {
-      return Status::Error(ErrorCode::kUnavailable, "short write " + tmp);
-    }
+
+/// An open file descriptor, closed when it goes out of scope.
+class File {
+ public:
+  explicit File(int fd) : fd_(fd) {}
+  ~File() {
+    if (fd_ >= 0) ::close(fd_);
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Error(ErrorCode::kUnavailable, "rename: " + ec.message());
+  File(const File&) = delete;
+  File& operator=(const File&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
+  /// Closes now; false if close reports a deferred write error.
+  bool Close() { return ::close(std::exchange(fd_, -1)) == 0; }
+
+ private:
+  int fd_;
+};
+
+Status IoError(const std::string& what) {
+  return Status::Error(ErrorCode::kUnavailable,
+                       what + ": " + std::strerror(errno));
+}
+
+bool WriteAll(int fd, std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    bytes = bytes.subspan(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Writes `log` entries [from, upto) to `fd` as v4 frames, one frame at a
+/// time. Adds the bytes and superseded records written to the
+/// out-params.
+Status WriteFrames(int fd, const SignatureLog& log, std::uint64_t from,
+                   std::uint64_t upto, std::uint64_t* bytes,
+                   std::uint64_t* superseded) {
+  for (std::uint64_t base = from; base < upto;
+       base += kCheckpointFrameEntries) {
+    const std::vector<std::uint8_t> frame = EncodeDbFrame(
+        log, base, std::min<std::uint64_t>(upto, base + kCheckpointFrameEntries),
+        superseded);
+    if (!WriteAll(fd, frame)) return IoError("write");
+    *bytes += frame.size();
   }
   return Status::Ok();
 }
 
-Status ParseDbFile(const std::string& path, CheckpointData* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Error(ErrorCode::kNotFound, "cannot open " + path);
+/// Whether `st` is the file `device`/`inode` at length `bytes`.
+bool SameFile(const struct stat& st, std::uint64_t device,
+              std::uint64_t inode, std::uint64_t bytes) {
+  return static_cast<std::uint64_t>(st.st_dev) == device &&
+         static_cast<std::uint64_t>(st.st_ino) == inode &&
+         static_cast<std::uint64_t>(st.st_size) == bytes;
+}
+
+/// Whether the file behind `fd` starts with `header`.
+bool StartsWith(int fd, const std::vector<std::uint8_t>& header) {
+  std::vector<std::uint8_t> head(header.size());
+  return ::pread(fd, head.data(), head.size(), 0) ==
+             static_cast<ssize_t>(head.size()) &&
+         head == header;
+}
+
+/// Reads the whole file behind `fd`, `size` bytes long.
+Status ReadAll(int fd, std::size_t size, std::vector<std::uint8_t>* out) {
+  out->resize(size);
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::read(fd, out->data() + done, size - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return IoError("read");
+    if (n == 0) return Status::Error(ErrorCode::kUnavailable, "short read");
+    done += static_cast<std::size_t>(n);
   }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return ParseCheckpoint(
-      std::span<const std::uint8_t>(bytes.data(), bytes.size()), out);
+  return Status::Ok();
 }
 
 /// Tops of a store-resident entry (accepted or validated at ingest, so
@@ -117,8 +170,8 @@ std::optional<TopFrameKeys> DecodeReplicatedEntry(StoredSignature& entry) {
 }  // namespace
 
 SignatureStore::SignatureStore(const StoreOptions& options)
-    : log_(std::make_shared<SignatureLog>()),
-      epoch_(options.epoch != 0 ? options.epoch : GenerateEpoch()) {}
+    : log_(std::make_shared<SignatureLog>(
+          options.epoch != 0 ? options.epoch : GenerateEpoch())) {}
 
 std::unique_ptr<SignatureStore> SignatureStore::Create(
     const StoreOptions& options) {
@@ -181,9 +234,7 @@ void SignatureStore::VisitEntries(
   Log()->Visit(from, upto, fn);
 }
 
-std::uint64_t SignatureStore::epoch() const {
-  return epoch_.load(std::memory_order_acquire);
-}
+std::uint64_t SignatureStore::epoch() const { return Log()->epoch(); }
 
 Status SignatureStore::ApplyReplicated(std::uint64_t index,
                                        StoredSignature entry) {
@@ -219,39 +270,156 @@ void SignatureStore::ResetForReplication(std::uint64_t new_epoch) {
   dedup_.Clear();
   // Fresh log object: concurrent GET scans keep reading the retired
   // one (kept alive by their shared_ptr snapshots) to completion.
-  PublishLogLocked(std::make_shared<SignatureLog>(), new_epoch);
+  PublishLogLocked(std::make_shared<SignatureLog>(new_epoch));
 }
 
-Status SignatureStore::SaveToFile(const std::string& path) const {
-  // The snapshot log's committed prefix is immutable, so no lock is
-  // needed: entries appended after the size() load inside are simply
-  // not part of the save.
-  return WriteDbFile(path, SerializeCheckpoint(epoch(), CaptureSnapshot()));
+Status SignatureStore::SaveToFile(const std::string& path) {
+  std::lock_guard lock(save_mu_);
+  // One log snapshot: the lineage, marks and length below belong to it.
+  // The marks are read before the entries, so a mark set later is either
+  // in the frames written below or leaves the counts unequal at the next
+  // save, which then rewrites.
+  const std::shared_ptr<const SignatureLog> log = Log();
+  const std::uint64_t marks = log->superseded_count();
+  const std::uint64_t n = log->size();
+  if (persisted_.has_value() && persisted_->path == path &&
+      persisted_->log.lock() == log && persisted_->superseded == marks) {
+    if (auto appended = AppendLocked(*log, n)) return *appended;
+  }
+  return RewriteLocked(path, log, n);
+}
+
+std::optional<Status> SignatureStore::AppendLocked(const SignatureLog& log,
+                                                   std::uint64_t n) {
+  PersistedFile& file = *persisted_;
+  struct stat st {};
+  if (n == file.entries) {
+    // Nothing new: only the file's identity and length are checked.
+    if (::stat(file.path.c_str(), &st) == 0 &&
+        SameFile(st, file.device, file.inode, file.bytes)) {
+      return Status::Ok();
+    }
+    return std::nullopt;
+  }
+  File f(::open(file.path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC));
+  if (!f.ok() || ::fstat(f.fd(), &st) != 0 ||
+      !SameFile(st, file.device, file.inode, file.bytes) ||
+      !StartsWith(f.fd(), EncodeDbHeader(log.epoch()))) {
+    return std::nullopt;
+  }
+  std::uint64_t bytes = 0;
+  std::uint64_t superseded = file.superseded;
+  Status s = WriteFrames(f.fd(), log, file.entries, n, &bytes, &superseded);
+  if (s.ok() && !f.Close()) s = IoError("close " + file.path);
+  persist_bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
+  if (!s.ok()) {
+    // The file may end in a cut-short frame now; never append after it.
+    persisted_.reset();
+    return s;
+  }
+  file.bytes += bytes;
+  file.entries = n;
+  file.superseded = superseded;
+  ReportPersisted(n, superseded);
+  return Status::Ok();
+}
+
+Status SignatureStore::RewriteLocked(
+    const std::string& path, const std::shared_ptr<const SignatureLog>& log,
+    std::uint64_t n) {
+  persisted_.reset();
+  const std::string tmp = path + ".tmp";
+  File f(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  if (!f.ok()) return IoError("open " + tmp);
+  const std::vector<std::uint8_t> header = EncodeDbHeader(log->epoch());
+  std::uint64_t bytes = 0;
+  std::uint64_t superseded = 0;
+  Status s = WriteAll(f.fd(), header) ? Status::Ok() : IoError("write " + tmp);
+  if (s.ok()) {
+    bytes = header.size();
+    s = WriteFrames(f.fd(), *log, 0, n, &bytes, &superseded);
+  }
+  struct stat st {};
+  if (s.ok() && ::fstat(f.fd(), &st) != 0) s = IoError("fstat " + tmp);
+  if (s.ok() && !f.Close()) s = IoError("close " + tmp);
+  persist_bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
+  if (s.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    s = IoError("rename " + tmp);
+  }
+  if (!s.ok()) return s;
+  persist_rewrites_.fetch_add(1, std::memory_order_relaxed);
+  persisted_ = PersistedFile{path,
+                             log,
+                             static_cast<std::uint64_t>(st.st_dev),
+                             static_cast<std::uint64_t>(st.st_ino),
+                             bytes,
+                             n,
+                             superseded};
+  ReportPersisted(n, superseded);
+  return Status::Ok();
+}
+
+void SignatureStore::ReportPersisted(std::uint64_t entries,
+                                     std::uint64_t superseded) {
+  persist_entries_.store(entries, std::memory_order_relaxed);
+  persist_superseded_.store(superseded, std::memory_order_relaxed);
 }
 
 Status SignatureStore::LoadFromFile(const std::string& path) {
-  CheckpointData data;
-  if (auto s = ParseDbFile(path, &data); !s.ok()) return s;
-  InstallSnapshot(data.epoch != 0 ? data.epoch : GenerateEpoch(),
-                  std::move(data.records));
+  std::lock_guard lock(save_mu_);
+  File f(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!f.ok()) {
+    return Status::Error(ErrorCode::kNotFound, "cannot open " + path);
+  }
+  struct stat st {};
+  if (::fstat(f.fd(), &st) != 0) return IoError("fstat " + path);
+  std::vector<std::uint8_t> bytes;
+  if (auto s = ReadAll(f.fd(), static_cast<std::size_t>(st.st_size), &bytes);
+      !s.ok()) {
+    return s;
+  }
+  DbFileContents file;
+  if (auto s = ParseDbFile(
+          std::span<const std::uint8_t>(bytes.data(), bytes.size()), &file);
+      !s.ok()) {
+    return s;
+  }
+  const std::uint64_t epoch =
+      file.snapshot.epoch != 0 ? file.snapshot.epoch : GenerateEpoch();
+  const std::uint64_t entries = file.snapshot.records.size();
+  const auto superseded = static_cast<std::uint64_t>(std::count_if(
+      file.snapshot.records.begin(), file.snapshot.records.end(),
+      [](const CheckpointRecord& r) { return r.entry.superseded; }));
+  InstallSnapshot(epoch, std::move(file.snapshot.records));
+  // Only a v4 file of this lineage can be appended to. Its length must
+  // still be that of its whole frames at the next save: a file that
+  // ends in a cut-short frame is rewritten, never appended after.
+  persisted_.reset();
+  if (file.v4_bytes.has_value() && epoch == file.snapshot.epoch) {
+    persisted_ = PersistedFile{path,
+                               Log(),
+                               static_cast<std::uint64_t>(st.st_dev),
+                               static_cast<std::uint64_t>(st.st_ino),
+                               *file.v4_bytes,
+                               entries,
+                               superseded};
+  }
+  ReportPersisted(entries, superseded);
   return Status::Ok();
+}
+
+SignatureStore::PersistStats SignatureStore::persist_stats() const {
+  PersistStats out;
+  out.entries = persist_entries_.load(std::memory_order_relaxed);
+  out.superseded = persist_superseded_.load(std::memory_order_relaxed);
+  out.bytes_written = persist_bytes_written_.load(std::memory_order_relaxed);
+  out.rewrites = persist_rewrites_.load(std::memory_order_relaxed);
+  return out;
 }
 
 SuffixReply SignatureStore::ReadSince(std::uint64_t from) const {
   const std::shared_ptr<SignatureLog> log = Log();
   return log->ReadSince(from, log);
-}
-
-std::vector<StoredSignature> SignatureStore::CaptureSnapshot() const {
-  const std::shared_ptr<SignatureLog> log = Log();
-  const std::uint64_t n = log->size();
-  std::vector<StoredSignature> snapshot;
-  snapshot.reserve(n);
-  log->Visit(0, n, [&](std::uint64_t i, const EntryView& e) {
-    snapshot.push_back(ToStored(e));
-    snapshot.back().superseded = log->IsSuperseded(i);
-  });
-  return snapshot;
 }
 
 void SignatureStore::InstallSnapshot(std::uint64_t epoch,
@@ -270,9 +438,9 @@ void SignatureStore::InstallSnapshot(std::uint64_t epoch,
     entries.push_back(std::move(rec.entry));
   }
   // Populate a private log, then publish it whole.
-  auto loaded = std::make_shared<SignatureLog>();
+  auto loaded = std::make_shared<SignatureLog>(epoch);
   loaded->Reset(std::move(entries));
-  PublishLogLocked(std::move(loaded), epoch);
+  PublishLogLocked(std::move(loaded));
 }
 
 bool SignatureStore::MarkSuperseded(std::uint64_t index) {
@@ -309,16 +477,14 @@ std::uint64_t SignatureStore::Compact() {
       state.accepted_top_sets.push_back(TopsOfEntry(s));
     });
   }
-  auto compacted = std::make_shared<SignatureLog>();
+  auto compacted = std::make_shared<SignatureLog>(GenerateEpoch());
   compacted->Reset(std::move(survivors));
-  PublishLogLocked(std::move(compacted), GenerateEpoch());
+  PublishLogLocked(std::move(compacted));
   return dropped;
 }
 
-void SignatureStore::PublishLogLocked(std::shared_ptr<SignatureLog> log,
-                                      std::uint64_t new_epoch) {
+void SignatureStore::PublishLogLocked(std::shared_ptr<SignatureLog> log) {
   log_.store(std::move(log), std::memory_order_release);
-  epoch_.store(new_epoch, std::memory_order_release);
 }
 
 }  // namespace communix::store

@@ -16,11 +16,13 @@
 // (tests/communix/reference_store.hpp).
 //
 // Clients' incremental GET(k) cursors stay valid across restarts: the
-// database saves in index order. Version 3 (checkpoint.hpp) frames and
-// checksums the record stream so the same blob doubles as the wire
-// checkpoint a far-behind follower bootstraps from; v2 (epoch in the
-// header) and v1 (the seed server's exact layout, adopting a fresh
-// epoch on load) still load.
+// database saves in index order. Like the log, the DB file (format v4,
+// checkpoint.hpp) only grows at its end: a save appends frames for the
+// entries committed since the last save, straight from the arena, and
+// rewrites the whole file only when it no longer holds a prefix of the
+// live log. v3 (the wire checkpoint's framing), v2 (epoch in the header)
+// and v1 (the seed server's exact layout, adopting a fresh epoch on
+// load) files still load.
 #pragma once
 
 #include <atomic>
@@ -28,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -128,9 +131,16 @@ class SignatureStore {
 
   /// Log lineage id. Two stores with equal epochs hold byte-identical
   /// prefixes of the same log; the epoch changes only when the log's
-  /// identity does (ResetForReplication, loading a file of another
-  /// lineage). Lock-free read.
+  /// identity does (ResetForReplication, Compact, loading a file of
+  /// another lineage). Lock-free read.
   std::uint64_t epoch() const;
+
+  /// One snapshot of the published log. Its epoch, length and entries
+  /// always belong together: a reader that pairs them (a kReplPull
+  /// reply, a shipped batch, a checkpoint, a save) reads them from one
+  /// snapshot, never through separate store calls that a concurrent
+  /// lineage change can split. Lock-free.
+  std::shared_ptr<const SignatureLog> log() const { return Log(); }
 
   /// Follower ingest: commits an entry the primary already accepted, at
   /// exactly `index` (which must equal size() — replication is ordered).
@@ -149,12 +159,33 @@ class SignatureStore {
   /// concurrent Add is excluded — followers refuse ADDs anyway.
   void ResetForReplication(std::uint64_t new_epoch);
 
-  /// Persistence. Saves write DB format v3 (checkpoint.hpp: framed,
-  /// checksummed); v1 (seed layout) and v2 (+epoch) files still load.
-  Status SaveToFile(const std::string& path) const;
-  /// Restart-time only (like the seed's whole-db swap): not safe against
-  /// concurrent Add/Visit.
+  /// Persistence in DB format v4 (checkpoint.hpp). When `path` still
+  /// holds exactly what this store last wrote or loaded there (the same
+  /// file and length, this log's header, no superseded mark since), the
+  /// save appends frames for the entries committed since, and a save
+  /// with nothing new only checks the file's length. In every other case
+  /// (the first save, another path, a lineage change, a v1-v3 file just
+  /// loaded, a v4 file loaded without its cut-short tail, a new mark)
+  /// it streams the whole log into `path`.tmp and renames it over
+  /// `path`. Encodes straight from the log and never syncs; safe
+  /// against concurrent Add, reads and lineage changes, and takes none
+  /// of their locks. Saves are serialized.
+  Status SaveToFile(const std::string& path);
+  /// Loads a v1-v4 file, applying the v4 recovery rule. On failure the
+  /// store is untouched. Restart-time only (like the seed's whole-db
+  /// swap): not safe against concurrent Add/Visit.
   Status LoadFromFile(const std::string& path);
+
+  /// What the DB file held after the last completed save or load, and
+  /// what saving has cost (the store.persist.* rows of kStats).
+  struct PersistStats {
+    std::uint64_t entries = 0;
+    std::uint64_t superseded = 0;
+    std::uint64_t bytes_written = 0;
+    /// Saves that wrote the whole file.
+    std::uint64_t rewrites = 0;
+  };
+  PersistStats persist_stats() const;
 
   // ---- read/bootstrap performance tier ----------------------------------
 
@@ -166,11 +197,6 @@ class SignatureStore {
   /// is copied and writers are never blocked. A cursor at or past the
   /// committed length gets count 0 and no runs.
   SuffixReply ReadSince(std::uint64_t from) const;
-
-  /// Copy of the committed prefix (entries [0, size()) with superseded
-  /// flags folded in) — the checkpoint input. Reads the immutable
-  /// committed prefix without blocking writers.
-  std::vector<StoredSignature> CaptureSnapshot() const;
 
   /// Installs a ParseCheckpoint-validated snapshot, replacing the whole
   /// store and adopting `epoch` — the bootstrap path a far-behind
@@ -210,10 +236,35 @@ class SignatureStore {
     return log_.load(std::memory_order_acquire);
   }
 
-  /// Swaps the published log + epoch. Caller holds ingest_mu_ (swaps
-  /// are serialized).
-  void PublishLogLocked(std::shared_ptr<SignatureLog> log,
-                        std::uint64_t new_epoch);
+  /// Swaps the published log. Caller holds ingest_mu_ (swaps are
+  /// serialized).
+  void PublishLogLocked(std::shared_ptr<SignatureLog> log);
+
+  /// What a DB file holds: a prefix of `log`, as of the last completed
+  /// save or v4 load. `device`, `inode` and `bytes` identify the file
+  /// and its length; a rename over `path` or a write by anyone else
+  /// changes one of them.
+  struct PersistedFile {
+    std::string path;
+    std::weak_ptr<const SignatureLog> log;
+    std::uint64_t device = 0;
+    std::uint64_t inode = 0;
+    std::uint64_t bytes = 0;
+    std::uint64_t entries = 0;
+    std::uint64_t superseded = 0;
+  };
+  /// Appends `log` entries [persisted_->entries, n) to the persisted
+  /// file. nullopt when the file is no longer what this store wrote
+  /// there, so the caller rewrites it. Caller holds save_mu_.
+  std::optional<Status> AppendLocked(const SignatureLog& log,
+                                     std::uint64_t n);
+  /// Writes `log` entries [0, n) to `path`.tmp and renames it over
+  /// `path`. Caller holds save_mu_.
+  Status RewriteLocked(const std::string& path,
+                       const std::shared_ptr<const SignatureLog>& log,
+                       std::uint64_t n);
+  /// Sets the PersistStats gauges: what the file holds now.
+  void ReportPersisted(std::uint64_t entries, std::uint64_t superseded);
 
   UserStateShards users_{kStripes};
   /// Per-community day quota (only the day/processed_today fields are
@@ -230,7 +281,14 @@ class SignatureStore {
   /// Serializes ingest and log swaps (ApplyReplicated, resets, installs,
   /// Compact).
   std::mutex ingest_mu_;
-  std::atomic<std::uint64_t> epoch_;
+  /// Serializes saves and loads; file I/O happens under this lock only.
+  std::mutex save_mu_;
+  std::optional<PersistedFile> persisted_;  // guarded by save_mu_
+  /// PersistStats, readable without save_mu_.
+  std::atomic<std::uint64_t> persist_entries_{0};
+  std::atomic<std::uint64_t> persist_superseded_{0};
+  std::atomic<std::uint64_t> persist_bytes_written_{0};
+  std::atomic<std::uint64_t> persist_rewrites_{0};
 };
 
 }  // namespace communix::store

@@ -221,8 +221,8 @@ std::optional<ReplBatchRequest> ParseReplBatchRequest(const Request& req);
 Response BuildReplBatchReply(const ReplBatchReply& reply);
 std::optional<ReplBatchReply> ParseReplBatchReply(const Response& resp);
 
-/// kCheckpoint request: a serialized store checkpoint (the same framed,
-/// checksummed v3 blob SaveToFile writes) under the primary's epoch.
+/// kCheckpoint request: a serialized store checkpoint (the framed,
+/// checksummed v3 blob; the DB file is v4) under the primary's epoch.
 /// `token` is the replication principal's credential, like kReplBatch —
 /// installing a snapshot is as destructive as ingest gets. The wire
 /// layer treats the blob as opaque bytes; the store layer

@@ -194,7 +194,7 @@ TEST(CheckpointBootstrapTest, CorruptBlobIsRefusedWithoutWipingTheStore) {
   const auto repl_token = follower.IssueToken(kReplicationPeerId);
 
   // A corrupted blob must bounce with kDataLoss and change nothing.
-  auto corrupt_blob = primary.CaptureCheckpointBlob();
+  auto corrupt_blob = primary.CaptureCheckpointBlob(*primary.log());
   corrupt_blob[corrupt_blob.size() / 2] ^= 0x10;
   net::CheckpointTransfer corrupt;
   corrupt.token.assign(repl_token.begin(), repl_token.end());
@@ -211,8 +211,7 @@ TEST(CheckpointBootstrapTest, CorruptBlobIsRefusedWithoutWipingTheStore) {
   // cannot anchor the follower to any primary).
   net::CheckpointTransfer no_epoch;
   no_epoch.token.assign(repl_token.begin(), repl_token.end());
-  no_epoch.blob = store::SerializeCheckpoint(
-      0, std::span<const store::StoredSignature>());
+  no_epoch.blob = store::SerializeCheckpoint(store::SignatureLog(0));
   const auto resp2 = follower.Handle(net::BuildCheckpointRequest(no_epoch));
   EXPECT_FALSE(resp2.ok());
   EXPECT_EQ(follower.db_size(), 40u);
@@ -220,7 +219,7 @@ TEST(CheckpointBootstrapTest, CorruptBlobIsRefusedWithoutWipingTheStore) {
   // An unauthenticated blob never reaches validation at all.
   net::CheckpointTransfer bad_token;
   bad_token.token.assign(16, 0x5A);
-  bad_token.blob = primary.CaptureCheckpointBlob();
+  bad_token.blob = primary.CaptureCheckpointBlob(*primary.log());
   const auto resp3 = follower.Handle(net::BuildCheckpointRequest(bad_token));
   EXPECT_FALSE(resp3.ok());
   EXPECT_EQ(follower.db_size(), 40u);
@@ -228,7 +227,7 @@ TEST(CheckpointBootstrapTest, CorruptBlobIsRefusedWithoutWipingTheStore) {
   // And the primary itself refuses the verb outright.
   net::CheckpointTransfer to_primary;
   to_primary.token.assign(repl_token.begin(), repl_token.end());
-  to_primary.blob = primary.CaptureCheckpointBlob();
+  to_primary.blob = primary.CaptureCheckpointBlob(*primary.log());
   EXPECT_FALSE(primary.Handle(net::BuildCheckpointRequest(to_primary)).ok());
   EXPECT_EQ(primary.db_size(), 40u);
 

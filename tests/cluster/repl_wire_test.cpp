@@ -1,8 +1,15 @@
 // Replication wire frames: round trips, and — because a primary faces
 // its replicas over the open network — every malformed/truncated
 // kReplPull / kReplBatch frame must be rejected crisply (kInvalidArgument
-// + the malformed counter), never crash, and never touch the store.
+// + the malformed counter), never crash, and never touch the store. A
+// kReplPull reply racing lineage changes pairs one log's epoch with that
+// same log's entries.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <map>
+#include <thread>
+#include <vector>
 
 #include "../testutil.hpp"
 #include "communix/server.hpp"
@@ -23,6 +30,92 @@ Signature MakeSig(std::uint32_t salt) {
               ChainStack("rw.A", 6, F("rw.A", "i1", 9100 + salt)),
               ChainStack("rw.B", 6, F("rw.B", "s2", 20300 + salt)),
               ChainStack("rw.B", 6, F("rw.B", "i2", 31400 + salt)));
+}
+
+TEST(ReplPullLineageTest, EveryReplyPairsOneLineagesEpochAndEntries) {
+  // One thread changes lineage over and over (mark entry 0 superseded,
+  // Compact it away, ADD one entry back) while readers pull entry 0. A
+  // reply must take its epoch, length and entries from one log: every
+  // compaction drops the first entry, so a reply that pairs one
+  // lineage's epoch with another's entries names the wrong first entry.
+  VirtualClock clock;
+  CommunixServer primary(clock);
+  constexpr std::uint32_t kEntries = 16;
+  constexpr std::uint32_t kLineages = 1000;
+  for (std::uint32_t i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(primary
+                    .AddSignature(primary.IssueToken(100 + i), MakeSig(i * 9))
+                    .ok());
+  }
+  struct Lineage {
+    std::vector<std::uint8_t> first;
+    std::uint64_t min_size = 0;
+    std::uint64_t max_size = 0;
+  };
+  // Written by the mutator only, read after the join.
+  std::map<std::uint64_t, Lineage> published;
+  const auto publish = [&] {
+    Lineage& l = published[primary.epoch()];
+    if (l.first.empty()) {
+      l.first = primary.GetSince(0).at(0);
+      l.min_size = primary.db_size();
+    }
+    l.max_size = primary.db_size();
+  };
+  publish();
+
+  struct Read {
+    std::uint64_t epoch;
+    std::uint64_t log_size;
+    std::vector<std::uint8_t> first;
+  };
+  const UserToken peer = primary.IssueToken(kReplicationPeerId);
+  std::atomic<bool> done{false};
+  std::vector<std::vector<Read>> reads(3);
+  std::vector<std::thread> readers;
+  for (auto& out : reads) {
+    readers.emplace_back([&, out = &out] {
+      net::ReplPullRequest pull{0, 0, 1};
+      pull.token.assign(peer.begin(), peer.end());
+      const net::Request request = net::BuildReplPullRequest(pull);
+      while (!done.load()) {
+        const auto reply = net::ParseReplPullReply(primary.Handle(request));
+        if (!reply.has_value() || reply->entries.size() != 1) continue;
+        out->push_back(Read{reply->epoch, reply->log_size,
+                            reply->entries[0].sig_bytes});
+      }
+    });
+  }
+  for (std::uint32_t i = 0; i < kLineages; ++i) {
+    ASSERT_TRUE(primary.MarkSuperseded(0));
+    ASSERT_EQ(primary.Compact(), 1u);
+    publish();
+    ASSERT_TRUE(primary
+                    .AddSignature(primary.IssueToken(1000 + i),
+                                  MakeSig(1000 + i * 9))
+                    .ok());
+    publish();
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  std::size_t total = 0;
+  std::size_t split = 0;
+  for (const auto& out : reads) {
+    for (const Read& r : out) {
+      ++total;
+      const auto it = published.find(r.epoch);
+      if (it == published.end() || it->second.first != r.first ||
+          r.log_size < it->second.min_size ||
+          r.log_size > it->second.max_size) {
+        ++split;
+      }
+    }
+  }
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(split, 0u) << split << " of " << total
+                       << " replies paired one lineage's epoch with "
+                          "another lineage's length or entries";
 }
 
 TEST(ReplWireTest, PullRequestRoundTrip) {

@@ -6,7 +6,8 @@
 // `communix_stats` CLI — asserting one snapshot covers every tier
 // (server, store, net, cluster, dimmunix runtime) and that the two
 // processes' ledgers agree: follower entries applied == primary entries
-// shipped.
+// shipped. It also pins the store.persist.* rows: after the follower's
+// first reset, further ADDs grow both DB files without a rewrite.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -145,6 +146,48 @@ std::optional<obs::MetricsSnapshot> Scrape(std::uint16_t port,
   return net::ParseStatsReply(result.value());
 }
 
+/// Issues `count` tokens over `client` (users first_user...) and ADDs
+/// one signature per user, MakeSig(salt + 7 * i).
+void AddOverTcp(net::ReconnectingTcpClient& client, std::uint32_t first_user,
+                std::uint32_t count, std::uint32_t salt) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    net::Request issue;
+    issue.type = net::MsgType::kIssueId;
+    BinaryWriter iw;
+    iw.WriteU64(first_user + i);
+    issue.payload = iw.take();
+    auto token = client.Call(issue);
+    ASSERT_TRUE(token.ok() && token.value().ok());
+    ASSERT_EQ(token.value().payload.size(), 16u);
+
+    net::Request add;
+    add.type = net::MsgType::kAddSignature;
+    BinaryWriter aw;
+    aw.WriteRaw(std::span<const std::uint8_t>(token.value().payload.data(),
+                                              16));
+    const auto sig_bytes = MakeSig(salt + i * 7).ToBytes();
+    aw.WriteRaw(std::span<const std::uint8_t>(sig_bytes.data(),
+                                              sig_bytes.size()));
+    add.payload = aw.take();
+    auto added = client.Call(add);
+    ASSERT_TRUE(added.ok() && added.value().ok()) << "ADD " << i;
+  }
+}
+
+/// Scrapes `port` until its DB file holds `entries` entries (the daemon
+/// saves every 0.5 s); nullopt after 10 s.
+std::optional<obs::MetricsSnapshot> WaitForPersisted(std::uint16_t port,
+                                                     std::uint64_t entries) {
+  for (int i = 0; i < 200; ++i) {
+    auto snap = Scrape(port);
+    if (snap.has_value() && snap->Value("store.persist.entries") == entries) {
+      return snap;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return std::nullopt;
+}
+
 /// Runs a command line, captures stdout, returns the exit status (or -1).
 int RunCapture(const std::string& cmd, std::string* out) {
   FILE* pipe = ::popen(cmd.c_str(), "r");
@@ -183,28 +226,7 @@ TEST(StatsScrape, TwoProcessDeploymentYieldsOneConsistentSnapshot) {
   constexpr std::uint32_t kAdds = 6;
   {
     net::ReconnectingTcpClient client("127.0.0.1", primary.port());
-    for (std::uint32_t i = 0; i < kAdds; ++i) {
-      net::Request issue;
-      issue.type = net::MsgType::kIssueId;
-      BinaryWriter iw;
-      iw.WriteU64(7000 + i);
-      issue.payload = iw.take();
-      auto token = client.Call(issue);
-      ASSERT_TRUE(token.ok() && token.value().ok());
-      ASSERT_EQ(token.value().payload.size(), 16u);
-
-      net::Request add;
-      add.type = net::MsgType::kAddSignature;
-      BinaryWriter aw;
-      aw.WriteRaw(std::span<const std::uint8_t>(token.value().payload.data(),
-                                                16));
-      const auto sig_bytes = MakeSig(i * 7).ToBytes();
-      aw.WriteRaw(std::span<const std::uint8_t>(sig_bytes.data(),
-                                                sig_bytes.size()));
-      add.payload = aw.take();
-      auto added = client.Call(add);
-      ASSERT_TRUE(added.ok() && added.value().ok()) << "ADD " << i;
-    }
+    AddOverTcp(client, 7000, kAdds, 0);
     net::Request get;
     get.type = net::MsgType::kGetSignatures;
     BinaryWriter gw;
@@ -304,6 +326,47 @@ TEST(StatsScrape, TwoProcessDeploymentYieldsOneConsistentSnapshot) {
   out.clear();
   EXPECT_EQ(RunCapture(cli + " " + endpoint + " --get no.such.metric", &out),
             3);
+
+  // ---- what the DB files hold: store.persist.* ---------------------------
+  // Both daemons save every tick. Once each file holds the whole log (the
+  // follower's after its first reset, a lineage change it rewrites for),
+  // further ADDs reach both files as appended frames: the entries gauge
+  // rises and no save rewrites.
+  const auto p_saved = WaitForPersisted(primary.port(), kAdds);
+  const auto f_saved = WaitForPersisted(follower.port(), kAdds);
+  ASSERT_TRUE(p_saved.has_value() && f_saved.has_value())
+      << "the daemons never persisted their logs";
+  EXPECT_GE(f_saved->Value("server.repl_resets"), 1u);
+  for (const obs::MetricsSnapshot* snap : {&*p_saved, &*f_saved}) {
+    for (const char* name :
+         {"store.persist.entries", "store.persist.superseded",
+          "store.persist.bytes_written", "store.persist.rewrites"}) {
+      EXPECT_TRUE(snap->Has(name)) << name;
+    }
+    EXPECT_EQ(snap->Value("store.persist.superseded"), 0u);
+    EXPECT_GE(snap->Value("store.persist.rewrites"), 1u);
+    const auto* save_ns = snap->FindHistogram("store.persist.save_ns");
+    ASSERT_NE(save_ns, nullptr);
+    EXPECT_GE(save_ns->count, 1u);
+  }
+  {
+    net::ReconnectingTcpClient client("127.0.0.1", primary.port());
+    AddOverTcp(client, 7100, kAdds, 5000);
+  }
+  const auto p_grown = WaitForPersisted(primary.port(), 2 * kAdds);
+  const auto f_grown = WaitForPersisted(follower.port(), 2 * kAdds);
+  ASSERT_TRUE(p_grown.has_value() && f_grown.has_value())
+      << "further ADDs never reached the DB files";
+  EXPECT_EQ(p_grown->Value("store.persist.rewrites"),
+            p_saved->Value("store.persist.rewrites"))
+      << "the primary's saves appended";
+  EXPECT_EQ(f_grown->Value("store.persist.rewrites"),
+            f_saved->Value("store.persist.rewrites"))
+      << "the follower's saves appended";
+  EXPECT_GT(p_grown->Value("store.persist.bytes_written"),
+            p_saved->Value("store.persist.bytes_written"));
+  EXPECT_GT(f_grown->Value("store.persist.bytes_written"),
+            f_saved->Value("store.persist.bytes_written"));
 
   primary.Terminate();
   follower.Terminate();

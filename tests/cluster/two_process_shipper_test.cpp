@@ -7,7 +7,12 @@
 //   * a follower SIGTERM + restart on the same port/db costs O(lag):
 //     the restarted daemon resumes from its persisted epoch + length
 //     (no reset, no re-ship of entries it already has);
-//   * the follower's GET(0) byte stream over TCP matches the primary's.
+//   * the follower's GET(0) byte stream over TCP matches the primary's;
+//   * a SIGKILL of both daemons after a storm of ADDs and a superseded
+//     mark loses nothing their store.persist.* gauges reported as on
+//     disk: each restarts on its own file with its epoch and at least
+//     those entries (the primary's mark included), and shipping
+//     converges.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/select.h>
@@ -16,16 +21,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../testutil.hpp"
 #include "communix/cluster/log_shipper.hpp"
 #include "communix/server.hpp"
+#include "net/message.hpp"
 #include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 #include "util/clock.hpp"
 
 namespace communix {
@@ -101,9 +113,10 @@ class ServerProcess {
   }
 
   /// Graceful shutdown: SIGTERM (the daemon saves its db), then reap.
-  void Terminate() {
+  /// SIGKILL instead stops it wherever it is, without a final save.
+  void Terminate(int signal = SIGTERM) {
     if (pid_ > 0) {
-      ::kill(pid_, SIGTERM);
+      ::kill(pid_, signal);
       int status = 0;
       ::waitpid(pid_, &status, 0);
       pid_ = -1;
@@ -294,6 +307,179 @@ TEST(TwoProcessShipper, PipelinedRoundsAndKillRestoreOverRealTcp) {
 
   f1b.Terminate();
   f2.Terminate();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+/// One kStats scrape over a fresh connection.
+std::optional<obs::MetricsSnapshot> Scrape(std::uint16_t port) {
+  net::ReconnectingTcpClient client("127.0.0.1", port);
+  auto result = client.Call(net::BuildStatsRequest(net::StatsRequest{}));
+  if (!result.ok() || !result.value().ok()) return std::nullopt;
+  return net::ParseStatsReply(result.value());
+}
+
+/// Scrapes `port` until `done` holds for its snapshot; nullopt after 20 s.
+std::optional<obs::MetricsSnapshot> ScrapeUntil(
+    std::uint16_t port,
+    const std::function<bool(const obs::MetricsSnapshot&)>& done) {
+  for (int i = 0; i < 400; ++i) {
+    auto snap = Scrape(port);
+    if (snap.has_value() && done(*snap)) return snap;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return std::nullopt;
+}
+
+/// A 16-byte token for `user`, issued by the daemon `client` talks to.
+std::vector<std::uint8_t> IssueOverTcp(net::TcpClient& client, UserId user) {
+  net::Request issue;
+  issue.type = net::MsgType::kIssueId;
+  BinaryWriter w;
+  w.WriteU64(user);
+  issue.payload = w.take();
+  auto token = client.Call(issue);
+  EXPECT_TRUE(token.ok() && token.value().ok());
+  return token.ok() ? token.value().payload : std::vector<std::uint8_t>{};
+}
+
+/// Storm ADDs at the daemon on `port`: `batches` kAddBatch frames of
+/// `per_batch` signatures, one user per frame. All must be accepted.
+void StormOverTcp(std::uint16_t port, std::uint32_t batches,
+                  std::uint32_t per_batch, std::uint32_t salt) {
+  net::TcpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+  for (std::uint32_t b = 0; b < batches; ++b) {
+    const auto token = IssueOverTcp(client, 9000 + salt + b);
+    ASSERT_EQ(token.size(), 16u);
+    std::vector<std::vector<std::uint8_t>> sigs;
+    for (std::uint32_t i = 0; i < per_batch; ++i) {
+      sigs.push_back(MakeSig(salt + (b * per_batch + i) * 7).ToBytes());
+    }
+    auto reply = client.Call(net::BuildAddBatchRequest(
+        std::span<const std::uint8_t>(token.data(), token.size()),
+        std::span<const std::vector<std::uint8_t>>(sigs.data(), sigs.size())));
+    ASSERT_TRUE(reply.ok() && reply.value().ok());
+    const auto codes = net::ParseAddBatchResponse(reply.value());
+    ASSERT_TRUE(codes.has_value());
+    for (const ErrorCode code : *codes) ASSERT_EQ(code, ErrorCode::kOk);
+  }
+}
+
+/// The entries of a GET reply payload: everything after its u32 count.
+std::vector<std::uint8_t> EntryBytes(const std::vector<std::uint8_t>& get) {
+  return get.size() < 4 ? std::vector<std::uint8_t>{}
+                        : std::vector<std::uint8_t>(get.begin() + 4, get.end());
+}
+
+TEST(TwoProcessShipper, SigkillKeepsWhatThePersistGaugesReported) {
+  const std::string dir = ::testing::TempDir() + "/communix_sigkill_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string fdb = dir + "/f.db";
+  const std::string pdb = dir + "/p.db";
+  const auto primary_args = [&](std::uint16_t port, std::uint16_t fport) {
+    return std::vector<std::string>{
+        "--port", std::to_string(port), "--db", pdb, "--limit", "1000",
+        "--follower", "127.0.0.1:" + std::to_string(fport)};
+  };
+
+  ServerProcess follower;
+  ASSERT_TRUE(follower.Start({"--port", "0", "--db", fdb, "--role",
+                              "follower"}));
+  const std::uint16_t fport = follower.port();
+  ServerProcess primary;
+  ASSERT_TRUE(primary.Start(primary_args(0, fport)));
+  const std::uint16_t pport = primary.port();
+
+  // Storm ADDs, and once they are on disk one superseded mark: nothing
+  // grows the log after the mark, so only a save on every tick gets it
+  // to disk.
+  constexpr std::uint32_t kBatches = 12;
+  constexpr std::uint32_t kPerBatch = 25;
+  constexpr std::uint64_t kEntries = kBatches * kPerBatch;
+  StormOverTcp(pport, kBatches, kPerBatch, 0);
+  ASSERT_TRUE(ScrapeUntil(pport, [&](const obs::MetricsSnapshot& s) {
+                return s.Value("store.persist.entries") == kEntries;
+              }).has_value())
+      << "the primary never persisted the storm";
+  {
+    net::TcpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", pport).ok());
+    net::MarkSupersededRequest mark;
+    mark.token = IssueOverTcp(client, 8999);
+    mark.content_ids = {MakeSig(7 * 7).ContentId()};
+    auto reply = client.Call(net::BuildMarkSupersededRequest(mark));
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(net::ParseMarkSupersededReply(reply.value()), 1u);
+  }
+
+  const auto p_before = ScrapeUntil(pport, [&](const obs::MetricsSnapshot& s) {
+    return s.Value("store.persist.entries") == kEntries &&
+           s.Value("store.persist.superseded") == 1;
+  });
+  const auto f_before = ScrapeUntil(fport, [&](const obs::MetricsSnapshot& s) {
+    return s.Value("store.db_size") == kEntries &&
+           s.Value("store.persist.entries") == kEntries;
+  });
+  ASSERT_TRUE(p_before.has_value()) << "the primary never persisted its mark";
+  ASSERT_TRUE(f_before.has_value()) << "the follower never persisted its log";
+  const auto p_get = TcpGetAll(pport);
+  const auto f_get = TcpGetAll(fport);
+
+  primary.Terminate(SIGKILL);
+  follower.Terminate(SIGKILL);
+  ServerProcess follower2;
+  ASSERT_TRUE(follower2.Start({"--port", std::to_string(fport), "--db", fdb,
+                               "--role", "follower"}))
+      << "the follower failed to restart on its file";
+  ServerProcess primary2;
+  ASSERT_TRUE(primary2.Start(primary_args(pport, fport)))
+      << "the primary failed to restart on its file";
+
+  // Each daemon loaded its file: its epoch, at least what its gauges
+  // reported, and a byte-identical prefix of its GET(0) before the kill.
+  struct Side {
+    const char* name;
+    std::uint16_t port;
+    const obs::MetricsSnapshot& before;
+    const std::vector<std::uint8_t>& get;
+  };
+  for (const Side& side : {Side{"primary", pport, *p_before, p_get},
+                           Side{"follower", fport, *f_before, f_get}}) {
+    SCOPED_TRACE(side.name);
+    const auto after = Scrape(side.port);
+    ASSERT_TRUE(after.has_value());
+    EXPECT_EQ(after->Value("store.epoch"), side.before.Value("store.epoch"));
+    EXPECT_GE(after->Value("store.db_size"),
+              side.before.Value("store.persist.entries"));
+    EXPECT_GE(after->Value("store.superseded"),
+              side.before.Value("store.persist.superseded"));
+    const auto entries = EntryBytes(TcpGetAll(side.port));
+    const auto was = EntryBytes(side.get);
+    ASSERT_LE(entries.size(), was.size());
+    EXPECT_TRUE(std::equal(entries.begin(), entries.end(), was.begin()))
+        << "GET(0) after the restart is not a prefix of the one before";
+  }
+
+  // The restarted shipper converges: follower applied == primary shipped.
+  StormOverTcp(pport, 2, kPerBatch, 100000);
+  const auto p_after = ScrapeUntil(pport, [&](const obs::MetricsSnapshot& s) {
+    return s.Value("cluster.shipper.total_lag") == 0 &&
+           s.Value("store.db_size") == kEntries + 2 * kPerBatch;
+  });
+  ASSERT_TRUE(p_after.has_value());
+  const auto f_after = ScrapeUntil(fport, [&](const obs::MetricsSnapshot& s) {
+    return s.Value("server.repl_entries_applied") ==
+           p_after->Value("cluster.shipper.entries_shipped");
+  });
+  ASSERT_TRUE(f_after.has_value())
+      << "follower applied != primary shipped after the restart";
+  EXPECT_EQ(TcpGetAll(fport), TcpGetAll(pport));
+
+  primary2.Terminate();
+  follower2.Terminate();
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }

@@ -1,16 +1,21 @@
-// Tests for the framed, checksummed checkpoint format (DB format v3):
-// round-trips, the compact ≡ checkpoint-of-survivors invariant, and —
-// the reason the frames exist — detection of every damage mode:
-// truncation at and inside every frame boundary, bit corruption in any
-// frame, trailing garbage, unknown record flags and record counts the
-// bytes cannot hold all surface as a clean kDataLoss instead of a
-// half-installed database or an aborted process. Hand-built v1 and v2
-// files check that the legacy formats still load.
+// Tests for the framed, checksummed checkpoint formats: the v3 wire
+// checkpoint and the v4 DB file. Round-trips, the compact ≡
+// checkpoint-of-survivors invariant, and — the reason the frames exist —
+// detection of every damage mode: truncation at and inside every frame
+// boundary, bit corruption in any frame, trailing garbage, unknown record
+// flags and record counts the bytes cannot hold all surface as a clean
+// kDataLoss instead of a half-installed database or an aborted process.
+// For the v4 file, which saves grow by appending frames: a final frame
+// cut short loads as the whole frames before it, every bit flip is still
+// kDataLoss, and exactly the changes that break the file's prefix
+// relation to the live log cost a rewrite. Hand-built v1 and v2 files
+// check that the legacy formats still load.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "../testutil.hpp"
 #include "communix/store/checkpoint.hpp"
@@ -33,6 +38,54 @@ Signature MakeSig(std::uint32_t salt) {
               ChainStack("ck.B", 6, F("ck.B", "i2", 31400 + salt)));
 }
 
+/// A v3 checkpoint of `entries` under `epoch`.
+std::vector<std::uint8_t> BlobOf(std::uint64_t epoch,
+                                 const std::vector<StoredSignature>& entries) {
+  SignatureLog log(epoch);
+  log.Reset(entries);
+  return SerializeCheckpoint(log);
+}
+
+/// Every committed entry of `store`, its superseded flag folded in.
+std::vector<StoredSignature> EntriesOf(const SignatureStore& store) {
+  const auto log = store.log();
+  std::vector<StoredSignature> out;
+  log->Visit(0, log->size(), [&](std::uint64_t i, const EntryView& e) {
+    out.push_back(ToStored(e));
+    out.back().superseded = log->IsSuperseded(i);
+  });
+  return out;
+}
+
+void ExpectSameEntries(const std::vector<StoredSignature>& got,
+                       const std::vector<StoredSignature>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
+    EXPECT_EQ(got[i].content_id, want[i].content_id) << i;
+    EXPECT_EQ(got[i].sender, want[i].sender) << i;
+    EXPECT_EQ(got[i].added_at, want[i].added_at) << i;
+    EXPECT_EQ(got[i].superseded, want[i].superseded) << i;
+  }
+}
+
+std::string TempPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::vector<std::uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path,
+               const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 std::vector<StoredSignature> MakeEntries(std::size_t n) {
   std::vector<StoredSignature> entries;
   for (std::size_t i = 0; i < n; ++i) {
@@ -52,8 +105,7 @@ std::vector<StoredSignature> MakeEntries(std::size_t n) {
 
 TEST(CheckpointTest, RoundTripPreservesEverything) {
   const auto entries = MakeEntries(20);
-  const auto blob = SerializeCheckpoint(
-      777, std::span<const StoredSignature>(entries.data(), entries.size()));
+  const auto blob = BlobOf(777, entries);
 
   CheckpointData data;
   ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
@@ -78,8 +130,7 @@ TEST(CheckpointTest, RoundTripPreservesEverything) {
 TEST(CheckpointTest, MultiFrameRoundTrip) {
   // More entries than one frame holds (kCheckpointFrameEntries = 512).
   const auto entries = MakeEntries(kCheckpointFrameEntries + 37);
-  const auto blob = SerializeCheckpoint(
-      9, std::span<const StoredSignature>(entries.data(), entries.size()));
+  const auto blob = BlobOf(9, entries);
   CheckpointData data;
   ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
                                                             blob.size()),
@@ -92,8 +143,7 @@ TEST(CheckpointTest, TruncationAtEveryLengthIsDetected) {
   // Not a sampled check: EVERY proper prefix of the blob — which covers
   // every frame boundary and every mid-frame cut — must fail cleanly.
   const auto entries = MakeEntries(24);
-  const auto blob = SerializeCheckpoint(
-      5, std::span<const StoredSignature>(entries.data(), entries.size()));
+  const auto blob = BlobOf(5, entries);
   for (std::size_t len = 0; len < blob.size(); ++len) {
     CheckpointData data;
     const Status s = ParseCheckpoint(
@@ -109,8 +159,7 @@ TEST(CheckpointTest, BitCorruptionInEveryFrameIsDetected) {
   // whole blob. Every flip must be caught (magic/version/header checks
   // up front, FNV-1a per frame, record validation inside).
   const auto entries = MakeEntries(kCheckpointFrameEntries + 10);
-  const auto blob = SerializeCheckpoint(
-      5, std::span<const StoredSignature>(entries.data(), entries.size()));
+  const auto blob = BlobOf(5, entries);
   std::size_t caught = 0, total = 0;
   for (std::size_t pos = 0; pos < blob.size(); pos += 97) {
     auto corrupt = blob;
@@ -126,8 +175,7 @@ TEST(CheckpointTest, BitCorruptionInEveryFrameIsDetected) {
 
 TEST(CheckpointTest, TrailingGarbageIsRejected) {
   const auto entries = MakeEntries(4);
-  auto blob = SerializeCheckpoint(
-      5, std::span<const StoredSignature>(entries.data(), entries.size()));
+  auto blob = BlobOf(5, entries);
   blob.push_back(0x00);
   CheckpointData data;
   EXPECT_FALSE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
@@ -194,8 +242,7 @@ TEST(CheckpointTest, HostileRecordCountsAreDataLoss) {
 }
 
 TEST(CheckpointTest, ZeroEntryCheckpointIsValid) {
-  const auto blob =
-      SerializeCheckpoint(31, std::span<const StoredSignature>());
+  const auto blob = SerializeCheckpoint(SignatureLog(31));
   CheckpointData data;
   ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
                                                             blob.size()),
@@ -228,8 +275,7 @@ TEST_F(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
   for (std::uint32_t i = 0; i < 30; ++i) Add(*store, i);
   ASSERT_TRUE(store->MarkSuperseded(5));
 
-  const auto blob =
-      SerializeCheckpoint(store->epoch(), store->CaptureSnapshot());
+  const auto blob = SerializeCheckpoint(*store->log());
   CheckpointData data;
   ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
                                                             blob.size()),
@@ -267,13 +313,11 @@ TEST_F(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
 
   ASSERT_EQ(a->Compact(), 4u);
 
-  auto survivors = b->CaptureSnapshot();
+  auto survivors = EntriesOf(*b);
   std::erase_if(survivors, [](const StoredSignature& e) {
     return e.superseded;
   });
-  const auto blob = SerializeCheckpoint(
-      1234, std::span<const StoredSignature>(survivors.data(),
-                                             survivors.size()));
+  const auto blob = BlobOf(1234, survivors);
   CheckpointData data;
   ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
                                                             blob.size()),
@@ -297,15 +341,13 @@ TEST_F(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
   EXPECT_EQ(ra, AddOutcome::kAccepted);
 }
 
-TEST_F(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "communix_ckpt_v3.bin")
-          .string();
+TEST_F(CheckpointStoreTest, SaveIsV4AndCorruptFilesRefuseToLoad) {
+  const std::string path = TempPath("communix_ckpt_v4.bin");
   auto store = Make();
   for (std::uint32_t i = 0; i < 10; ++i) Add(*store, i);
   ASSERT_TRUE(store->SaveToFile(path).ok());
 
-  // The file IS a v3 checkpoint blob — magic + version up front.
+  // The file is a v4 DB file — magic + version up front.
   std::ifstream in(path, std::ios::binary);
   std::vector<char> head(8);
   in.read(head.data(), 8);
@@ -313,7 +355,7 @@ TEST_F(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
   std::memcpy(&magic, head.data(), 4);
   std::memcpy(&version, head.data() + 4, 4);
   EXPECT_EQ(magic, 0x434D5342u);  // "CMSB"
-  EXPECT_EQ(version, 3u);
+  EXPECT_EQ(version, 4u);
 
   // Corrupt one payload byte on disk: the load must fail with kDataLoss
   // and leave the target store untouched.
@@ -329,17 +371,8 @@ TEST_F(CheckpointStoreTest, SaveIsV3AndCorruptFilesRefuseToLoad) {
   std::filesystem::remove(path);
 }
 
-void WriteFile(const std::string& path,
-               const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
 TEST_F(CheckpointStoreTest, HostileCountFilesLeaveTheStoreUntouched) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "communix_ckpt_hostile.bin")
-          .string();
+  const std::string path = TempPath("communix_ckpt_hostile.bin");
   auto store = Make();
   Add(*store, 1);
   const std::uint64_t epoch = store->epoch();
@@ -370,9 +403,7 @@ std::vector<std::uint8_t> LegacyFile(
 }
 
 TEST_F(CheckpointStoreTest, LegacyV1AndV2FilesLoad) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "communix_ckpt_legacy.bin")
-          .string();
+  const std::string path = TempPath("communix_ckpt_legacy.bin");
   constexpr std::uint64_t kEpoch = 4242;
   const auto entries = MakeEntries(6);
   for (const std::uint32_t version : {1u, 2u}) {
@@ -381,7 +412,7 @@ TEST_F(CheckpointStoreTest, LegacyV1AndV2FilesLoad) {
     auto store = Make();
     ASSERT_TRUE(store->LoadFromFile(path).ok());
 
-    const std::vector<StoredSignature> loaded = store->CaptureSnapshot();
+    const std::vector<StoredSignature> loaded = EntriesOf(*store);
     ASSERT_EQ(loaded.size(), entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
       EXPECT_EQ(loaded[i].bytes, entries[i].bytes) << i;
@@ -416,15 +447,217 @@ TEST_F(CheckpointStoreTest, LegacyV1AndV2FilesLoad) {
                          adjacent, 0, limits_),
               AddOutcome::kAdjacent);
 
-    // The next save writes v3.
+    // The next save writes v4.
     ASSERT_TRUE(store->SaveToFile(path).ok());
-    std::ifstream in(path, std::ios::binary);
-    const std::vector<std::uint8_t> saved(
-        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    const std::vector<std::uint8_t> saved = ReadFile(path);
     BinaryReader r(std::span<const std::uint8_t>(saved.data(), saved.size()));
     EXPECT_EQ(r.ReadU32(), kDbMagic);
-    EXPECT_EQ(r.ReadU32(), 3u);
+    EXPECT_EQ(r.ReadU32(), 4u);
   }
+  std::filesystem::remove(path);
+}
+
+// ---- the v4 file: saves append frames ----
+
+class V4FileTest : public CheckpointStoreTest {
+ protected:
+  /// Three saves to `path`: a rewrite of 4 entries (entry 1 marked
+  /// superseded), then two appends of one entry and one frame each.
+  /// Records the file length and entry count after each save.
+  std::unique_ptr<SignatureStore> SaveThreeTimes(const std::string& path) {
+    auto store = Make();
+    std::uint32_t salt = 0;
+    for (const int batch : {4, 1, 1}) {
+      for (int i = 0; i < batch; ++i) Add(*store, salt++);
+      if (salt == 4) store->MarkSuperseded(1);
+      EXPECT_TRUE(store->SaveToFile(path).ok());
+      ends_.push_back(std::filesystem::file_size(path));
+      sizes_.push_back(store->size());
+    }
+    EXPECT_EQ(store->persist_stats().rewrites, 1u)
+        << "the second and third saves append";
+    EXPECT_EQ(store->persist_stats().entries, 6u);
+    EXPECT_EQ(store->persist_stats().superseded, 1u);
+    return store;
+  }
+
+  /// A fresh store loaded from `path`.
+  std::unique_ptr<SignatureStore> Reload(const std::string& path) {
+    auto loaded = Make();
+    EXPECT_TRUE(loaded->LoadFromFile(path).ok());
+    return loaded;
+  }
+
+  std::vector<std::uint64_t> ends_;
+  std::vector<std::uint64_t> sizes_;
+};
+
+TEST_F(V4FileTest, CutInsideTheLastTwoFramesLoadsTheWholeFramesBefore) {
+  // A kill between two writes leaves a final frame cut short. Every cut
+  // inside the last two frames loads the frames before it, and the next
+  // save continues from what loaded: it never appends after the cut.
+  const std::string path = TempPath("communix_v4_cut_src.bin");
+  const std::string cut_path = TempPath("communix_v4_cut.bin");
+  const auto store = SaveThreeTimes(path);
+  const std::vector<std::uint8_t> file = ReadFile(path);
+  ASSERT_EQ(file.size(), ends_[2]);
+  const std::vector<StoredSignature> live = EntriesOf(*store);
+  for (std::uint64_t len = ends_[0]; len < ends_[2]; ++len) {
+    SCOPED_TRACE("cut at " + std::to_string(len));
+    WriteFile(cut_path, std::vector<std::uint8_t>(
+                            file.begin(), file.begin() + static_cast<
+                                              std::ptrdiff_t>(len)));
+    auto loaded = Reload(cut_path);
+    const std::uint64_t whole = len < ends_[1] ? sizes_[0] : sizes_[1];
+    ASSERT_EQ(loaded->size(), whole);
+    ExpectSameEntries(EntriesOf(*loaded),
+                      std::vector<StoredSignature>(
+                          live.begin(),
+                          live.begin() + static_cast<std::ptrdiff_t>(whole)));
+    EXPECT_EQ(loaded->epoch(), store->epoch());
+
+    Add(*loaded, 500);
+    ASSERT_TRUE(loaded->SaveToFile(cut_path).ok());
+    const auto reloaded = Reload(cut_path);
+    ExpectSameEntries(EntriesOf(*reloaded), EntriesOf(*loaded));
+    EXPECT_EQ(reloaded->epoch(), store->epoch());
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(cut_path);
+}
+
+TEST_F(V4FileTest, BitFlipAnywhereIsDataLossAndLeavesTheStoreUntouched) {
+  // One flipped bit per byte, the bit rotating with the position. That
+  // covers every frame's count and length: the frame header's own
+  // checksum must catch a length that now runs past end of file, which
+  // would otherwise pass for a cut-short tail.
+  const std::string path = TempPath("communix_v4_flip_src.bin");
+  const std::string flip_path = TempPath("communix_v4_flip.bin");
+  (void)SaveThreeTimes(path);
+  const std::vector<std::uint8_t> file = ReadFile(path);
+  auto victim = Make();
+  Add(*victim, 99);
+  const std::uint64_t epoch = victim->epoch();
+  for (std::size_t pos = 0; pos < file.size(); ++pos) {
+    std::vector<std::uint8_t> corrupt = file;
+    corrupt[pos] ^= static_cast<std::uint8_t>(1u << (pos % 8));
+    WriteFile(flip_path, corrupt);
+    ASSERT_EQ(victim->LoadFromFile(flip_path).code(), ErrorCode::kDataLoss)
+        << "a flipped bit at byte " << pos << " went unnoticed";
+    ASSERT_EQ(victim->size(), 1u) << "failed load must not wipe the store";
+    ASSERT_EQ(victim->epoch(), epoch);
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(flip_path);
+}
+
+TEST_F(V4FileTest, EachLineageChangeOrMarkCostsExactlyOneRewrite) {
+  const std::string path = TempPath("communix_v4_rewrite.bin");
+  struct Case {
+    const char* name;
+    std::function<void(SignatureStore&)> change;
+  };
+  // Loading an older file from the path the store saves to.
+  const auto load = [&](std::vector<std::uint8_t> bytes) {
+    return [&path, bytes](SignatureStore& store) {
+      WriteFile(path, bytes);
+      ASSERT_TRUE(store.LoadFromFile(path).ok());
+    };
+  };
+  const std::vector<StoredSignature> legacy = MakeEntries(6);
+  const std::vector<Case> cases = {
+      {"Compact", [](SignatureStore& s) { EXPECT_EQ(s.Compact(), 0u); }},
+      {"MarkSuperseded",
+       [](SignatureStore& s) { EXPECT_TRUE(s.MarkSuperseded(3)); }},
+      {"ResetForReplication",
+       [&](SignatureStore& s) {
+         s.ResetForReplication(4242);
+         for (std::uint64_t i = 0; i < 3; ++i) {
+           ASSERT_TRUE(s.ApplyReplicated(i, legacy[i]).ok());
+         }
+       }},
+      {"InstallSnapshot",
+       [&](SignatureStore& s) {
+         CheckpointData data;
+         const auto blob = BlobOf(777, legacy);
+         ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob),
+                                     &data)
+                         .ok());
+         s.InstallSnapshot(data.epoch, std::move(data.records));
+       }},
+      {"LoadV1", load(LegacyFile(1, 0, legacy))},
+      {"LoadV2", load(LegacyFile(2, 4242, legacy))},
+      {"LoadV3", load(BlobOf(4343, legacy))},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::filesystem::remove(path);
+    auto store = Make();
+    for (std::uint32_t i = 0; i < 8; ++i) Add(*store, i);
+    ASSERT_TRUE(store->SaveToFile(path).ok());
+    Add(*store, 8);
+    ASSERT_TRUE(store->SaveToFile(path).ok());
+    ASSERT_EQ(store->persist_stats().rewrites, 1u) << "the second save appends";
+
+    c.change(*store);
+    ASSERT_TRUE(store->SaveToFile(path).ok());
+    EXPECT_EQ(store->persist_stats().rewrites, 2u) << "the change rewrites";
+    Add(*store, 100);
+    Add(*store, 101);
+    ASSERT_TRUE(store->SaveToFile(path).ok());
+    EXPECT_EQ(store->persist_stats().rewrites, 2u) << "growth appends again";
+
+    const auto reloaded = Reload(path);
+    ExpectSameEntries(EntriesOf(*reloaded), EntriesOf(*store));
+    EXPECT_EQ(reloaded->epoch(), store->epoch());
+    EXPECT_EQ(reloaded->superseded_count(), store->superseded_count());
+    EXPECT_EQ(store->persist_stats().entries, store->size());
+    EXPECT_EQ(store->persist_stats().superseded, store->superseded_count());
+  }
+  std::filesystem::remove(path);
+}
+
+TEST_F(V4FileTest, LoadingAV4FileKeepsAppending) {
+  const std::string path = TempPath("communix_v4_reload.bin");
+  const auto store = SaveThreeTimes(path);
+  auto loaded = Reload(path);
+  Add(*loaded, 200);
+  ASSERT_TRUE(loaded->SaveToFile(path).ok());
+  EXPECT_EQ(loaded->persist_stats().rewrites, 0u);
+  EXPECT_EQ(std::filesystem::file_size(path),
+            ends_[2] + loaded->persist_stats().bytes_written);
+  ExpectSameEntries(EntriesOf(*Reload(path)), EntriesOf(*loaded));
+  std::filesystem::remove(path);
+}
+
+TEST_F(V4FileTest, SaveWithNothingNewLeavesTheFileByteIdentical) {
+  const std::string path = TempPath("communix_v4_idle.bin");
+  const auto store = SaveThreeTimes(path);
+  const std::vector<std::uint8_t> before = ReadFile(path);
+  const SignatureStore::PersistStats stats = store->persist_stats();
+  ASSERT_TRUE(store->SaveToFile(path).ok());
+  ASSERT_TRUE(store->SaveToFile(path).ok());
+  EXPECT_EQ(ReadFile(path), before);
+  EXPECT_EQ(store->persist_stats().bytes_written, stats.bytes_written);
+  EXPECT_EQ(store->persist_stats().rewrites, stats.rewrites);
+  std::filesystem::remove(path);
+}
+
+TEST_F(V4FileTest, AnotherWriterOfThePathForcesARewrite) {
+  // A second store replaces the file. The first store must then rewrite
+  // it, not append its next frames to the other store's file.
+  const std::string path = TempPath("communix_v4_two_writers.bin");
+  const auto first = SaveThreeTimes(path);
+  auto second = Make();
+  for (std::uint32_t i = 300; i < 303; ++i) Add(*second, i);
+  ASSERT_TRUE(second->SaveToFile(path).ok());
+
+  Add(*first, 400);
+  ASSERT_TRUE(first->SaveToFile(path).ok());
+  EXPECT_EQ(first->persist_stats().rewrites, 2u);
+  const auto reloaded = Reload(path);
+  ExpectSameEntries(EntriesOf(*reloaded), EntriesOf(*first));
+  EXPECT_EQ(reloaded->epoch(), first->epoch());
   std::filesystem::remove(path);
 }
 

@@ -193,7 +193,7 @@ TEST_P(ReplyPinTest, ReplyOutlivesLogSwapAndStore) {
       EXPECT_EQ(store->Compact(), 1u);
       break;
     case Swap::kInstallSnapshot: {
-      const auto blob = SerializeCheckpoint(77, std::vector<StoredSignature>{});
+      const auto blob = SerializeCheckpoint(SignatureLog(77));
       CheckpointData data;
       ASSERT_TRUE(
           ParseCheckpoint(std::span<const std::uint8_t>(blob), &data).ok());

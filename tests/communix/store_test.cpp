@@ -32,7 +32,7 @@ StoredSignature Entry(std::uint64_t n) {
 }
 
 TEST(SignatureLogTest, AppendAssignsDenseIndexes) {
-  SignatureLog log;
+  SignatureLog log(1);
   EXPECT_EQ(log.size(), 0u);
   for (std::uint64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(log.Append(ViewOf(Entry(i))), i);
@@ -42,7 +42,7 @@ TEST(SignatureLogTest, AppendAssignsDenseIndexes) {
 }
 
 TEST(SignatureLogTest, VisitRespectsFromAndUpto) {
-  SignatureLog log;
+  SignatureLog log(1);
   for (std::uint64_t i = 0; i < 10; ++i) log.Append(ViewOf(Entry(i)));
   std::vector<std::uint64_t> seen;
   log.Visit(3, 7, [&](std::uint64_t i, const EntryView& s) {
@@ -60,7 +60,7 @@ TEST(SignatureLogTest, VisitRespectsFromAndUpto) {
 }
 
 TEST(SignatureLogTest, CrossesSegmentBoundaries) {
-  SignatureLog log;
+  SignatureLog log(1);
   const std::uint64_t n = 2 * SignatureLog::kSegmentSize + 500;
   for (std::uint64_t i = 0; i < n; ++i) log.Append(ViewOf(Entry(i)));
   EXPECT_EQ(log.size(), n);
@@ -74,7 +74,7 @@ TEST(SignatureLogTest, CrossesSegmentBoundaries) {
 }
 
 TEST(SignatureLogTest, ResetReplacesContents) {
-  SignatureLog log;
+  SignatureLog log(1);
   for (std::uint64_t i = 0; i < 10; ++i) log.Append(ViewOf(Entry(i)));
   std::vector<StoredSignature> fresh;
   for (std::uint64_t i = 100; i < 103; ++i) fresh.push_back(Entry(i));
@@ -86,7 +86,7 @@ TEST(SignatureLogTest, ResetReplacesContents) {
 }
 
 TEST(SignatureLogTest, ConcurrentReadersSeeOnlyCommittedEntries) {
-  SignatureLog log;
+  SignatureLog log(1);
   constexpr std::uint64_t kTotal = 20'000;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> violations{0};
@@ -122,7 +122,7 @@ TEST(SignatureLogTest, IncrementalCursorScansRaceConcurrentAppends) {
   // delta each round while appends land concurrently. Every delta must
   // be dense, in order, fully committed, and cursors must never observe
   // the log shrinking.
-  SignatureLog log;
+  SignatureLog log(1);
   constexpr std::uint64_t kTotal = 20'000;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> violations{0};

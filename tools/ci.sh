@@ -30,28 +30,32 @@
 # pattern would otherwise pass silently.
 #
 # The default mode also repeats the monitor wake-path stress (many
-# waiters + churning bargers, handoff racing an RCU index republish)
-# and the commit-driven shipper cases (park on the primary's commit
-# sequence, wake on ADD/Compact, drain a backlog, Stop while parked)
-# beyond their single ctest pass.
+# waiters + churning bargers, handoff racing an RCU index republish),
+# the commit-driven shipper cases (park on the primary's commit
+# sequence, wake on ADD/Compact, drain a backlog, Stop while parked) and
+# the SIGKILL persistence case (both daemons killed after a storm of
+# ADDs restart on their appended DB files) beyond their single ctest
+# pass.
 #
 # --tsan: ThreadSanitizer build (separate build-tsan dir) running the
 # dimmunix + util + cluster test binaries — the concurrency-bearing
 # layers of the client runtime (fast-path publication protocol, direct
 # monitor handoff + wake turnstile, adaptive occupancy gate, schedule
 # harness, thread pool) and of the replication tier (feed reads racing
-# ADDs, background shipper and its commit park/wake handshake) — with a
-# repeated run of the fairness and wakeup-ordering suites on top.
+# ADDs, kReplPull replies racing lineage changes, background shipper and
+# its commit park/wake handshake) — with a repeated run of the fairness
+# and wakeup-ordering suites on top.
 #
 # --asan: AddressSanitizer build (separate build-asan dir) running the
 # dimmunix + util test binaries — lifetime coverage for the context
 # reaper and the entry sharing across delta-rebuilt index snapshots —
-# plus the store, checkpoint parser, server, zero-copy, framing,
-# slow-client and two-process suites over ASan-built daemons: GET
-# replies carry raw pointers into log memory through the outbound queue,
-# pinned only by their owner, which is exactly the lifetime error ASan
-# catches, and the checkpoint parser reads every truncated, bit-flipped
-# and hostile-count blob of CheckpointTest.
+# plus the store, checkpoint parser, DB file, server persistence,
+# zero-copy, framing, slow-client and two-process suites over ASan-built
+# daemons: GET replies carry raw pointers into log memory through the
+# outbound queue, pinned only by their owner, which is exactly the
+# lifetime error ASan catches, the checkpoint parser reads every
+# truncated, bit-flipped and hostile-count blob of CheckpointTest, and
+# the DB file loader every cut-short and bit-flipped file of V4FileTest.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,9 +107,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # daemon cases (the park/wake handshake on the primary's commit
   # sequence is a lost-wakeup hazard), checkpoint bootstrap of a
   # far-behind follower, the client's reads across a lineage change,
-  # and the kMarkSuperseded verb.
+  # kReplPull replies racing mark/Compact lineage changes, and the
+  # kMarkSuperseded verb.
   TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/cluster_tests \
-      'ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:LogShipperTest.Daemon*:CheckpointBootstrapTest.*:ClusterClientTest.*Lineage*:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
+      'ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:LogShipperTest.Daemon*:CheckpointBootstrapTest.*:ClusterClientTest.*Lineage*:ReplPullLineageTest.*:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
   # Net smoke under TSAN: the poll-loop/worker conn handoff, the
   # non-blocking gather flush racing POLLOUT re-arms, slow-client
   # containment, and the two-process shipper (a TSAN parent driving
@@ -130,10 +135,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   ASAN_OPTIONS="${ASAN}" ./build-asan/dimmunix_tests
   ASAN_OPTIONS="${ASAN}" ./build-asan/util_tests
   # Store and server: the log arena, replies pinning a swapped-out log,
-  # the checkpoint parser on damaged and hostile blobs, and the zero-copy
-  # reply accounting.
+  # the checkpoint parser on damaged and hostile blobs, the DB file's
+  # appends, cut-short tails and bit flips, server persistence, and the
+  # zero-copy reply accounting.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/communix_tests \
-      'SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:CheckpointTest.*:*CheckpointStoreTest*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*'
+      'SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:CheckpointTest.*:*CheckpointStoreTest*:V4FileTest.*:ServerPersistenceTest.*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*'
   # Net: replies of many runs flushed across partial writes, and a slow
   # reader disconnected with its queue still holding pinned runs.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/net_tests \
@@ -142,7 +148,8 @@ if [[ "${1:-}" == "--asan" ]]; then
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/cluster_tests \
       'TwoProcessShipper.*'
   echo "ci: asan clean (dimmunix_tests, util_tests, store + checkpoint +" \
-       "server + zero-copy, framing + slow-client, two-process shipper)"
+       "DB file + server + zero-copy, framing + slow-client," \
+       "two-process shipper)"
   exit 0
 fi
 
@@ -164,6 +171,16 @@ echo "ci: wake-path stress smoke passed"
 # missed 5 s deadline. Repeated for the rare interleavings.
 run_filtered ./build/cluster_tests 'LogShipperTest.Daemon*' --gtest_repeat=20
 echo "ci: commit-driven shipper smoke passed"
+
+# SIGKILL persistence smoke: both daemons are killed after a storm of
+# ADDs, once their store.persist.* gauges report the whole log on disk,
+# and each must restart on its appended DB file with at least that
+# much. Repeated, since the kill lands at a different point of the
+# daemons' save ticks each time.
+run_filtered ./build/cluster_tests \
+    'TwoProcessShipper.SigkillKeepsWhatThePersistGaugesReported' \
+    --gtest_repeat=5
+echo "ci: SIGKILL persistence smoke passed"
 
 # Cluster smoke: primary + 2 followers over inproc, kill-primary failover,
 # the client's reads across a Compact() lineage change, checkpoint

@@ -1,7 +1,11 @@
 // communix_server — the deployable Communix server daemon.
 //
 // Serves ADD/GET/ISSUE_ID over TCP, persisting the signature database to
-// disk on shutdown (SIGINT/SIGTERM) and periodically.
+// disk every 0.5 s and on shutdown (SIGINT/SIGTERM). A periodic save
+// appends to the DB file (format v4) the frames of the entries committed
+// since the last one and rewrites the file only after a lineage change
+// or a superseded mark. Nothing syncs: a kill loses at most the last
+// tick's entries, and a load drops a final frame the kill cut short.
 //
 //   communix_server [--port N] [--db PATH] [--limit PER_USER_PER_DAY]
 //                   [--role primary|follower] [--follower HOST:PORT]...
@@ -203,14 +207,12 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
-  std::uint64_t last_size = server.db_size();
   while (!g_stop) {
     communix::SystemClock::Instance().SleepFor(500'000'000);  // 0.5 s
-    // Periodic checkpoint when the database grew.
-    const std::uint64_t size = server.db_size();
-    if (size != last_size) {
-      if (auto s = server.SaveToFile(db_path); s.ok()) last_size = size;
-    }
+    // Every tick saves: the save appends what committed since the last
+    // one, rewrites the file after a lineage change or a superseded
+    // mark, and with nothing new only checks the file's length.
+    (void)server.SaveToFile(db_path);
   }
 
   if (shipper.has_value()) {
