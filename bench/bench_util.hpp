@@ -57,16 +57,18 @@ inline bool FlagValue(const char* arg, const char* name, std::string* out) {
 
 // ---- perf-trajectory JSON (BENCH_<name>.json) ----
 
-/// Collects flat rows of numeric fields and writes
-///   {"bench":"<name>","rows":[{"series":"...","k":v,...},...]}
+/// Collects flat rows of numeric fields (and optional string labels)
+/// and writes
+///   {"bench":"<name>","rows":[{"series":"...","k":v,...,"l":"s"},...]}
 /// Append rows as the bench runs, WriteToFile at the end.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
 
   void AddRow(std::string series,
-              std::vector<std::pair<std::string, double>> fields) {
-    rows_.push_back({std::move(series), std::move(fields)});
+              std::vector<std::pair<std::string, double>> fields,
+              std::vector<std::pair<std::string, std::string>> labels = {}) {
+    rows_.push_back({std::move(series), std::move(fields), std::move(labels)});
   }
 
   bool WriteToFile(const std::string& path) const {
@@ -80,6 +82,9 @@ class BenchJson {
       for (const auto& [key, value] : row.fields) {
         std::fprintf(f, ",\"%s\":%.17g", key.c_str(), value);
       }
+      for (const auto& [key, value] : row.labels) {
+        std::fprintf(f, ",\"%s\":\"%s\"", key.c_str(), value.c_str());
+      }
       std::fputc('}', f);
     }
     std::fputs("]}\n", f);
@@ -90,6 +95,7 @@ class BenchJson {
   struct Row {
     std::string series;
     std::vector<std::pair<std::string, double>> fields;
+    std::vector<std::pair<std::string, std::string>> labels;
   };
 
   std::string bench_;

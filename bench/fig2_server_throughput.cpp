@@ -25,14 +25,16 @@
 //   --smoke                       tiny sizes (CI)
 //   --json=PATH                   trajectory file (default BENCH_fig2.json)
 //
-// Always-on sections (the read/bootstrap performance tier):
-//   bootstrap  fresh-follower sync time + entries replayed, checkpoint
-//              cutover vs full entry replay
+// Always-on sections (the read/catch-up performance tier):
+//   replay     time for a fresh follower to catch up by kReplBatch
+//              replay over loopback TCP, at 3,000 and 20,000 entries
+//              (median/min/max of 3 runs, in smoke mode too)
 //   scan_cost  pure GET(0) scan throughput at a fixed db size —
 //              isolates the scan term of the sweep's sequences
 //   net        repeat GET polls over the real TCP server: zero-copy
 //              reply accounting (reply_bytes_shared vs _copied) and
 //              gather-flush counters from the non-blocking reply path
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <functional>
@@ -249,25 +251,27 @@ void RunReplicaScaling(std::size_t replicas, bool smoke,
 }
 
 // ---------------------------------------------------------------------------
-// bootstrap: fresh-follower sync, checkpoint cutover vs full replay.
+// replay: how long a fresh follower takes to catch up.
 //
-// A follower that is behind by more than checkpoint_lag_threshold gets
-// one epoch-consistent kCheckpoint blob and replays only the log suffix;
-// with the threshold at 0 it replays every entry through kReplBatch.
-// Same primary state, same end state — the series records wall time and
-// the structural claim: entries_replayed << db_size on the snapshot path.
+// A follower on another lineage is rebuilt by replaying the primary's
+// log from index 0 in kReplBatch frames of 256 entries; that is the only
+// catch-up path. Each run syncs a fresh follower, served by an
+// in-process TcpServer as in the net series, from a preloaded primary
+// over loopback TCP, so every frame pays a real round trip. The row
+// records the median, min and max of 3 runs, nproc and the build type.
 // ---------------------------------------------------------------------------
-void RunBootstrapSeries(bool smoke, communix::bench::BenchJson& json) {
+void RunReplaySeries(communix::bench::BenchJson& json) {
   namespace cluster = communix::cluster;
   namespace net = communix::net;
-  const std::size_t preload = smoke ? 400 : 3000;
+  constexpr int kRuns = 3;
+  constexpr std::size_t kBatch = 256;
 
   communix::bench::PrintHeader(
-      "Follower bootstrap: checkpoint cutover vs full entry replay");
-  std::printf("%12s %10s %10s %16s %18s\n", "mode", "seconds", "db size",
-              "entries_replayed", "ckpt entries");
-
-  for (const bool via_checkpoint : {true, false}) {
+      "Follower catch-up: fresh follower synced by kReplBatch replay over "
+      "TCP");
+  std::printf("%10s %10s %10s %10s\n", "db size", "median s", "min s",
+              "max s");
+  for (const std::size_t preload : {std::size_t{3'000}, std::size_t{20'000}}) {
     VirtualClock clock;
     CommunixServer::Options popts;
     popts.per_user_daily_limit = 1'000'000;
@@ -279,52 +283,52 @@ void RunBootstrapSeries(bool smoke, communix::bench::BenchJson& json) {
           communix::bench::RandomSignature(
               rng, static_cast<std::uint32_t>(i + 1)));
     }
-
     CommunixServer::Options fopts = popts;
     fopts.role = communix::ServerRole::kFollower;
-    CommunixServer follower(clock, fopts);
-    net::InprocTransport to_follower(follower);
-    cluster::LogShipper::Options sopts;
-    sopts.batch_limit = 256;
-    sopts.checkpoint_lag_threshold = via_checkpoint ? 256 : 0;
-    cluster::LogShipper shipper(primary, sopts);
-    shipper.AddFollower("f0", to_follower);
 
-    Stopwatch watch;
-    if (!shipper.PumpUntilSynced()) {
-      std::fprintf(stderr, "bootstrap failed to sync\n");
-      return;
+    std::vector<double> seconds;
+    for (int run = 0; run < kRuns; ++run) {
+      CommunixServer follower(clock, fopts);
+      net::TcpServer tcp(follower);
+      net::TcpClient to_follower;
+      if (!tcp.Start().ok() ||
+          !to_follower.Connect("127.0.0.1", tcp.port()).ok()) {
+        std::fprintf(stderr, "replay series: TCP setup failed\n");
+        return;
+      }
+      cluster::LogShipper::Options sopts;
+      sopts.batch_limit = kBatch;
+      cluster::LogShipper shipper(primary, sopts);
+      shipper.AddFollower("f0", to_follower);
+      Stopwatch watch;
+      const bool synced = shipper.PumpUntilSynced();
+      seconds.push_back(watch.ElapsedSeconds());
+      const std::uint64_t shipped =
+          shipper.GetFollowerStatus(0).entries_shipped;
+      to_follower.Close();
+      tcp.Stop();
+      if (!synced || shipped != primary.db_size() ||
+          follower.db_size() != primary.db_size()) {
+        std::fprintf(stderr, "replay series: follower failed to sync\n");
+        return;
+      }
     }
-    const double seconds = watch.ElapsedSeconds();
-
-    // Both sides read from registry snapshots (the kStats surface).
-    const communix::obs::MetricsSnapshot ps = primary.metrics()->Snapshot();
-    const communix::obs::MetricsSnapshot fsn = follower.metrics()->Snapshot();
-    const double replayed =
-        static_cast<double>(fsn.Value("server.repl_entries_applied"));
-    const double ckpt_entries =
-        static_cast<double>(fsn.Value("server.checkpoint_entries_installed"));
-    const auto* build_h = ps.FindHistogram("server.checkpoint.build_ns");
-    const auto* install_h = fsn.FindHistogram("server.checkpoint.install_ns");
-    std::printf("%12s %10.3f %10llu %16.0f %18.0f\n",
-                via_checkpoint ? "checkpoint" : "replay", seconds,
-                static_cast<unsigned long long>(primary.db_size()), replayed,
-                ckpt_entries);
-    json.AddRow(
-        "bootstrap",
-        {{"checkpoint", via_checkpoint ? 1.0 : 0.0},
-         {"db_size", static_cast<double>(primary.db_size())},
-         {"seconds", seconds},
-         {"entries_replayed", replayed},
-         {"checkpoint_entries", ckpt_entries},
-         {"checkpoint_build_ns", build_h ? build_h->MeanNanos() : 0.0},
-         {"checkpoint_install_ns",
-          install_h ? install_h->MeanNanos() : 0.0}});
+    std::sort(seconds.begin(), seconds.end());
+    const double median = seconds[seconds.size() / 2];
+    std::printf("%10llu %10.3f %10.3f %10.3f\n",
+                static_cast<unsigned long long>(primary.db_size()), median,
+                seconds.front(), seconds.back());
+    json.AddRow("replay",
+                {{"db_size", static_cast<double>(primary.db_size())},
+                 {"batch_limit", static_cast<double>(kBatch)},
+                 {"runs", static_cast<double>(kRuns)},
+                 {"median_seconds", median},
+                 {"min_seconds", seconds.front()},
+                 {"max_seconds", seconds.back()},
+                 {"nproc",
+                  static_cast<double>(std::thread::hardware_concurrency())}},
+                {{"build_type", COMMUNIX_BUILD_TYPE}, {"transport", "tcp"}});
   }
-  std::printf(
-      "\nstructural claim: the snapshot path replays ~0 of the %zu-entry\n"
-      "database (entries_replayed << db_size); replay touches every one.\n",
-      preload);
 }
 
 // ---------------------------------------------------------------------------
@@ -532,7 +536,7 @@ int main(int argc, char** argv) {
     RunReplicaScaling(replicas, smoke, json);
   }
 
-  RunBootstrapSeries(smoke, json);
+  RunReplaySeries(json);
   RunScanCost(smoke, json);
   RunNetSeries(smoke, json);
 

@@ -100,22 +100,6 @@ std::uint64_t LogShipper::LagLocked(const Session& s, std::uint64_t size,
   return live ? size - std::min<std::uint64_t>(*s.cursor, size) : size;
 }
 
-void LogShipper::RefreshCheckpointLocked(const store::SignatureLog& log) {
-  const std::uint64_t size = log.size();
-  if (ckpt_blob_ != nullptr && ckpt_epoch_ == log.epoch() &&
-      size - ckpt_entries_ < options_.checkpoint_lag_threshold) {
-    return;  // cached blob still buys the full bootstrap saving
-  }
-  // One capture serves every follower that needs a rebuild this epoch.
-  ckpt_blob_ = std::make_shared<const std::vector<std::uint8_t>>(
-      primary_.CaptureCheckpointBlob(log));
-  ckpt_epoch_ = log.epoch();
-  // Entries appended between the size read above and the capture are
-  // simply part of the suffix; undercounting here only refreshes the
-  // blob a little early.
-  ckpt_entries_ = size;
-}
-
 std::optional<LogShipper::PreparedStep> LogShipper::PrepareSendLocked(
     Session& s) {
   // One log snapshot: the frame's epoch and entries name the same log.
@@ -128,21 +112,6 @@ std::optional<LogShipper::PreparedStep> LogShipper::PrepareSendLocked(
     s.pending_reset = true;
   }
   if (*s.cursor >= size && !s.pending_reset) return std::nullopt;
-
-  if (s.pending_reset && options_.checkpoint_lag_threshold > 0 &&
-      size >= options_.checkpoint_lag_threshold) {
-    // Far-behind rebuild: one snapshot blob instead of size/batch_limit
-    // reset batches. The follower replays only the suffix afterwards.
-    RefreshCheckpointLocked(*log);
-    net::CheckpointTransfer ckpt;
-    ckpt.token.assign(repl_token_.begin(), repl_token_.end());
-    ckpt.blob = *ckpt_blob_;
-    PreparedStep step;
-    step.request = net::BuildCheckpointRequest(ckpt);
-    step.epoch = ckpt_epoch_;
-    step.is_checkpoint = true;
-    return step;
-  }
 
   net::ReplBatchRequest batch;
   batch.token.assign(repl_token_.begin(), repl_token_.end());
@@ -181,17 +150,8 @@ Result<std::size_t> LogShipper::ProcessReplyLocked(Session& s,
     return DropSessionLocked(
         s, Status::Error(ErrorCode::kDataLoss, "bad shipping reply"));
   }
-  // Whatever the frame, the follower is now on the frame's lineage.
+  // The follower is now on the frame's lineage.
   s.epoch = step.epoch;
-  if (step.is_checkpoint) {
-    // The follower now holds the snapshot; the feed resumes from its
-    // committed length, so only the post-checkpoint suffix replays.
-    s.cursor = reply->log_size;
-    s.pending_reset = false;
-    ++s.resets;
-    ++s.checkpoints_shipped;
-    return std::size_t{0};
-  }
   if (reply->log_size < step.from_index) {
     return DropSessionLocked(
         s, Status::Error(ErrorCode::kDataLoss, "bad REPL_BATCH reply"));
@@ -243,9 +203,7 @@ LogShipper::RoundOutcome LogShipper::RunRound(bool backoff) {
   const auto account = [&](const PreparedStep& step, Result<std::size_t> r) {
     if (!r.ok()) return;
     outcome.entries += r.value();
-    if (r.value() > 0 || step.reset || step.is_checkpoint) {
-      outcome.progressed = true;
-    }
+    if (r.value() > 0 || step.reset) outcome.progressed = true;
   };
 
   // Phase 1: handshake sessionless followers (rare, synchronous) and
@@ -371,7 +329,6 @@ LogShipper::FollowerStatus LogShipper::GetFollowerStatus(
   out.handshakes = s.handshakes;
   out.resets = s.resets;
   out.drops = s.drops;
-  out.checkpoints_shipped = s.checkpoints_shipped;
   return out;
 }
 
@@ -388,7 +345,7 @@ obs::ProbeHandle LogShipper::ExportStats(obs::MetricsRegistry& registry) const {
     const std::uint64_t size = log->size();
     const std::uint64_t epoch = log->epoch();
     std::uint64_t shipped = 0, handshakes = 0, resets = 0, drops = 0;
-    std::uint64_t checkpoints = 0, lag = 0, cursors = 0, followers = 0;
+    std::uint64_t lag = 0, cursors = 0, followers = 0;
     std::uint64_t rounds = 0;
     {
       std::lock_guard lock(mu_);
@@ -399,7 +356,6 @@ obs::ProbeHandle LogShipper::ExportStats(obs::MetricsRegistry& registry) const {
         handshakes += s.handshakes;
         resets += s.resets;
         drops += s.drops;
-        checkpoints += s.checkpoints_shipped;
         lag += LagLocked(s, size, epoch);
         if (s.cursor.has_value()) ++cursors;
       }
@@ -408,7 +364,6 @@ obs::ProbeHandle LogShipper::ExportStats(obs::MetricsRegistry& registry) const {
     sink.EmitCounter("cluster.shipper.handshakes", handshakes);
     sink.EmitCounter("cluster.shipper.resets", resets);
     sink.EmitCounter("cluster.shipper.drops", drops);
-    sink.EmitCounter("cluster.shipper.checkpoints_shipped", checkpoints);
     sink.EmitCounter("cluster.shipper.rounds", rounds);
     sink.EmitGauge("cluster.shipper.followers", followers);
     sink.EmitGauge("cluster.shipper.active_feed_cursors", cursors);

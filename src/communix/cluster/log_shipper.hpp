@@ -10,11 +10,10 @@
 //     (idempotent: entries the follower already has are never re-applied,
 //     and a batch retransmitted after a lost reply is skipped by the
 //     follower's from_index check);
-//   * epoch differs  -> the follower is on another lineage. On a small
-//     primary the next batch carries the reset flag and replay restarts
-//     from index 0; past Options::checkpoint_lag_threshold the rebuild
-//     is served as one kCheckpoint blob (the store's framed v3
-//     snapshot) and only the post-checkpoint log suffix is replayed.
+//   * epoch differs  -> the follower is on another lineage. The next
+//     batch carries the reset flag and replay restarts from index 0,
+//     however long the log: one batch_limit bite per round trip. That
+//     is the only way a follower catches up.
 //
 // A cursor is relative to the primary epoch it was set under; when the
 // primary changes lineage (Compact, LoadFromFile) the session
@@ -60,12 +59,6 @@ class LogShipper {
     /// could not be advanced (unreachable, or refusing frames). Healthy
     /// shipping is driven by commits, not by this period.
     std::size_t ship_period_ms = 20;
-    /// Bootstrap-by-checkpoint cutover: a follower that needs a full
-    /// rebuild (divergent lineage) on a primary holding at least this
-    /// many entries receives one kCheckpoint blob and then replays only
-    /// the post-checkpoint suffix, instead of re-ingesting the whole
-    /// database in batch_limit bites. 0 disables (always entry replay).
-    std::size_t checkpoint_lag_threshold = 1024;
   };
 
   explicit LogShipper(CommunixServer& primary)
@@ -82,10 +75,9 @@ class LogShipper {
   std::size_t follower_count() const;
 
   /// One shipping step for one follower: handshake if the session has no
-  /// cursor under the primary's current epoch, then at most one frame
-  /// (kReplBatch, or kCheckpoint for a far-behind rebuild). Returns the
-  /// number of feed entries shipped (0 = caught up, or a checkpoint was
-  /// shipped instead), or the error that dropped the session.
+  /// cursor under the primary's current epoch, then at most one
+  /// kReplBatch frame. Returns the number of feed entries shipped
+  /// (0 = caught up), or the error that dropped the session.
   Result<std::size_t> ShipOnce(std::size_t id);
 
   /// One shipping step per follower, pipelined: followers whose
@@ -123,9 +115,6 @@ class LogShipper {
     std::uint64_t handshakes = 0;
     std::uint64_t resets = 0;   // catch-up restarts (epoch mismatch)
     std::uint64_t drops = 0;    // sessions dropped by an error
-    /// Bootstraps served as one kCheckpoint blob instead of entry
-    /// replay (the snapshot's entries are NOT in entries_shipped).
-    std::uint64_t checkpoints_shipped = 0;
   };
   FollowerStatus GetFollowerStatus(std::size_t id) const;
 
@@ -134,8 +123,8 @@ class LogShipper {
   std::size_t active_feed_cursors() const;
 
   /// Registers a snapshot-time probe emitting the shipping aggregates
-  /// (cluster.shipper.*: entries/handshakes/resets/drops/checkpoints
-  /// summed over followers, rounds that sent at least one frame, plus
+  /// (cluster.shipper.*: entries/handshakes/resets/drops summed over
+  /// followers, rounds that sent at least one frame, plus
   /// lag and live-cursor gauges). Release the handle before destroying
   /// the shipper. The cluster.shipper.ack_lag_ns histogram (per
   /// acknowledged batch: primary clock minus the first entry's added_at)
@@ -157,20 +146,17 @@ class LogShipper {
     std::uint64_t handshakes = 0;
     std::uint64_t resets = 0;
     std::uint64_t drops = 0;
-    std::uint64_t checkpoints_shipped = 0;
   };
 
-  /// One outbound frame prepared for a session, plus what
-  /// ProcessReplyLocked needs to interpret its reply. Both frame kinds
-  /// (kReplBatch, kCheckpoint) answer with a ReplBatchReply.
+  /// One outbound kReplBatch frame prepared for a session, plus what
+  /// ProcessReplyLocked needs to interpret its reply.
   struct PreparedStep {
     net::Request request;
     std::uint64_t epoch = 0;  // lineage the frame was built under
     std::uint64_t from_index = 0;
     bool reset = false;
-    bool is_checkpoint = false;
     /// added_at of the batch's first entry (the ack-lag sample's start);
-    /// nullopt for a checkpoint or an empty batch.
+    /// nullopt for an empty batch.
     std::optional<TimePoint> first_added_at;
   };
 
@@ -199,8 +185,7 @@ class LogShipper {
   static std::uint64_t LagLocked(const Session& s, std::uint64_t size,
                                  std::uint64_t epoch);
 
-  /// Builds the session's next outbound frame (checkpoint for a
-  /// far-behind rebuild, else one batch); nullopt when caught up.
+  /// Builds the session's next outbound batch; nullopt when caught up.
   /// Caller holds mu_; session has a cursor.
   std::optional<PreparedStep> PrepareSendLocked(Session& s);
 
@@ -212,14 +197,6 @@ class LogShipper {
   /// Prepare + synchronous Call + process (the non-pipelined path and
   /// ShipOnce). Caller holds mu_.
   Result<std::size_t> ShipOnceLocked(Session& s);
-
-  /// (Re)builds the cached checkpoint blob when the primary's lineage
-  /// changed or the cached snapshot fell a full threshold behind (a
-  /// same-epoch stale blob is usable — the entry feed covers the
-  /// suffix — but a very stale one forfeits the bootstrap saving).
-  /// `log` is the snapshot the caller's frame is read from. Caller holds
-  /// mu_.
-  void RefreshCheckpointLocked(const store::SignatureLog& log);
 
   /// ShipRound's body. `backoff` (daemon rounds) skips sessions dropped
   /// less than ship_period_ms ago.
@@ -247,11 +224,6 @@ class LogShipper {
   mutable std::mutex mu_;
   std::vector<Session> sessions_;
   std::uint64_t rounds_ = 0;  // ShipRounds that sent at least one frame
-  /// Cached checkpoint blob shared across followers, keyed by the
-  /// (epoch, entry count) it was captured at.
-  std::shared_ptr<const std::vector<std::uint8_t>> ckpt_blob_;
-  std::uint64_t ckpt_epoch_ = 0;
-  std::uint64_t ckpt_entries_ = 0;
 
   std::atomic<bool> running_{false};
   std::thread daemon_;

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <unordered_set>
 
-#include "communix/store/checkpoint.hpp"
-
 namespace communix {
 
 using dimmunix::Signature;
@@ -17,12 +15,6 @@ std::uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-}
-
-/// The kReplBatch/kCheckpoint reply: the lineage and length of one log.
-net::Response ReplBatchReplyOf(const store::SignatureLog& log) {
-  return net::BuildReplBatchReply(
-      net::ReplBatchReply{log.epoch(), log.size()});
 }
 
 }  // namespace
@@ -60,18 +52,9 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
   stats_.repl_entries_skipped =
       reg.GetCounter("server.repl_entries_skipped");
   stats_.repl_resets = reg.GetCounter("server.repl_resets");
-  stats_.checkpoints_installed =
-      reg.GetCounter("server.checkpoints_installed");
-  stats_.checkpoint_entries_installed =
-      reg.GetCounter("server.checkpoint_entries_installed");
-  stats_.checkpoints_refused = reg.GetCounter("server.checkpoints_refused");
   stats_.superseded_from_fp = reg.GetCounter("server.superseded_from_fp");
   stats_.stats_served = reg.GetCounter("server.stats_served");
-  get_latency_[kGetRead] = reg.GetHistogram("server.get.read_ns");
-  get_latency_[kCheckpointBuild] =
-      reg.GetHistogram("server.checkpoint.build_ns");
-  get_latency_[kCheckpointInstall] =
-      reg.GetHistogram("server.checkpoint.install_ns");
+  get_read_ns_ = reg.GetHistogram("server.get.read_ns");
   save_ns_ = reg.GetHistogram("store.persist.save_ns");
   obs::TraceRing::Options trace_opts;
   trace_opts.slow_threshold_ns = options_.slow_request_ns;
@@ -303,7 +286,7 @@ net::Response CommunixServer::HandleReplBatch(const net::Request& request) {
     resp.error = "primary does not ingest REPL_BATCH";
     return resp;
   }
-  const auto batch = net::ParseReplBatchRequest(request);
+  auto batch = net::ParseReplBatchRequest(request);
   if (!batch) {
     stats_.rejected_malformed->Add(1);
     resp.code = ErrorCode::kInvalidArgument;
@@ -322,119 +305,41 @@ net::Response CommunixServer::HandleReplBatch(const net::Request& request) {
     resp.error = "REPL_BATCH requires the replication peer credential";
     return resp;
   }
-  // Full validation happens BEFORE the (destructive) reset: a frame the
-  // server rejects must leave the store untouched.
   if (batch->reset && batch->from_index != 0) {
     stats_.rejected_malformed->Add(1);
     resp.code = ErrorCode::kInvalidArgument;
     resp.error = "reset batch must restart at index 0";
     return resp;
   }
-  if (batch->reset) {
-    store_->ResetForReplication(batch->epoch);
-    stats_.repl_resets->Add(1);
-  } else if (batch->epoch != store_->epoch()) {
-    resp.code = ErrorCode::kFailedPrecondition;
-    resp.error = "epoch mismatch; re-handshake required";
-    return resp;
+  // One store call per frame, so a frame of another lineage (a second
+  // shipper) can never land between its steps, and a frame the store
+  // refuses leaves it untouched (SignatureStore::IngestReplicated).
+  store::SignatureStore::ReplicatedFrame frame;
+  frame.epoch = batch->epoch;
+  frame.reset = batch->reset;
+  frame.from_index = batch->from_index;
+  frame.entries.reserve(batch->entries.size());
+  for (net::ReplEntry& e : batch->entries) {
+    frame.entries.push_back(store::StoredSignature{
+        std::move(e.sig_bytes), 0, e.sender, e.added_at});
   }
-  const std::uint64_t size = store_->size();
-  if (batch->from_index > size) {
-    resp.code = ErrorCode::kFailedPrecondition;
-    resp.error = "replication gap: batch starts past the committed length";
-    return resp;
-  }
-  // Idempotent resume: entries below the committed length were already
-  // applied (a retransmission after a lost reply); skip, apply the rest.
-  const std::uint64_t skip = size - batch->from_index;
-  std::uint64_t applied = 0;
-  Status failed = Status::Ok();
-  {
+  const Result<store::SignatureStore::IngestOutcome> ingested = [&] {
     obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
-    for (std::uint64_t i = skip; i < batch->entries.size(); ++i) {
-      const net::ReplEntry& e = batch->entries[i];
-      store::StoredSignature entry;
-      entry.sender = e.sender;
-      entry.added_at = e.added_at;
-      entry.bytes = e.sig_bytes;
-      failed = store_->ApplyReplicated(batch->from_index + i, std::move(entry));
-      if (!failed.ok()) break;
-      ++applied;
-    }
-  }
-  if (batch->reset || applied > 0) NoteCommit();
-  if (!failed.ok()) {
-    resp.code = failed.code();
-    resp.error = failed.message();
+    return store_->IngestReplicated(std::move(frame));
+  }();
+  if (!ingested.ok()) {
+    resp.code = ingested.code();
+    resp.error = ingested.status().message();
     return resp;
   }
+  const store::SignatureStore::IngestOutcome& outcome = ingested.value();
+  if (batch->reset || outcome.applied > 0) NoteCommit();
+  if (batch->reset) stats_.repl_resets->Add(1);
   stats_.repl_batches_applied->Add(1);
-  stats_.repl_entries_applied->Add(applied);
-  stats_.repl_entries_skipped->Add(
-      std::min<std::uint64_t>(skip, batch->entries.size()));
-  return ReplBatchReplyOf(*store_->log());
-}
-
-net::Response CommunixServer::HandleCheckpoint(const net::Request& request) {
-  net::Response resp;
-  if (options_.role != ServerRole::kFollower) {
-    stats_.rejected_not_primary->Add(1);
-    resp.code = ErrorCode::kFailedPrecondition;
-    resp.error = "primary does not ingest CHECKPOINT";
-    return resp;
-  }
-  const auto ckpt = net::ParseCheckpointRequest(request);
-  if (!ckpt) {
-    stats_.rejected_malformed->Add(1);
-    resp.code = ErrorCode::kInvalidArgument;
-    resp.error = "malformed CHECKPOINT payload";
-    return resp;
-  }
-  // Installing a snapshot wipes the store — replication-peer credential
-  // required, exactly like kReplBatch ingest.
-  UserToken token;
-  std::copy(ckpt->token.begin(), ckpt->token.end(), token.begin());
-  const auto peer = authority_.Decode(token);
-  if (!peer || *peer != kReplicationPeerId) {
-    stats_.rejected_bad_token->Add(1);
-    resp.code = ErrorCode::kPermissionDenied;
-    resp.error = "CHECKPOINT requires the replication peer credential";
-    return resp;
-  }
-  // The blob is validated IN FULL (framing, checksums, every signature,
-  // duplicate content ids) before the destructive install: a corrupt
-  // checkpoint must leave the follower's store untouched.
-  const auto start = std::chrono::steady_clock::now();
-  store::CheckpointData data;
-  if (const Status s = store::ParseCheckpoint(
-          std::span<const std::uint8_t>(ckpt->blob.data(), ckpt->blob.size()),
-          &data);
-      !s.ok()) {
-    stats_.checkpoints_refused->Add(1);
-    resp.code = s.code();
-    resp.error = s.message();
-    return resp;
-  }
-  if (data.epoch == 0) {
-    // v1 blobs carry no lineage; a bootstrap without an epoch could
-    // never be continued by the entry feed, so refuse it.
-    stats_.checkpoints_refused->Add(1);
-    resp.code = ErrorCode::kInvalidArgument;
-    resp.error = "checkpoint must carry a lineage epoch";
-    return resp;
-  }
-  const std::uint64_t installed = data.records.size();
-  {
-    obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
-    store_->InstallSnapshot(data.epoch, std::move(data.records));
-  }
-  NoteCommit();
-  get_latency_[kCheckpointInstall]->Report(NanosSince(start));
-  stats_.checkpoints_installed->Add(1);
-  stats_.checkpoint_entries_installed->Add(installed);
-  // Same reply shape as kReplBatch: the shipper resumes its entry feed
-  // from log_size, so only the post-checkpoint suffix is replayed.
-  return ReplBatchReplyOf(*store_->log());
+  stats_.repl_entries_applied->Add(outcome.applied);
+  stats_.repl_entries_skipped->Add(outcome.skipped);
+  return net::BuildReplBatchReply(
+      net::ReplBatchReply{outcome.epoch, outcome.size});
 }
 
 net::Response CommunixServer::Handle(const net::Request& request) {
@@ -581,7 +486,7 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
         obs::StageClock::Scope store_scope(obs::Stage::kStoreOp);
         reply = store_->ReadSince(from);
       }
-      get_latency_[kGetRead]->Report(NanosSince(start));
+      get_read_ns_->Report(NanosSince(start));
       BinaryWriter w;
       w.WriteU32(reply.count);
       resp.segments = std::move(reply.runs);
@@ -595,9 +500,6 @@ net::Response CommunixServer::HandleDispatch(const net::Request& request) {
 
     case net::MsgType::kReplBatch:
       return HandleReplBatch(request);
-
-    case net::MsgType::kCheckpoint:
-      return HandleCheckpoint(request);
 
     case net::MsgType::kMarkSuperseded:
       return HandleMarkSuperseded(request);
@@ -643,14 +545,6 @@ Status CommunixServer::LoadFromFile(const std::string& path) {
   Status loaded = store_->LoadFromFile(path);
   if (loaded.ok()) NoteCommit();
   return loaded;
-}
-
-std::vector<std::uint8_t> CommunixServer::CaptureCheckpointBlob(
-    const store::SignatureLog& log) const {
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::uint8_t> blob = store::SerializeCheckpoint(log);
-  get_latency_[kCheckpointBuild]->Report(NanosSince(start));
-  return blob;
 }
 
 bool CommunixServer::MarkSuperseded(std::uint64_t index) {
@@ -781,10 +675,6 @@ CommunixServer::Stats CommunixServer::GetStats() const {
   out.repl_entries_applied = stats_.repl_entries_applied->Value();
   out.repl_entries_skipped = stats_.repl_entries_skipped->Value();
   out.repl_resets = stats_.repl_resets->Value();
-  out.checkpoints_installed = stats_.checkpoints_installed->Value();
-  out.checkpoint_entries_installed =
-      stats_.checkpoint_entries_installed->Value();
-  out.checkpoints_refused = stats_.checkpoints_refused->Value();
   out.rejected_tenant_quota = stats_.rejected_tenant_quota->Value();
   out.superseded_from_fp = stats_.superseded_from_fp->Value();
   out.stats_served = stats_.stats_served->Value();

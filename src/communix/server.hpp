@@ -22,15 +22,16 @@
 // same class in two roles over the same store: a primary, as above, and
 // followers that refuse ADDs and instead ingest the primary's committed
 // log entries via kReplBatch — so any replica serves GET(k) with
-// byte-identical, cursor-stable results. The store lets concurrent ADDs
-// from different users proceed in parallel and serves GET scans without
-// blocking writers.
+// byte-identical, cursor-stable results. Replay is the only way a
+// follower catches up, however far behind, and each frame is one store
+// call: validated in full, then applied under one lock hold. The store
+// lets concurrent ADDs from different users proceed in parallel and
+// serves GET scans without blocking writers.
 //
 // Thread-safety: fully thread-safe; Figure 2 drives Handle()/AddSignature
 // from tens of thousands of logical sessions.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -136,8 +137,8 @@ class CommunixServer final : public net::RequestHandler {
 
   /// Commit sequence: moves on every change to what a log shipper reads
   /// from this server — an accepted ADD, Compact, LoadFromFile, and
-  /// replicated ingest (kReplBatch / kCheckpoint, so a follower can feed
-  /// a chained shipper). Every change is visible to a reader that loaded
+  /// replicated ingest (kReplBatch, so a follower can feed a chained
+  /// shipper). Every change is visible to a reader that loaded
   /// the sequence after it moved.
   std::uint64_t commit_seq() const { return commit_seq_.load(); }
 
@@ -167,15 +168,6 @@ class CommunixServer final : public net::RequestHandler {
   Status SaveToFile(const std::string& path);
   Status LoadFromFile(const std::string& path);
 
-  // ---- read/bootstrap performance tier ----
-
-  /// The checkpoint blob (format v3) of one log snapshot: what the
-  /// LogShipper sends a far-behind follower via net::MsgType::kCheckpoint.
-  /// Its epoch and entries come from that one log, encoded straight from
-  /// its arena; never blocks reads or writers.
-  std::vector<std::uint8_t> CaptureCheckpointBlob(
-      const store::SignatureLog& log) const;
-
   /// Maintenance: marks entry `index` superseded (ReplaceSignature /
   /// FP-disable); Compact() later drops marked entries into a fresh
   /// lineage (new epoch — followers re-bootstrap via anti-entropy,
@@ -193,20 +185,6 @@ class CommunixServer final : public net::RequestHandler {
   /// number of entries newly marked.
   std::uint64_t MarkSupersededByContent(
       std::span<const std::uint64_t> content_ids);
-
-  /// Read-path latency buckets, kept as registry histograms
-  /// ("server.get.read_ns" / "server.checkpoint.*_ns") so kStats serves
-  /// them remotely; get_latency() resolves a bucket for in-process
-  /// callers.
-  enum GetLatencyBucket : std::size_t {
-    kGetRead = 0,         // time inside the store's ReadSince for a GET
-    kCheckpointBuild,     // CaptureCheckpointBlob on the primary
-    kCheckpointInstall,   // kCheckpoint validate + install on a follower
-    kNumGetLatencyBuckets,
-  };
-  const obs::Histogram& get_latency(GetLatencyBucket bucket) const {
-    return *get_latency_[bucket];
-  }
 
   // ---- observability ----
 
@@ -252,9 +230,6 @@ class CommunixServer final : public net::RequestHandler {
     std::uint64_t repl_entries_applied = 0; // entries committed via ingest
     std::uint64_t repl_entries_skipped = 0; // already-applied (idempotent)
     std::uint64_t repl_resets = 0;          // catch-up epoch adoptions
-    std::uint64_t checkpoints_installed = 0;      // kCheckpoint ingests
-    std::uint64_t checkpoint_entries_installed = 0;  // entries they carried
-    std::uint64_t checkpoints_refused = 0;  // invalid/unauthorized blobs
     std::uint64_t rejected_tenant_quota = 0;  // community budget exhausted
     std::uint64_t superseded_from_fp = 0;     // entries retired via
                                               // kMarkSuperseded batches
@@ -275,10 +250,9 @@ class CommunixServer final : public net::RequestHandler {
   /// path shares.
   net::Response HandleDispatch(const net::Request& request);
 
-  /// kReplPull / kReplBatch / kCheckpoint processing (wire handlers).
+  /// kReplPull / kReplBatch processing (wire handlers).
   net::Response HandleReplPull(const net::Request& request);
   net::Response HandleReplBatch(const net::Request& request);
-  net::Response HandleCheckpoint(const net::Request& request);
 
   /// kMarkSuperseded / kStats processing (wire handlers).
   net::Response HandleMarkSuperseded(const net::Request& request);
@@ -312,15 +286,13 @@ class CommunixServer final : public net::RequestHandler {
     obs::Counter* repl_entries_applied = nullptr;
     obs::Counter* repl_entries_skipped = nullptr;
     obs::Counter* repl_resets = nullptr;
-    obs::Counter* checkpoints_installed = nullptr;
-    obs::Counter* checkpoint_entries_installed = nullptr;
-    obs::Counter* checkpoints_refused = nullptr;
     obs::Counter* superseded_from_fp = nullptr;
     obs::Counter* stats_served = nullptr;
   };
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   Counters stats_;
-  std::array<obs::Histogram*, kNumGetLatencyBuckets> get_latency_{};
+  /// server.get.read_ns: time inside the store's ReadSince for a GET.
+  obs::Histogram* get_read_ns_ = nullptr;
   /// store.persist.save_ns: saves that wrote something.
   obs::Histogram* save_ns_ = nullptr;
   std::shared_ptr<obs::TraceRing> trace_ring_;

@@ -35,7 +35,8 @@ Status Corrupt(const char* what) {
 /// Validates one record's signature bytes and rebuilds the derived
 /// state every install needs: the content id (dedup) and the top-frame
 /// set (per-user adjacency restriction, which must keep holding across
-/// restarts and bootstraps). The daily quota intentionally resets.
+/// restarts and replicated resets). The daily quota intentionally
+/// resets.
 Status FinishRecord(CheckpointRecord& rec,
                     std::unordered_set<std::uint64_t>& seen_content_ids) {
   auto sig = dimmunix::Signature::FromBytes(std::span<const std::uint8_t>(
@@ -43,7 +44,7 @@ Status FinishRecord(CheckpointRecord& rec,
   if (!sig) return Corrupt("stored signature fails to parse");
   rec.entry.content_id = sig->ContentId();
   if (!seen_content_ids.insert(rec.entry.content_id).second) {
-    return Corrupt("checkpoint repeats a content id");
+    return Corrupt("repeated content id");
   }
   rec.tops = TopFrameSet(*sig);
   return Status::Ok();
@@ -210,19 +211,6 @@ Status ParseV4Body(BinaryReader& r, std::size_t file_bytes,
   return Status::Ok();
 }
 
-/// Reads the magic and version; kDataLoss unless the version is in
-/// [kVersionV1, max_version].
-Status ReadVersion(BinaryReader& r, std::uint32_t max_version,
-                   std::uint32_t* version) {
-  const std::uint32_t magic = r.ReadU32();
-  *version = r.ReadU32();
-  if (!r.ok() || magic != kDbMagic || *version < kVersionV1 ||
-      *version > max_version) {
-    return Corrupt("bad server DB header");
-  }
-  return Status::Ok();
-}
-
 /// A v1-v3 body after the version: the epoch (v2 and v3), then the
 /// records, then end of input.
 Status ParseUpToV3(BinaryReader& r, std::uint32_t version,
@@ -237,38 +225,17 @@ Status ParseUpToV3(BinaryReader& r, std::uint32_t version,
 
 }  // namespace
 
-std::vector<std::uint8_t> SerializeCheckpoint(const SignatureLog& log) {
-  const std::uint64_t n = log.size();
-  const auto frame_count = static_cast<std::uint32_t>(
-      (n + kCheckpointFrameEntries - 1) / kCheckpointFrameEntries);
-  BinaryWriter w;
-  w.WriteU32(kDbMagic);
-  w.WriteU32(kVersionV3);
-  w.WriteU64(log.epoch());
-  w.WriteU64(n);
-  w.WriteU32(frame_count);
-  w.WriteU64(HeaderChecksum(log.epoch(), n, frame_count));
-  for (std::uint64_t base = 0; base < n; base += kCheckpointFrameEntries) {
-    const std::uint64_t upto =
-        std::min<std::uint64_t>(n, base + kCheckpointFrameEntries);
-    BinaryWriter payload;
-    EncodeRecords(log, base, upto, payload);
-    w.WriteU32(static_cast<std::uint32_t>(upto - base));
-    w.WriteU32(static_cast<std::uint32_t>(payload.size()));
-    w.WriteU64(Fnv1a(std::span<const std::uint8_t>(payload.data())));
-    w.WriteRaw(std::span<const std::uint8_t>(payload.data()));
+Status DecodeRecords(std::vector<StoredSignature> entries,
+                     std::vector<CheckpointRecord>* out) {
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(entries.size());
+  std::vector<CheckpointRecord> records;
+  records.reserve(entries.size());
+  for (StoredSignature& entry : entries) {
+    records.push_back(CheckpointRecord{std::move(entry), {}});
+    if (auto s = FinishRecord(records.back(), seen); !s.ok()) return s;
   }
-  return w.take();
-}
-
-Status ParseCheckpoint(std::span<const std::uint8_t> bytes,
-                       CheckpointData* out) {
-  BinaryReader r(bytes);
-  std::uint32_t version = 0;
-  if (auto s = ReadVersion(r, kVersionV3, &version); !s.ok()) return s;
-  CheckpointData data;
-  if (auto s = ParseUpToV3(r, version, data); !s.ok()) return s;
-  *out = std::move(data);
+  *out = std::move(records);
   return Status::Ok();
 }
 
@@ -300,8 +267,12 @@ std::vector<std::uint8_t> EncodeDbFrame(const SignatureLog& log,
 
 Status ParseDbFile(std::span<const std::uint8_t> bytes, DbFileContents* out) {
   BinaryReader r(bytes);
-  std::uint32_t version = 0;
-  if (auto s = ReadVersion(r, kVersionV4, &version); !s.ok()) return s;
+  const std::uint32_t magic = r.ReadU32();
+  const std::uint32_t version = r.ReadU32();
+  if (!r.ok() || magic != kDbMagic || version < kVersionV1 ||
+      version > kVersionV4) {
+    return Corrupt("bad server DB header");
+  }
   DbFileContents file;
   if (version == kVersionV4) {
     file.snapshot.epoch = r.ReadU64();

@@ -1,17 +1,16 @@
-// Store checkpoints and the DB file: one record encoding, two framings.
+// The DB file: one record encoding, the v4 framing SaveToFile writes,
+// and the older layouts that still load.
 //
-//   * The wire checkpoint (DB format v3). The LogShipper ships it to a
-//     follower whose lineage diverged (net::MsgType::kCheckpoint), so it
-//     installs a snapshot and replays only the log suffix instead of
-//     re-ingesting the whole database entry by entry. Its header pins the
-//     entry and frame counts up front.
-//   * The DB file (format v4) SaveToFile writes. Its header pins only the
-//     lineage, and frames follow until end of file, so a save appends the
-//     entries committed since the last one instead of rewriting the file.
+// The v4 header pins only the lineage, and frames follow until end of
+// file, so a save appends the entries committed since the last one
+// instead of rewriting the file. Saves encode straight from a live
+// SignatureLog's arena: no save copies the database first. v1 (the seed
+// layout), v2 (+epoch) and v3 (framed, entry count in the header) files
+// still load; nothing writes them any more.
 //
-// Both encode straight from a live SignatureLog's arena: no save and no
-// checkpoint copies the database first. v1 (the seed layout), v2
-// (+epoch) and v3 files still load.
+// The record validation a load applies (every signature's bytes parse,
+// no content id repeats) also vets replicated entries before a follower
+// ingests them (DecodeRecords).
 //
 // v3 layout (little-endian):
 //
@@ -45,9 +44,9 @@
 // than append after the cut. Every other defect — a header or frame
 // checksum mismatch (a damaged length included: the frame header's own
 // checksum keeps it from passing for a cut-short tail), a bad record, a
-// repeated content id — is kDataLoss. Parsers validate everything,
+// repeated content id — is kDataLoss. The parser validates everything,
 // including that every signature's bytes round-trip, before returning,
-// so a store can vet a file or blob in full before it is replaced.
+// so a store can vet a file in full before it is replaced.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +60,8 @@
 
 namespace communix::store {
 
-/// One validated checkpoint entry: the stored signature plus the
-/// adjacency top-set rebuilt from its (verified) bytes.
+/// One validated record: the stored signature plus the adjacency
+/// top-set rebuilt from its (verified) bytes.
 struct CheckpointRecord {
   StoredSignature entry;
   TopFrameKeys tops;
@@ -79,15 +78,13 @@ struct CheckpointData {
 /// Entries per v3 or v4 frame (also the truncation-test granularity).
 constexpr std::size_t kCheckpointFrameEntries = 512;
 
-/// The v3 checkpoint of `log`'s committed prefix, its length read once.
-/// Encodes straight from the arena; never blocks the log's writers.
-std::vector<std::uint8_t> SerializeCheckpoint(const SignatureLog& log);
-
-/// Parses and fully validates a v1, v2 or v3 blob (a v4 file is not a
-/// wire checkpoint). kDataLoss on any header/frame/checksum/signature/
-/// duplicate defect; the out-param is untouched on failure.
-Status ParseCheckpoint(std::span<const std::uint8_t> bytes,
-                       CheckpointData* out);
+/// Validates entries from outside the store (a replicated frame) the
+/// way a load validates a file's records: every signature's bytes must
+/// parse and no two entries may share a content id. Fills in each
+/// record's content id and top-set. kDataLoss on the first defect; the
+/// out-param is untouched on failure.
+Status DecodeRecords(std::vector<StoredSignature> entries,
+                     std::vector<CheckpointRecord>* out);
 
 // ---- the DB file (v4) ----------------------------------------------------
 

@@ -39,8 +39,8 @@
 
 namespace communix::store {
 
-/// One accepted signature as data at rest: checkpoints, snapshots,
-/// replication ingest and Reset input. The live log keeps its bytes in
+/// One accepted signature as data at rest: DB file records, replication
+/// ingest and Reset input. The live log keeps its bytes in
 /// the arena and hands out EntryViews instead.
 struct StoredSignature {
   std::vector<std::uint8_t> bytes;
@@ -112,7 +112,7 @@ class SignatureLog {
   std::uint64_t Append(const EntryView& entry);
 
   /// Log lineage id. It names this log object: every lineage change
-  /// (reset, compaction, snapshot install, load) publishes a new log, so
+  /// (a replicated reset, compaction, a load) publishes a new log, so
   /// a reader holding one log snapshot reads an epoch, a length and
   /// entries that always belong together.
   std::uint64_t epoch() const { return epoch_; }

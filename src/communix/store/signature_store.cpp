@@ -149,22 +149,9 @@ Status ReadAll(int fd, std::size_t size, std::vector<std::uint8_t>* out) {
 /// Tops of a store-resident entry (accepted or validated at ingest, so
 /// the bytes are known-good; an empty set on the impossible parse
 /// failure just weakens adjacency instead of corrupting anything).
-TopFrameKeys TopsOfEntry(const StoredSignature& entry) {
-  auto sig = dimmunix::Signature::FromBytes(
-      std::span<const std::uint8_t>(entry.bytes.data(), entry.bytes.size()));
+TopFrameKeys TopsOfEntry(std::span<const std::uint8_t> bytes) {
+  auto sig = dimmunix::Signature::FromBytes(bytes);
   return sig ? TopFrameSet(*sig) : TopFrameKeys{};
-}
-
-/// Validates a replicated entry's signature bytes, filling in
-/// entry.content_id and producing the adjacency top-set. nullopt if the
-/// bytes fail to parse (lineage corruption — the primary only ships
-/// entries it accepted, so these bytes must round-trip).
-std::optional<TopFrameKeys> DecodeReplicatedEntry(StoredSignature& entry) {
-  auto sig = dimmunix::Signature::FromBytes(
-      std::span<const std::uint8_t>(entry.bytes.data(), entry.bytes.size()));
-  if (!sig) return std::nullopt;
-  entry.content_id = sig->ContentId();
-  return TopFrameSet(*sig);
 }
 
 }  // namespace
@@ -236,41 +223,55 @@ void SignatureStore::VisitEntries(
 
 std::uint64_t SignatureStore::epoch() const { return Log()->epoch(); }
 
-Status SignatureStore::ApplyReplicated(std::uint64_t index,
-                                       StoredSignature entry) {
-  auto tops = DecodeReplicatedEntry(entry);
-  if (!tops) {
-    return Status::Error(ErrorCode::kDataLoss,
-                         "replicated signature fails to parse");
+Result<SignatureStore::IngestOutcome> SignatureStore::IngestReplicated(
+    ReplicatedFrame frame) {
+  // Validate every entry before anything is changed: a frame the store
+  // refuses leaves it as it was.
+  std::vector<CheckpointRecord> records;
+  if (Status s = DecodeRecords(std::move(frame.entries), &records); !s.ok()) {
+    return s;
   }
-  // Ingest is ordered (one entry at exactly size()), so serialize it
-  // (also against ResetForReplication); lock-free GET scans stay
-  // concurrent with the log append inside.
+  IngestOutcome out;
   std::lock_guard ingest(ingest_mu_);
+  if (frame.reset) {
+    out.applied = records.size();
+    ReplaceLocked(frame.epoch, std::move(records));
+  } else {
+    const std::shared_ptr<SignatureLog> log = Log();
+    if (frame.epoch != log->epoch()) {
+      return Status::Error(ErrorCode::kFailedPrecondition,
+                           "epoch mismatch; re-handshake required");
+    }
+    const std::uint64_t size = log->size();
+    if (frame.from_index > size) {
+      return Status::Error(
+          ErrorCode::kFailedPrecondition,
+          "replication gap: batch starts past the committed length");
+    }
+    out.skipped =
+        std::min<std::uint64_t>(size - frame.from_index, records.size());
+    const std::span<CheckpointRecord> fresh =
+        std::span(records).subspan(out.skipped);
+    for (const CheckpointRecord& rec : fresh) {
+      if (dedup_.Contains(rec.entry.content_id)) {
+        return Status::Error(ErrorCode::kDataLoss,
+                             "replicated entry duplicates the dedup set");
+      }
+    }
+    // Lock-free GET scans stay concurrent with the appends.
+    for (CheckpointRecord& rec : fresh) {
+      dedup_.TryInsert(rec.entry.content_id);
+      users_.With(rec.entry.sender, [&](UserState& state) {
+        state.accepted_top_sets.push_back(std::move(rec.tops));
+      });
+      log->Append(ViewOf(rec.entry));
+    }
+    out.applied = fresh.size();
+  }
   const std::shared_ptr<SignatureLog> log = Log();
-  if (index != log->size()) {
-    return Status::Error(ErrorCode::kFailedPrecondition,
-                         "replication index gap");
-  }
-  if (!dedup_.TryInsert(entry.content_id)) {
-    return Status::Error(ErrorCode::kDataLoss,
-                         "replicated entry duplicates the dedup set");
-  }
-  users_.With(entry.sender, [&](UserState& state) {
-    state.accepted_top_sets.push_back(std::move(*tops));
-  });
-  log->Append(ViewOf(entry));
-  return Status::Ok();
-}
-
-void SignatureStore::ResetForReplication(std::uint64_t new_epoch) {
-  std::lock_guard ingest(ingest_mu_);
-  users_.Clear();
-  tenants_.Clear();
-  dedup_.Clear();
-  // Fresh log object: concurrent GET scans keep reading the retired
-  // one (kept alive by their shared_ptr snapshots) to completion.
-  PublishLogLocked(std::make_shared<SignatureLog>(new_epoch));
+  out.epoch = log->epoch();
+  out.size = log->size();
+  return out;
 }
 
 Status SignatureStore::SaveToFile(const std::string& path) {
@@ -390,7 +391,10 @@ Status SignatureStore::LoadFromFile(const std::string& path) {
   const auto superseded = static_cast<std::uint64_t>(std::count_if(
       file.snapshot.records.begin(), file.snapshot.records.end(),
       [](const CheckpointRecord& r) { return r.entry.superseded; }));
-  InstallSnapshot(epoch, std::move(file.snapshot.records));
+  {
+    std::lock_guard ingest(ingest_mu_);
+    ReplaceLocked(epoch, std::move(file.snapshot.records));
+  }
   // Only a v4 file of this lineage can be appended to. Its length must
   // still be that of its whole frames at the next save: a file that
   // ends in a cut-short frame is rewritten, never appended after.
@@ -422,27 +426,6 @@ SuffixReply SignatureStore::ReadSince(std::uint64_t from) const {
   return log->ReadSince(from, log);
 }
 
-void SignatureStore::InstallSnapshot(std::uint64_t epoch,
-                                     std::vector<CheckpointRecord> records) {
-  std::lock_guard ingest(ingest_mu_);
-  users_.Clear();
-  tenants_.Clear();
-  dedup_.Clear();
-  std::vector<StoredSignature> entries;
-  entries.reserve(records.size());
-  for (auto& rec : records) {
-    dedup_.TryInsert(rec.entry.content_id);
-    users_.With(rec.entry.sender, [&](UserState& state) {
-      state.accepted_top_sets.push_back(std::move(rec.tops));
-    });
-    entries.push_back(std::move(rec.entry));
-  }
-  // Populate a private log, then publish it whole.
-  auto loaded = std::make_shared<SignatureLog>(epoch);
-  loaded->Reset(std::move(entries));
-  PublishLogLocked(std::move(loaded));
-}
-
 bool SignatureStore::MarkSuperseded(std::uint64_t index) {
   const std::shared_ptr<SignatureLog> log = Log();
   if (index >= log->size()) return false;
@@ -457,34 +440,43 @@ std::uint64_t SignatureStore::Compact() {
   std::lock_guard ingest(ingest_mu_);
   const std::shared_ptr<SignatureLog> log = Log();
   const std::uint64_t n = log->size();
-  std::vector<StoredSignature> survivors;
+  std::vector<CheckpointRecord> survivors;
   survivors.reserve(n);
   log->Visit(0, n, [&](std::uint64_t i, const EntryView& e) {
-    if (!log->IsSuperseded(i)) survivors.push_back(ToStored(e));
+    if (!log->IsSuperseded(i)) {
+      survivors.push_back(CheckpointRecord{ToStored(e), TopsOfEntry(e.bytes)});
+    }
   });
   const std::uint64_t dropped = n - survivors.size();
-  users_.Clear();
-  tenants_.Clear();
-  dedup_.Clear();
-  // Derived state is rebuilt from survivors only, so the compacted
-  // store is indistinguishable from one bootstrapped from its own
-  // checkpoint (the invariant the store tests pin). Dropping a
-  // replaced signature's content id deliberately re-opens dedup for
-  // its replacement lineage.
-  for (const StoredSignature& s : survivors) {
-    dedup_.TryInsert(s.content_id);
-    users_.With(s.sender, [&](UserState& state) {
-      state.accepted_top_sets.push_back(TopsOfEntry(s));
-    });
-  }
-  auto compacted = std::make_shared<SignatureLog>(GenerateEpoch());
-  compacted->Reset(std::move(survivors));
-  PublishLogLocked(std::move(compacted));
+  // Derived state is rebuilt from survivors only, so the compacted store
+  // is indistinguishable from a fresh one that ingested them as one
+  // reset frame (the invariant the store tests pin). Dropping a replaced
+  // signature's content id deliberately re-opens dedup for its
+  // replacement lineage.
+  ReplaceLocked(GenerateEpoch(), std::move(survivors));
   return dropped;
 }
 
-void SignatureStore::PublishLogLocked(std::shared_ptr<SignatureLog> log) {
-  log_.store(std::move(log), std::memory_order_release);
+void SignatureStore::ReplaceLocked(std::uint64_t epoch,
+                                   std::vector<CheckpointRecord> records) {
+  users_.Clear();
+  tenants_.Clear();
+  dedup_.Clear();
+  std::vector<StoredSignature> entries;
+  entries.reserve(records.size());
+  for (CheckpointRecord& rec : records) {
+    dedup_.TryInsert(rec.entry.content_id);
+    users_.With(rec.entry.sender, [&](UserState& state) {
+      state.accepted_top_sets.push_back(std::move(rec.tops));
+    });
+    entries.push_back(std::move(rec.entry));
+  }
+  // Populate a private log, then publish it whole: concurrent GET scans
+  // keep reading the retired one (kept alive by their shared_ptr
+  // snapshots) to completion.
+  auto fresh = std::make_shared<SignatureLog>(epoch);
+  fresh->Reset(std::move(entries));
+  log_.store(std::move(fresh), std::memory_order_release);
 }
 
 }  // namespace communix::store

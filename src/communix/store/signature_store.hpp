@@ -20,9 +20,12 @@
 // checkpoint.hpp) only grows at its end: a save appends frames for the
 // entries committed since the last save, straight from the arena, and
 // rewrites the whole file only when it no longer holds a prefix of the
-// live log. v3 (the wire checkpoint's framing), v2 (epoch in the header)
-// and v1 (the seed server's exact layout, adopting a fresh epoch on
-// load) files still load.
+// live log. v3 (framed, with the entry count in its header), v2 (epoch
+// in the header) and v1 (the seed server's exact layout, adopting a
+// fresh epoch on load) files still load.
+//
+// Three things replace the whole log — a load, Compact and a replicated
+// reset frame — and all three go through one routine (ReplaceLocked).
 #pragma once
 
 #include <atomic>
@@ -131,33 +134,51 @@ class SignatureStore {
 
   /// Log lineage id. Two stores with equal epochs hold byte-identical
   /// prefixes of the same log; the epoch changes only when the log's
-  /// identity does (ResetForReplication, Compact, loading a file of
+  /// identity does (a replicated reset frame, Compact, loading a file of
   /// another lineage). Lock-free read.
   std::uint64_t epoch() const;
 
   /// One snapshot of the published log. Its epoch, length and entries
   /// always belong together: a reader that pairs them (a kReplPull
-  /// reply, a shipped batch, a checkpoint, a save) reads them from one
+  /// reply, a shipped batch, an ingest reply, a save) reads them from one
   /// snapshot, never through separate store calls that a concurrent
   /// lineage change can split. Lock-free.
   std::shared_ptr<const SignatureLog> log() const { return Log(); }
 
-  /// Follower ingest: commits an entry the primary already accepted, at
-  /// exactly `index` (which must equal size() — replication is ordered).
-  /// Rebuilds the dedup/adjacency state exactly as LoadFromFile does, so
-  /// the follower enforces §III-C if it is ever promoted. Returns
-  /// kFailedPrecondition on an index gap, kDataLoss if the bytes fail to
-  /// parse or duplicate the dedup set (lineage corruption). Safe against
-  /// concurrent reads; ingest itself is serialized internally.
-  Status ApplyReplicated(std::uint64_t index, StoredSignature entry);
+  /// One kReplBatch frame as a follower ingests it: entries
+  /// [from_index, from_index + entries.size()) of the `epoch` log, as
+  /// they came off the wire (content ids are recomputed from the bytes).
+  /// A `reset` frame starts at index 0 and replaces the whole store with
+  /// its entries under `epoch`.
+  struct ReplicatedFrame {
+    std::uint64_t epoch = 0;
+    bool reset = false;
+    std::uint64_t from_index = 0;
+    std::vector<StoredSignature> entries;
+  };
+  /// What a frame did: the log it left published (the reply's epoch and
+  /// committed length, both read from that one log) and how many of its
+  /// entries were appended or skipped as already applied.
+  struct IngestOutcome {
+    std::uint64_t epoch = 0;
+    std::uint64_t size = 0;
+    std::uint64_t applied = 0;
+    std::uint64_t skipped = 0;
+  };
 
-  /// Clears the whole store and adopts `new_epoch` — the catch-up path a
-  /// follower takes when its lineage diverged from the primary's. This
-  /// runs on a LIVE follower: it is safe against concurrent reads (a
-  /// fresh log is published and in-flight scans finish against the
-  /// retired one) and serialized against ApplyReplicated. Only
-  /// concurrent Add is excluded — followers refuse ADDs anyway.
-  void ResetForReplication(std::uint64_t new_epoch);
+  /// Follower ingest of one frame. Every entry is decoded and validated
+  /// first (DecodeRecords); then one hold of the ingest lock covers the
+  /// reset or the epoch check, the gap and skip arithmetic, every append
+  /// and the outcome, so two shippers' frames can never interleave in
+  /// one log. Entries below the committed length were already applied
+  /// (a retransmission after a lost reply) and are skipped. The
+  /// dedup/adjacency state is rebuilt exactly as LoadFromFile does, so
+  /// the follower enforces §III-C if it is ever promoted. Errors leave
+  /// the store untouched: kFailedPrecondition for another lineage or a
+  /// gap, kDataLoss for bytes that fail to parse or repeat a content id
+  /// (lineage corruption). Safe against concurrent reads; concurrent Add
+  /// is excluded (followers refuse ADDs).
+  Result<IngestOutcome> IngestReplicated(ReplicatedFrame frame);
 
   /// Persistence in DB format v4 (checkpoint.hpp). When `path` still
   /// holds exactly what this store last wrote or loaded there (the same
@@ -187,25 +208,16 @@ class SignatureStore {
   };
   PersistStats persist_stats() const;
 
-  // ---- read/bootstrap performance tier ----------------------------------
+  // ---- read performance tier --------------------------------------------
 
   /// The GET(from) reply body: the count of entries [from, size()) and
   /// their wire encodings (u32 length + bytes each) as byte runs into the
   /// log's arena, one per block. The runs pin the log they were read
   /// from, so a reply stays self-consistent and valid across a
-  /// concurrent ResetForReplication, Compact or InstallSnapshot; no entry
+  /// concurrent replicated reset, Compact or load; no entry
   /// is copied and writers are never blocked. A cursor at or past the
   /// committed length gets count 0 and no runs.
   SuffixReply ReadSince(std::uint64_t from) const;
-
-  /// Installs a ParseCheckpoint-validated snapshot, replacing the whole
-  /// store and adopting `epoch` — the bootstrap path a far-behind
-  /// follower takes before replaying only the post-checkpoint log
-  /// suffix via ApplyReplicated. Same liveness contract as
-  /// ResetForReplication: safe against concurrent reads, serialized
-  /// against ingest, concurrent Add excluded.
-  void InstallSnapshot(std::uint64_t epoch,
-                       std::vector<CheckpointRecord> records);
 
   /// Marks committed entry `index` superseded (ReplaceSignature /
   /// FP-disable lineage). Idempotent: true on the first mark, false if
@@ -220,12 +232,12 @@ class SignatureStore {
   /// the entry stream, so dropping entries in place would silently
   /// corrupt them, while an epoch bump routes both followers (via the
   /// anti-entropy reset handshake) and clients (via their epoch guard)
-  /// through the existing lineage-change machinery. Equivalent to
-  /// checkpointing the survivors and installing that checkpoint (the
-  /// per-user adjacency state is rebuilt from survivors only), which is
-  /// the invariant the store tests pin. Safe against concurrent reads;
-  /// concurrent Add excluded, like ResetForReplication. Returns the
-  /// number of entries dropped.
+  /// through the existing lineage-change machinery. Equivalent to a
+  /// fresh store ingesting the survivors as one replicated reset frame
+  /// (the per-user adjacency state is rebuilt from survivors only),
+  /// which is the invariant the store tests pin. Safe against concurrent
+  /// reads; concurrent Add excluded, like ingest. Returns the number of
+  /// entries dropped.
   std::uint64_t Compact();
 
  private:
@@ -236,9 +248,12 @@ class SignatureStore {
     return log_.load(std::memory_order_acquire);
   }
 
-  /// Swaps the published log. Caller holds ingest_mu_ (swaps are
-  /// serialized).
-  void PublishLogLocked(std::shared_ptr<SignatureLog> log);
+  /// Replaces the whole store: clears the per-user, per-community and
+  /// dedup state, rebuilds it from `records` (already validated) and
+  /// publishes a fresh log of lineage `epoch` holding them. In-flight
+  /// readers finish against the retired log. Caller holds ingest_mu_.
+  void ReplaceLocked(std::uint64_t epoch,
+                     std::vector<CheckpointRecord> records);
 
   /// What a DB file holds: a prefix of `log`, as of the last completed
   /// save or v4 load. `device`, `inode` and `bytes` identify the file
@@ -278,7 +293,7 @@ class SignatureStore {
   /// finish against the retired one. A GET reply holds the log it was
   /// read from until its last byte run is flushed.
   std::atomic<std::shared_ptr<SignatureLog>> log_;
-  /// Serializes ingest and log swaps (ApplyReplicated, resets, installs,
+  /// Serializes ingest and log swaps (IngestReplicated, LoadFromFile,
   /// Compact).
   std::mutex ingest_mu_;
   /// Serializes saves and loads; file I/O happens under this lock only.

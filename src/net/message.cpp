@@ -3,8 +3,10 @@
 namespace communix::net {
 
 namespace {
-// Verb 8 fetched the retired multi-group shard map (see MsgType).
-constexpr std::uint8_t kRetiredVerb = 8;
+// Verbs 7 (the deleted checkpoint transfer) and 8 (the deleted shard-map
+// fetch) are retired (see MsgType).
+constexpr std::uint8_t kRetiredCheckpointVerb = 7;
+constexpr std::uint8_t kRetiredShardMapVerb = 8;
 }  // namespace
 
 std::vector<std::uint8_t> Request::Serialize() const {
@@ -19,7 +21,8 @@ std::optional<Request> Request::Deserialize(
   BinaryReader r(bytes);
   Request req;
   const std::uint8_t t = r.ReadU8();
-  if (t > static_cast<std::uint8_t>(MsgType::kStats) || t == kRetiredVerb) {
+  if (t > static_cast<std::uint8_t>(MsgType::kStats) ||
+      t == kRetiredCheckpointVerb || t == kRetiredShardMapVerb) {
     return std::nullopt;
   }
   req.type = static_cast<MsgType>(t);
@@ -196,29 +199,6 @@ std::optional<ReplBatchReply> ParseReplBatchReply(const Response& resp) {
   reply.log_size = r.ReadU64();
   if (!r.AtEnd()) return std::nullopt;
   return reply;
-}
-
-Request BuildCheckpointRequest(const CheckpointTransfer& ckpt) {
-  BinaryWriter w;
-  w.WriteRaw(
-      std::span<const std::uint8_t>(ckpt.token.data(), ckpt.token.size()));
-  w.WriteBytes(
-      std::span<const std::uint8_t>(ckpt.blob.data(), ckpt.blob.size()));
-  Request req;
-  req.type = MsgType::kCheckpoint;
-  req.payload = w.take();
-  return req;
-}
-
-std::optional<CheckpointTransfer> ParseCheckpointRequest(const Request& req) {
-  if (req.type != MsgType::kCheckpoint) return std::nullopt;
-  BinaryReader r = PayloadReader(req.payload);
-  CheckpointTransfer ckpt;
-  ckpt.token = r.ReadRaw(16);
-  if (ckpt.token.size() != 16) return std::nullopt;
-  ckpt.blob = r.ReadBytes();
-  if (!r.ok() || !r.AtEnd()) return std::nullopt;
-  return ckpt;
 }
 
 Request BuildMarkSupersededRequest(const MarkSupersededRequest& mark) {

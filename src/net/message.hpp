@@ -3,8 +3,10 @@
 // The paper's server processes two request kinds (§IV-A): ADD(sig) and
 // GET(k) ("send me the signatures from the database starting from index
 // k"). We add ISSUE_ID, the out-of-band step that hands each user their
-// AES-encrypted id (the paper assumes this service exists; §III-C2), and
-// PING for health checks.
+// AES-encrypted id (the paper assumes this service exists; §III-C2),
+// PING for health checks, ADD_BATCH, the replication verbs (REPL_PULL,
+// REPL_BATCH), MARK_SUPERSEDED and STATS. Verbs 7 and 8 are retired and
+// refused (see MsgType).
 //
 // Framing (both directions): u32 little-endian length, then the payload
 // serialized with BinaryWriter. Requests: u8 type + fields. Responses:
@@ -37,14 +39,11 @@ enum class MsgType : std::uint8_t {
                        // (0 = probe only). Served by any role.
   kReplBatch = 6,      // committed-entry shipment into a follower: epoch,
                        // reset flag, start index, entries. Follower-only.
-  kCheckpoint = 7,     // whole-store snapshot (DB format v3 blob) into a
-                       // far-behind follower: token + blob. The follower
-                       // validates the blob in full, installs it, and
-                       // replays only the post-checkpoint log suffix via
-                       // kReplBatch. Follower-only.
-  // 8 is retired (it fetched the deleted multi-group shard map). The
-  // verbs after it keep their numbers, and Request::Deserialize refuses
-  // the byte like any other unknown verb.
+  // 7 and 8 are retired: 7 carried the deleted whole-store checkpoint
+  // (a far-behind follower now catches up by kReplBatch replay like any
+  // other), and 8 fetched the deleted multi-group shard map. The verbs
+  // after them keep their numbers, and Request::Deserialize refuses both
+  // bytes like any other unknown verb.
   kMarkSuperseded = 9, // batched supersede marks from the dimmunix
                        // false-positive / generalization flow: token (16
                        // bytes) + u32 count + count u64 content ids. The
@@ -220,24 +219,6 @@ std::optional<ReplBatchRequest> ParseReplBatchRequest(const Request& req);
 
 Response BuildReplBatchReply(const ReplBatchReply& reply);
 std::optional<ReplBatchReply> ParseReplBatchReply(const Response& resp);
-
-/// kCheckpoint request: a serialized store checkpoint (the framed,
-/// checksummed v3 blob; the DB file is v4) under the primary's epoch.
-/// `token` is the replication principal's credential, like kReplBatch —
-/// installing a snapshot is as destructive as ingest gets. The wire
-/// layer treats the blob as opaque bytes; the store layer
-/// (ParseCheckpoint) owns validation, so corruption anywhere — transport
-/// or disk — fails through one code path. The reply is a ReplBatchReply
-/// (post-install epoch + committed length): the shipper resumes its
-/// entry feed from `log_size`, which is what makes bootstrap cost
-/// "snapshot + suffix" instead of "replay everything".
-struct CheckpointTransfer {
-  std::vector<std::uint8_t> token;  // 16 bytes
-  std::vector<std::uint8_t> blob;   // DB format v3 (checkpoint.hpp)
-};
-
-Request BuildCheckpointRequest(const CheckpointTransfer& ckpt);
-std::optional<CheckpointTransfer> ParseCheckpointRequest(const Request& req);
 
 /// kMarkSuperseded request: the sender's 16-byte token plus the content
 /// ids of signatures its runtime retired (generalization merges replace

@@ -211,8 +211,6 @@ const char* VerbName(std::uint8_t verb) {
       return "REPL_PULL";
     case 6:
       return "REPL_BATCH";
-    case 7:
-      return "CHECKPOINT";
     case 9:
       return "MARK_SUPERSEDED";
     case 10:

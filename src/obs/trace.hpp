@@ -9,7 +9,7 @@
 //              behind earlier frames of the same pipelined burst)
 //   parse      Request::Deserialize
 //   store op   time inside the signature store (log append, ReadSince,
-//              checkpoint build/install), accumulated via StageClock;
+//              replicated ingest), accumulated via StageClock;
 //              a GET's ReadSince gathers byte runs into the log arena
 //              (one per block) and copies no entry, so this stage is
 //              flat in the cursor's lag

@@ -5,8 +5,8 @@
 // it (a GET reply pointing into the signature log's arena) carries each
 // range together with a shared owner. The bytes stay valid for as long
 // as any run holds that owner, even if the storage is retired meanwhile
-// (the store publishes a fresh log on ResetForReplication, Compact and
-// InstallSnapshot). This lives in util/ so the store can hand out runs
+// (the store publishes a fresh log on a replicated reset, Compact and
+// a load). This lives in util/ so the store can hand out runs
 // without depending on the net tier that sends them.
 #pragma once
 

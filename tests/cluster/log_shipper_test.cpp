@@ -53,6 +53,17 @@ void Feed(CommunixServer& primary, std::uint32_t count,
   }
 }
 
+/// Trials of the two-primary race. Before a frame was applied under one
+/// hold of the store's ingest lock, 28 of 2,000 trials interleaved, the
+/// first at trial 74. A ThreadSanitizer build, which looks for data
+/// races rather than for that rate, runs each trial about 20 times
+/// slower, so it runs fewer.
+#if defined(__SANITIZE_THREAD__)
+constexpr int kInterleaveTrials = 40;
+#else
+constexpr int kInterleaveTrials = 200;
+#endif
+
 /// Byte-identical database check (the cursor-stability invariant).
 void ExpectIdentical(CommunixServer& a, CommunixServer& b) {
   EXPECT_EQ(a.db_size(), b.db_size());
@@ -281,16 +292,18 @@ TEST(LogShipperTest, FollowerRestartFromFileResumesWithoutReset) {
   std::remove(path.c_str());
 }
 
-TEST(LogShipperTest, CatchUpResetUnderConcurrentReadersIsSafe) {
-  // A live follower keeps serving lock-free GET scans while catch-up
-  // resets wipe and repopulate its store: readers must never touch a
-  // torn-down log (the store retires the old log to its in-flight
-  // readers), and every observed scan must be a consistent prefix of
-  // one lineage. Run under TSAN/ASAN by tools/ci.sh.
+/// A live follower keeps serving lock-free GET scans while catch-up
+/// resets wipe and repopulate its store: it is synced to a primary of
+/// `entries` entries `rounds` times, each time from another lineage, so
+/// every round replays the whole log from index 0 in kReplBatch frames.
+/// Readers must never touch a torn-down log (the store retires the old
+/// log to its in-flight readers), and every observed scan must be a
+/// consistent prefix of one lineage. Run under TSAN/ASAN by tools/ci.sh.
+void CatchUpUnderConcurrentReaders(std::uint32_t entries, int rounds) {
   VirtualClock clock;
   CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));
   CommunixServer follower(clock, RoleOptions(ServerRole::kFollower));
-  Feed(primary, 32);
+  Feed(primary, entries);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -311,22 +324,73 @@ TEST(LogShipperTest, CatchUpResetUnderConcurrentReadersIsSafe) {
   }
 
   net::InprocTransport to_follower(follower);
-  for (int round = 0; round < 50; ++round) {
+  for (int round = 0; round < rounds; ++round) {
+    if (round > 0) {
+      // Force a full wipe + rebuild: pretend a lineage change.
+      follower.Handle(net::BuildReplBatchRequest([&] {
+        net::ReplBatchRequest reset;
+        const UserToken peer = follower.IssueToken(kReplicationPeerId);
+        reset.token.assign(peer.begin(), peer.end());
+        reset.epoch = 0xD1CE0000 + static_cast<std::uint64_t>(round);
+        reset.reset = true;
+        return reset;
+      }()));
+    }
     LogShipper shipper(primary, LogShipper::Options{});
     shipper.AddFollower("f0", to_follower);
-    ASSERT_TRUE(shipper.PumpUntilSynced());
-    // Force a full wipe + rebuild next round: pretend a lineage change.
-    follower.Handle(net::BuildReplBatchRequest([&] {
-      net::ReplBatchRequest reset;
-      const UserToken peer = follower.IssueToken(kReplicationPeerId);
-      reset.token.assign(peer.begin(), peer.end());
-      reset.epoch = 0xD1CE0000 + static_cast<std::uint64_t>(round);
-      reset.reset = true;
-      return reset;
-    }()));
+    EXPECT_TRUE(shipper.PumpUntilSynced());
+    EXPECT_EQ(shipper.GetFollowerStatus(0).entries_shipped, primary.db_size())
+        << "round " << round << " replays the whole log";
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
+  ExpectIdentical(primary, follower);
+}
+
+TEST(LogShipperTest, CatchUpResetUnderConcurrentReadersIsSafe) {
+  CatchUpUnderConcurrentReaders(/*entries=*/32, /*rounds=*/50);
+}
+
+TEST(LogShipperTest, FarBehindReplayUnderConcurrentReadersIsSafe) {
+  // A follower 20,000 entries behind catches up by replay alone, in
+  // batch_limit frames, while readers scan it.
+  CatchUpUnderConcurrentReaders(/*entries=*/20'000, /*rounds=*/3);
+}
+
+TEST(LogShipperTest, TwoPrimariesNeverInterleaveLineagesInOneFollower) {
+  // Two daemons given the same --follower: two shippers of two lineages
+  // race into one follower. Each frame lands whole in one lineage, so a
+  // shipper of primary 2 that then runs alone (a fresh one, which
+  // handshakes first) brings the follower to exactly primary 2's log,
+  // never to its epoch over a mix of both primaries' entries (which the
+  // idempotent skip would then hide for good).
+  VirtualClock clock;
+  CommunixServer p1(clock, RoleOptions(ServerRole::kPrimary));
+  CommunixServer p2(clock, RoleOptions(ServerRole::kPrimary));
+  Feed(p1, 300);
+  Feed(p2, 300, /*salt=*/5000);  // disjoint contents
+  const std::vector<std::vector<std::uint8_t>> want = p2.GetSince(0);
+  LogShipper::Options opts;
+  opts.batch_limit = 4;  // many frames per round trip, many chances to race
+  for (int trial = 0; trial < kInterleaveTrials; ++trial) {
+    CommunixServer follower(clock, RoleOptions(ServerRole::kFollower));
+    net::InprocTransport t1(follower);
+    net::InprocTransport t2(follower);
+    LogShipper s1(p1, opts);
+    LogShipper s2(p2, opts);
+    s1.AddFollower("f0", t1);
+    s2.AddFollower("f0", t2);
+    std::thread racer([&] {
+      for (int r = 0; r < 30; ++r) (void)s1.ShipRound();
+    });
+    for (int r = 0; r < 30; ++r) (void)s2.ShipRound();
+    racer.join();
+    LogShipper alone(p2, opts);
+    alone.AddFollower("f0", t2);
+    ASSERT_TRUE(alone.PumpUntilSynced());
+    ASSERT_EQ(follower.epoch(), p2.epoch());
+    ASSERT_EQ(follower.GetSince(0), want) << "trial " << trial;
+  }
 }
 
 /// Wraps an inproc endpoint as a net::PipelinedClientTransport and
@@ -380,7 +444,6 @@ TEST(LogShipperTest, ShipRoundPipelinesAcrossFollowers) {
 
   LogShipper::Options opts;
   opts.batch_limit = 64;
-  opts.checkpoint_lag_threshold = 0;  // keep this test about batches
   LogShipper shipper(primary, opts);
   shipper.AddFollower("f0", t0);
   shipper.AddFollower("f1", t1);
@@ -426,9 +489,7 @@ TEST(LogShipperTest, PipelinedSendFailureDropsOnlyThatSession) {
   net::InprocTransport f1_inner(f1);
   FailPointTransport f1_fail(f1_inner);
 
-  LogShipper::Options opts;
-  opts.checkpoint_lag_threshold = 0;
-  LogShipper shipper(primary, opts);
+  LogShipper shipper(primary);
   shipper.AddFollower("f0", t0);
   const std::size_t id1 = shipper.AddFollower("f1", f1_fail);
   Feed(primary, 6);

@@ -348,6 +348,30 @@ TEST_F(MalformedReplFrameTest, GarbageSignatureBytesAreDataLoss) {
   // committed.
   EXPECT_EQ(resp.code, ErrorCode::kDataLoss);
   EXPECT_EQ(follower.db_size(), 0u);
+
+  // A populated follower gets a reset frame of another lineage whose
+  // valid entries come before a garbage one: every entry is validated
+  // before the reset, so the follower keeps its log and its lineage.
+  net::ReplBatchRequest fill;
+  fill.token.assign(peer.begin(), peer.end());
+  fill.epoch = 0xF111;
+  fill.reset = true;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    fill.entries.push_back(net::ReplEntry{1 + i, 2, MakeSig(i * 9).ToBytes()});
+  }
+  ASSERT_TRUE(follower.Handle(net::BuildReplBatchRequest(fill)).ok());
+  ASSERT_EQ(follower.db_size(), 40u);
+  net::ReplBatchRequest reset;
+  reset.token.assign(peer.begin(), peer.end());
+  reset.epoch = 0xBAD;
+  reset.reset = true;
+  reset.entries.push_back(net::ReplEntry{1, 2, MakeSig(1000).ToBytes()});
+  reset.entries.push_back(net::ReplEntry{2, 2, MakeSig(2000).ToBytes()});
+  reset.entries.push_back(net::ReplEntry{3, 2, {0xDE, 0xAD, 0xBE}});
+  EXPECT_EQ(follower.Handle(net::BuildReplBatchRequest(reset)).code,
+            ErrorCode::kDataLoss);
+  EXPECT_EQ(follower.db_size(), 40u);
+  EXPECT_EQ(follower.epoch(), 0xF111u);
 }
 
 TEST_F(MalformedReplFrameTest, PrimaryRefusesBatchIngest) {

@@ -243,7 +243,6 @@ TEST(TwoProcessShipper, PipelinedRoundsAndKillRestoreOverRealTcp) {
 
   LogShipper::Options opts;
   opts.batch_limit = 64;
-  opts.checkpoint_lag_threshold = 0;  // keep the rounds about batches
   LogShipper shipper(primary, opts);
   const std::size_t id1 = shipper.AddFollower("f1", t1);
   const std::size_t id2 = shipper.AddFollower("f2", t2);

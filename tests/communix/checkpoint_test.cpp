@@ -1,6 +1,7 @@
-// Tests for the framed, checksummed checkpoint formats: the v3 wire
-// checkpoint and the v4 DB file. Round-trips, the compact ≡
-// checkpoint-of-survivors invariant, and — the reason the frames exist —
+// Tests for the framed, checksummed DB file formats: v3, which still
+// loads but is no longer written (the small v3 writer below builds its
+// inputs), and v4, which SaveToFile writes. Round-trips, the compact ≡
+// reset-frame-of-survivors invariant, and — the reason the frames exist —
 // detection of every damage mode: truncation at and inside every frame
 // boundary, bit corruption in any frame, trailing garbage, unknown record
 // flags and record counts the bytes cannot hold all surface as a clean
@@ -8,10 +9,11 @@
 // For the v4 file, which saves grow by appending frames: a final frame
 // cut short loads as the whole frames before it, every bit flip is still
 // kDataLoss, and exactly the changes that break the file's prefix
-// relation to the live log cost a rewrite. Hand-built v1 and v2 files
-// check that the legacy formats still load.
+// relation to the live log cost a rewrite. Hand-built v1, v2 and v3
+// files check that the older formats still load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -38,12 +40,55 @@ Signature MakeSig(std::uint32_t salt) {
               ChainStack("ck.B", 6, F("ck.B", "i2", 31400 + salt)));
 }
 
-/// A v3 checkpoint of `entries` under `epoch`.
-std::vector<std::uint8_t> BlobOf(std::uint64_t epoch,
+constexpr std::uint32_t kDbMagic = 0x434D5342;  // "CMSB"
+
+/// The v3 header: magic, version, epoch, entry and frame counts, and a
+/// checksum over the epoch and both counts.
+BinaryWriter V3Header(std::uint64_t epoch, std::uint64_t total,
+                      std::uint32_t frames) {
+  BinaryWriter covered;
+  covered.WriteU64(epoch);
+  covered.WriteU64(total);
+  covered.WriteU32(frames);
+  BinaryWriter w;
+  w.WriteU32(kDbMagic);
+  w.WriteU32(3);
+  w.WriteU64(epoch);
+  w.WriteU64(total);
+  w.WriteU32(frames);
+  w.WriteU64(Fnv1a(std::span<const std::uint8_t>(covered.data())));
+  return w;
+}
+
+/// A v3 DB file of `entries` under `epoch`, in the layout v3 wrote: the
+/// header, then frames of up to kCheckpointFrameEntries records, each
+/// behind its entry count, payload length and payload checksum.
+std::vector<std::uint8_t> V3File(std::uint64_t epoch,
                                  const std::vector<StoredSignature>& entries) {
-  SignatureLog log(epoch);
-  log.Reset(entries);
-  return SerializeCheckpoint(log);
+  const std::size_t n = entries.size();
+  const auto frames = static_cast<std::uint32_t>(
+      (n + kCheckpointFrameEntries - 1) / kCheckpointFrameEntries);
+  BinaryWriter w = V3Header(epoch, n, frames);
+  for (std::size_t base = 0; base < n; base += kCheckpointFrameEntries) {
+    const std::size_t upto = std::min(n, base + kCheckpointFrameEntries);
+    BinaryWriter payload;
+    for (std::size_t i = base; i < upto; ++i) {
+      payload.WriteU8(entries[i].superseded ? 1 : 0);
+      payload.WriteU64(entries[i].sender);
+      payload.WriteI64(entries[i].added_at);
+      payload.WriteBytes(std::span<const std::uint8_t>(entries[i].bytes));
+    }
+    w.WriteU32(static_cast<std::uint32_t>(upto - base));
+    w.WriteU32(static_cast<std::uint32_t>(payload.size()));
+    w.WriteU64(Fnv1a(std::span<const std::uint8_t>(payload.data())));
+    w.WriteRaw(std::span<const std::uint8_t>(payload.data()));
+  }
+  return w.take();
+}
+
+/// ParseDbFile over `bytes`.
+Status Parse(const std::vector<std::uint8_t>& bytes, DbFileContents* out) {
+  return ParseDbFile(std::span<const std::uint8_t>(bytes), out);
 }
 
 /// Every committed entry of `store`, its superseded flag folded in.
@@ -105,13 +150,12 @@ std::vector<StoredSignature> MakeEntries(std::size_t n) {
 
 TEST(CheckpointTest, RoundTripPreservesEverything) {
   const auto entries = MakeEntries(20);
-  const auto blob = BlobOf(777, entries);
+  const auto blob = V3File(777, entries);
 
-  CheckpointData data;
-  ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
-                                                            blob.size()),
-                              &data)
-                  .ok());
+  DbFileContents file;
+  ASSERT_TRUE(Parse(blob, &file).ok());
+  EXPECT_FALSE(file.v4_bytes.has_value());
+  const CheckpointData& data = file.snapshot;
   EXPECT_EQ(data.epoch, 777u);
   ASSERT_EQ(data.records.size(), entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -130,61 +174,50 @@ TEST(CheckpointTest, RoundTripPreservesEverything) {
 TEST(CheckpointTest, MultiFrameRoundTrip) {
   // More entries than one frame holds (kCheckpointFrameEntries = 512).
   const auto entries = MakeEntries(kCheckpointFrameEntries + 37);
-  const auto blob = BlobOf(9, entries);
-  CheckpointData data;
-  ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
-                                                            blob.size()),
-                              &data)
-                  .ok());
-  EXPECT_EQ(data.records.size(), entries.size());
+  DbFileContents file;
+  ASSERT_TRUE(Parse(V3File(9, entries), &file).ok());
+  EXPECT_EQ(file.snapshot.records.size(), entries.size());
 }
 
 TEST(CheckpointTest, TruncationAtEveryLengthIsDetected) {
-  // Not a sampled check: EVERY proper prefix of the blob — which covers
+  // Not a sampled check: EVERY proper prefix of the file — which covers
   // every frame boundary and every mid-frame cut — must fail cleanly.
   const auto entries = MakeEntries(24);
-  const auto blob = BlobOf(5, entries);
+  const auto blob = V3File(5, entries);
   for (std::size_t len = 0; len < blob.size(); ++len) {
-    CheckpointData data;
-    const Status s = ParseCheckpoint(
-        std::span<const std::uint8_t>(blob.data(), len), &data);
-    ASSERT_FALSE(s.ok()) << "accepted a truncation at " << len;
-    ASSERT_TRUE(data.records.empty())
+    DbFileContents file;
+    const Status s =
+        ParseDbFile(std::span<const std::uint8_t>(blob.data(), len), &file);
+    ASSERT_EQ(s.code(), ErrorCode::kDataLoss)
+        << "accepted a truncation at " << len;
+    ASSERT_TRUE(file.snapshot.records.empty())
         << "output must stay untouched on failure, len " << len;
   }
 }
 
 TEST(CheckpointTest, BitCorruptionInEveryFrameIsDetected) {
   // Two frames' worth of entries; flip one byte at a stride across the
-  // whole blob. Every flip must be caught (magic/version/header checks
+  // whole file. Every flip must be caught (magic/version/header checks
   // up front, FNV-1a per frame, record validation inside).
   const auto entries = MakeEntries(kCheckpointFrameEntries + 10);
-  const auto blob = BlobOf(5, entries);
+  const auto blob = V3File(5, entries);
   std::size_t caught = 0, total = 0;
   for (std::size_t pos = 0; pos < blob.size(); pos += 97) {
     auto corrupt = blob;
     corrupt[pos] ^= 0x40;
-    CheckpointData data;
-    const Status s = ParseCheckpoint(
-        std::span<const std::uint8_t>(corrupt.data(), corrupt.size()), &data);
+    DbFileContents file;
     ++total;
-    if (!s.ok()) ++caught;
+    if (Parse(corrupt, &file).code() == ErrorCode::kDataLoss) ++caught;
   }
   EXPECT_EQ(caught, total) << "a single-bit flip went unnoticed";
 }
 
 TEST(CheckpointTest, TrailingGarbageIsRejected) {
-  const auto entries = MakeEntries(4);
-  auto blob = BlobOf(5, entries);
+  auto blob = V3File(5, MakeEntries(4));
   blob.push_back(0x00);
-  CheckpointData data;
-  EXPECT_FALSE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
-                                                             blob.size()),
-                               &data)
-                   .ok());
+  DbFileContents file;
+  EXPECT_EQ(Parse(blob, &file).code(), ErrorCode::kDataLoss);
 }
-
-constexpr std::uint32_t kDbMagic = 0x434D5342;  // "CMSB"
 
 /// The header of a hand-built DB file: magic, version, and for v2 the
 /// epoch.
@@ -204,52 +237,29 @@ std::vector<std::uint8_t> HostileLegacyFile(std::uint32_t version) {
   return w.take();
 }
 
-/// A v3 header that claims 2^40 entries, with a header checksum that is
-/// correct for that count.
-std::vector<std::uint8_t> HostileV3Header() {
-  constexpr std::uint64_t kEpoch = 42;
-  constexpr std::uint64_t kTotal = std::uint64_t{1} << 40;
-  constexpr std::uint32_t kFrames = 1;
-  BinaryWriter covered;
-  covered.WriteU64(kEpoch);
-  covered.WriteU64(kTotal);
-  covered.WriteU32(kFrames);
-  BinaryWriter w;
-  w.WriteU32(kDbMagic);
-  w.WriteU32(3);
-  w.WriteU64(kEpoch);
-  w.WriteU64(kTotal);
-  w.WriteU32(kFrames);
-  w.WriteU64(Fnv1a(std::span<const std::uint8_t>(covered.data())));
-  return w.take();
-}
-
 std::vector<std::vector<std::uint8_t>> HostileCountBlobs() {
-  return {HostileLegacyFile(1), HostileLegacyFile(2), HostileV3Header()};
+  // The v3 header claims 2^40 entries, with a header checksum that is
+  // correct for that count.
+  return {HostileLegacyFile(1), HostileLegacyFile(2),
+          V3Header(42, std::uint64_t{1} << 40, 1).take()};
 }
 
 TEST(CheckpointTest, HostileRecordCountsAreDataLoss) {
   // A count the remaining bytes cannot hold is refused before anything
   // is reserved for it, instead of aborting on a huge allocation.
   for (const auto& blob : HostileCountBlobs()) {
-    CheckpointData data;
-    EXPECT_EQ(ParseCheckpoint(std::span<const std::uint8_t>(blob), &data)
-                  .code(),
-              ErrorCode::kDataLoss)
-        << "a " << blob.size() << "-byte blob";
-    EXPECT_TRUE(data.records.empty());
+    DbFileContents file;
+    EXPECT_EQ(Parse(blob, &file).code(), ErrorCode::kDataLoss)
+        << "a " << blob.size() << "-byte file";
+    EXPECT_TRUE(file.snapshot.records.empty());
   }
 }
 
 TEST(CheckpointTest, ZeroEntryCheckpointIsValid) {
-  const auto blob = SerializeCheckpoint(SignatureLog(31));
-  CheckpointData data;
-  ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
-                                                            blob.size()),
-                              &data)
-                  .ok());
-  EXPECT_EQ(data.epoch, 31u);
-  EXPECT_TRUE(data.records.empty());
+  DbFileContents file;
+  ASSERT_TRUE(Parse(V3File(31, {}), &file).ok());
+  EXPECT_EQ(file.snapshot.epoch, 31u);
+  EXPECT_TRUE(file.snapshot.records.empty());
 }
 
 // ---- store-level invariants over the format ----
@@ -270,36 +280,10 @@ class CheckpointStoreTest : public ::testing::Test {
   Limits limits_{.per_user_daily_limit = 1u << 20};
 };
 
-TEST_F(CheckpointStoreTest, SnapshotInstallEqualsOriginal) {
-  auto store = Make();
-  for (std::uint32_t i = 0; i < 30; ++i) Add(*store, i);
-  ASSERT_TRUE(store->MarkSuperseded(5));
-
-  const auto blob = SerializeCheckpoint(*store->log());
-  CheckpointData data;
-  ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
-                                                            blob.size()),
-                              &data)
-                  .ok());
-
-  auto restored = Make();
-  restored->InstallSnapshot(data.epoch, std::move(data.records));
-  EXPECT_EQ(restored->epoch(), store->epoch());
-  EXPECT_EQ(restored->size(), store->size());
-  EXPECT_EQ(restored->superseded_count(), 1u)
-      << "superseded marks survive transfer";
-  EXPECT_EQ(Flatten(restored->ReadSince(0)), Flatten(store->ReadSince(0)));
-  // Rebuilt dedup state keeps enforcing: a replayed signature is a dup.
-  const Signature sig = MakeSig(0);
-  EXPECT_EQ(restored->Add(9, 0, TopFrameSet(sig), sig.ContentId(), sig, 0,
-                          limits_),
-            AddOutcome::kDuplicate);
-}
-
-TEST_F(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
+TEST_F(CheckpointStoreTest, CompactEqualsResetFrameOfSurvivors) {
   // The invariant Compact() documents: compacting in place must be
-  // indistinguishable from checkpointing the survivors and installing
-  // that checkpoint into a fresh store — same bytes, same dedup state.
+  // indistinguishable from a fresh store that ingested the survivors as
+  // one replicated reset frame — same bytes, same dedup state.
   auto a = Make();
   auto b = Make();
   for (std::uint32_t i = 0; i < 25; ++i) {
@@ -317,19 +301,13 @@ TEST_F(CheckpointStoreTest, CompactEqualsCheckpointOfSurvivors) {
   std::erase_if(survivors, [](const StoredSignature& e) {
     return e.superseded;
   });
-  const auto blob = BlobOf(1234, survivors);
-  CheckpointData data;
-  ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob.data(),
-                                                            blob.size()),
-                              &data)
-                  .ok());
   auto c = Make();
-  c->InstallSnapshot(data.epoch, std::move(data.records));
+  ASSERT_TRUE(c->IngestReplicated({1234, true, 0, std::move(survivors)}).ok());
 
   EXPECT_EQ(a->size(), c->size());
   EXPECT_EQ(a->superseded_count(), 0u);
   EXPECT_EQ(Flatten(a->ReadSince(0)), Flatten(c->ReadSince(0)))
-      << "compact and snapshot-install diverged";
+      << "compact and the reset frame diverged";
   // A signature whose only copy was dropped is open for re-adding in
   // both — compaction re-opens dedup identically.
   const Signature dropped = MakeSig(2);
@@ -402,13 +380,14 @@ std::vector<std::uint8_t> LegacyFile(
   return w.take();
 }
 
-TEST_F(CheckpointStoreTest, LegacyV1AndV2FilesLoad) {
+TEST_F(CheckpointStoreTest, LegacyV1ToV3FilesLoad) {
   const std::string path = TempPath("communix_ckpt_legacy.bin");
   constexpr std::uint64_t kEpoch = 4242;
   const auto entries = MakeEntries(6);
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("v" + std::to_string(version));
-    WriteFile(path, LegacyFile(version, kEpoch, entries));
+    WriteFile(path, version == 3 ? V3File(kEpoch, entries)
+                                 : LegacyFile(version, kEpoch, entries));
     auto store = Make();
     ASSERT_TRUE(store->LoadFromFile(path).ok());
 
@@ -420,8 +399,8 @@ TEST_F(CheckpointStoreTest, LegacyV1AndV2FilesLoad) {
       EXPECT_EQ(loaded[i].sender, entries[i].sender) << i;
       EXPECT_EQ(loaded[i].added_at, entries[i].added_at) << i;
     }
-    // v1 recorded no epoch, so the store adopts a fresh one; v2 keeps
-    // the epoch in its header.
+    // v1 recorded no epoch, so the store adopts a fresh one; v2 and v3
+    // keep the epoch in their header.
     if (version == 1) {
       EXPECT_NE(store->epoch(), 0u);
       EXPECT_NE(store->epoch(), kEpoch);
@@ -569,25 +548,15 @@ TEST_F(V4FileTest, EachLineageChangeOrMarkCostsExactlyOneRewrite) {
       {"Compact", [](SignatureStore& s) { EXPECT_EQ(s.Compact(), 0u); }},
       {"MarkSuperseded",
        [](SignatureStore& s) { EXPECT_TRUE(s.MarkSuperseded(3)); }},
-      {"ResetForReplication",
+      {"ReplicatedReset",
        [&](SignatureStore& s) {
-         s.ResetForReplication(4242);
-         for (std::uint64_t i = 0; i < 3; ++i) {
-           ASSERT_TRUE(s.ApplyReplicated(i, legacy[i]).ok());
-         }
-       }},
-      {"InstallSnapshot",
-       [&](SignatureStore& s) {
-         CheckpointData data;
-         const auto blob = BlobOf(777, legacy);
-         ASSERT_TRUE(ParseCheckpoint(std::span<const std::uint8_t>(blob),
-                                     &data)
+         ASSERT_TRUE(s.IngestReplicated({4242, true, 0,
+                                         {legacy.begin(), legacy.begin() + 3}})
                          .ok());
-         s.InstallSnapshot(data.epoch, std::move(data.records));
        }},
       {"LoadV1", load(LegacyFile(1, 0, legacy))},
       {"LoadV2", load(LegacyFile(2, 4242, legacy))},
-      {"LoadV3", load(BlobOf(4343, legacy))},
+      {"LoadV3", load(V3File(4343, legacy))},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

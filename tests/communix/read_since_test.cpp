@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "../testutil.hpp"
-#include "communix/store/checkpoint.hpp"
 #include "communix/store/signature_store.hpp"
 #include "reference_store.hpp"
 #include "util/serde.hpp"
@@ -161,8 +160,8 @@ TEST(ArenaReadTest, BlockEdgesMatchTheModelAtEveryCursor) {
 }
 
 // A reply pins the log it was read from: it keeps its bytes across the
-// three live log swaps, and after the store itself is gone.
-enum class Swap { kResetForReplication, kCompact, kInstallSnapshot };
+// live log swaps, and after the store itself is gone.
+enum class Swap { kReplicatedReset, kCompact };
 
 class ReplyPinTest : public ::testing::TestWithParam<Swap> {};
 
@@ -185,22 +184,13 @@ TEST_P(ReplyPinTest, ReplyOutlivesLogSwapAndStore) {
   ASSERT_EQ(reply.runs.size(), 4u) << "a log of four arena blocks";
 
   switch (swap) {
-    case Swap::kResetForReplication:
-      store->ResetForReplication(4242);
+    case Swap::kReplicatedReset:
+      ASSERT_TRUE(store->IngestReplicated({4242, true, 0, {}}).ok());
       EXPECT_EQ(store->size(), 0u);
       break;
     case Swap::kCompact:
       EXPECT_EQ(store->Compact(), 1u);
       break;
-    case Swap::kInstallSnapshot: {
-      const auto blob = SerializeCheckpoint(SignatureLog(77));
-      CheckpointData data;
-      ASSERT_TRUE(
-          ParseCheckpoint(std::span<const std::uint8_t>(blob), &data).ok());
-      store->InstallSnapshot(data.epoch, std::move(data.records));
-      EXPECT_EQ(store->size(), 0u);
-      break;
-    }
   }
   // The swapped-in log serves new reads...
   EXPECT_NE(Flatten(store->ReadSince(3)), before);
@@ -211,15 +201,13 @@ TEST_P(ReplyPinTest, ReplyOutlivesLogSwapAndStore) {
 }
 
 std::string PinCaseName(const ::testing::TestParamInfo<Swap>& info) {
-  static constexpr const char* kSwaps[] = {"ResetForReplication", "Compact",
-                                           "InstallSnapshot"};
+  static constexpr const char* kSwaps[] = {"ReplicatedReset", "Compact"};
   return kSwaps[static_cast<int>(info.param)];
 }
 
 INSTANTIATE_TEST_SUITE_P(Swaps, ReplyPinTest,
-                         ::testing::Values(Swap::kResetForReplication,
-                                           Swap::kCompact,
-                                           Swap::kInstallSnapshot),
+                         ::testing::Values(Swap::kReplicatedReset,
+                                           Swap::kCompact),
                          PinCaseName);
 
 /// Number of length-prefixed entries in an entries region, or -1 if it

@@ -31,8 +31,9 @@ TEST(MessageTest, RequestRejectsUnknownType) {
   Request req;
   req.type = MsgType::kPing;
   auto bytes = req.Serialize();
-  // 200 was never a verb; 8 is retired (the deleted shard-map fetch).
-  for (const std::uint8_t invalid : {200, 8}) {
+  // 200 was never a verb; 7 and 8 are retired (the deleted checkpoint
+  // transfer and shard-map fetch).
+  for (const std::uint8_t invalid : {200, 8, 7}) {
     bytes[0] = invalid;
     EXPECT_FALSE(Request::Deserialize(std::span<const std::uint8_t>(
                      bytes.data(), bytes.size()))
@@ -101,8 +102,7 @@ TEST(MessageTest, AddBatchTypeIsValidOnTheWire) {
   // The replication, mark and introspection verbs are valid; the next
   // enum slot is rejected.
   auto corrupted = bytes;
-  for (const MsgType valid : {MsgType::kCheckpoint, MsgType::kMarkSuperseded,
-                              MsgType::kStats}) {
+  for (const MsgType valid : {MsgType::kMarkSuperseded, MsgType::kStats}) {
     corrupted[0] = static_cast<std::uint8_t>(valid);
     EXPECT_TRUE(Request::Deserialize(std::span<const std::uint8_t>(
                     corrupted.data(), corrupted.size()))

@@ -3,7 +3,8 @@
 #
 # Default: tier-1 verify (configure + build + full ctest) followed by the
 # Figure-2 server bench (throughput sweep, replica read fan-out, follower
-# bootstrap, scan cost and zero-copy net series) and the Table-II
+# catch-up by replay over TCP, scan cost and zero-copy net series) and
+# the Table-II
 # overhead bench (fast-path-vs-global-lock comparison), both in smoke
 # mode, recording the perf trajectory in BENCH_fig2.json and
 # BENCH_overhead.json at the repo root.
@@ -20,9 +21,9 @@
 # a primary + 2 log-shipping followers over inproc transport with a
 # kill-primary failover check (tests/cluster/cluster_client_test.cpp,
 # suite ClusterSmoke), the client's reads across a Compact() lineage
-# change (ClusterClientTest.*Lineage*), checkpoint bootstrap of a
-# far-behind follower, and the kMarkSuperseded verb (wire fuzzing and
-# serving, tests/cluster/mark_superseded_test.cpp).
+# change (ClusterClientTest.*Lineage*), a 20,000-entry follower catching
+# up by replay while readers scan it, and the kMarkSuperseded verb (wire
+# fuzzing and serving, tests/cluster/mark_superseded_test.cpp).
 #
 # Every filtered gtest run goes through run_filtered, which fails when a
 # ':'-separated pattern of its --gtest_filter matches no test: the
@@ -43,19 +44,20 @@
 # monitor handoff + wake turnstile, adaptive occupancy gate, schedule
 # harness, thread pool) and of the replication tier (feed reads racing
 # ADDs, kReplPull replies racing lineage changes, background shipper and
-# its commit park/wake handshake) — with a repeated run of the fairness
-# and wakeup-ordering suites on top.
+# its commit park/wake handshake, two primaries' shippers racing into
+# one follower) — with a repeated run of the fairness and
+# wakeup-ordering suites on top.
 #
 # --asan: AddressSanitizer build (separate build-asan dir) running the
 # dimmunix + util test binaries — lifetime coverage for the context
 # reaper and the entry sharing across delta-rebuilt index snapshots —
-# plus the store, checkpoint parser, DB file, server persistence,
-# zero-copy, framing, slow-client and two-process suites over ASan-built
-# daemons: GET replies carry raw pointers into log memory through the
-# outbound queue, pinned only by their owner, which is exactly the
-# lifetime error ASan catches, the checkpoint parser reads every
-# truncated, bit-flipped and hostile-count blob of CheckpointTest, and
-# the DB file loader every cut-short and bit-flipped file of V4FileTest.
+# plus the store, DB file parser, server persistence, zero-copy,
+# framing, slow-client and two-process suites over ASan-built daemons:
+# GET replies carry raw pointers into log memory through the outbound
+# queue, pinned only by their owner, which is exactly the lifetime error
+# ASan catches, the DB file parser reads every truncated, bit-flipped
+# and hostile-count v1-v3 file of CheckpointTest, and the DB file loader
+# every cut-short and bit-flipped v4 file of V4FileTest.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,12 +107,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # Cluster smoke under TSAN: kill-primary failover, the background
   # shipper racing ADDs and lock-free feed reads, the commit-driven
   # daemon cases (the park/wake handshake on the primary's commit
-  # sequence is a lost-wakeup hazard), checkpoint bootstrap of a
-  # far-behind follower, the client's reads across a lineage change,
-  # kReplPull replies racing mark/Compact lineage changes, and the
-  # kMarkSuperseded verb.
+  # sequence is a lost-wakeup hazard), a 20,000-entry follower catching
+  # up by replay while readers scan it, two primaries' shippers racing
+  # into one follower (each frame must land whole in one lineage), the
+  # client's reads across a lineage change, kReplPull replies racing
+  # mark/Compact lineage changes, and the kMarkSuperseded verb.
   TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/cluster_tests \
-      'ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:LogShipperTest.Daemon*:CheckpointBootstrapTest.*:ClusterClientTest.*Lineage*:ReplPullLineageTest.*:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
+      'ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:LogShipperTest.FarBehindReplayUnderConcurrentReadersIsSafe:LogShipperTest.TwoPrimariesNeverInterleaveLineagesInOneFollower:LogShipperTest.Daemon*:ClusterClientTest.*Lineage*:ReplPullLineageTest.*:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
   # Net smoke under TSAN: the poll-loop/worker conn handoff, the
   # non-blocking gather flush racing POLLOUT re-arms, slow-client
   # containment, and the two-process shipper (a TSAN parent driving
@@ -123,7 +126,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # the TSAN parent against TSAN-built daemons) over both processes.
   TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/cluster_tests \
       'TwoProcessShipper.*:StatsScrape.*'
-  echo "ci: tsan clean (dimmunix_tests, util_tests, store-tier smoke, cluster smoke, net smoke, stats scrape)"
+  echo "ci: tsan clean (dimmunix_tests, util_tests, store-tier smoke, cluster smoke incl. far-behind replay and two-primary race, net smoke, stats scrape)"
   exit 0
 fi
 
@@ -135,7 +138,7 @@ if [[ "${1:-}" == "--asan" ]]; then
   ASAN_OPTIONS="${ASAN}" ./build-asan/dimmunix_tests
   ASAN_OPTIONS="${ASAN}" ./build-asan/util_tests
   # Store and server: the log arena, replies pinning a swapped-out log,
-  # the checkpoint parser on damaged and hostile blobs, the DB file's
+  # the DB file parser on damaged and hostile v1-v3 files, the v4 file's
   # appends, cut-short tails and bit flips, server persistence, and the
   # zero-copy reply accounting.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/communix_tests \
@@ -147,9 +150,8 @@ if [[ "${1:-}" == "--asan" ]]; then
   # Two-process shipper against ASan-built communix_server daemons.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/cluster_tests \
       'TwoProcessShipper.*'
-  echo "ci: asan clean (dimmunix_tests, util_tests, store + checkpoint +" \
-       "DB file + server + zero-copy, framing + slow-client," \
-       "two-process shipper)"
+  echo "ci: asan clean (dimmunix_tests, util_tests, store + DB file +" \
+       "server + zero-copy, framing + slow-client, two-process shipper)"
   exit 0
 fi
 
@@ -183,11 +185,12 @@ run_filtered ./build/cluster_tests \
 echo "ci: SIGKILL persistence smoke passed"
 
 # Cluster smoke: primary + 2 followers over inproc, kill-primary failover,
-# the client's reads across a Compact() lineage change, checkpoint
-# bootstrap of a far-behind follower, and the kMarkSuperseded verb.
+# the client's reads across a Compact() lineage change, a 20,000-entry
+# follower catching up by replay while readers scan it, and the
+# kMarkSuperseded verb.
 run_filtered ./build/cluster_tests \
-    'ClusterSmoke.*:ClusterClientTest.*Lineage*:CheckpointBootstrapTest.*:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
-echo "ci: cluster smoke passed (failover, lineage change, checkpoint bootstrap, kMarkSuperseded)"
+    'ClusterSmoke.*:ClusterClientTest.*Lineage*:LogShipperTest.FarBehindReplayUnderConcurrentReadersIsSafe:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
+echo "ci: cluster smoke passed (failover, lineage change, far-behind replay, kMarkSuperseded)"
 
 # Net smoke: slow-client containment + hostile framing on the
 # non-blocking reply path, the zero-copy reply accounting, and the

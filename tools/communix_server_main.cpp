@@ -12,8 +12,8 @@
 //                   [--slow-ns N]
 //
 // --role follower starts a replication follower: ADDs are refused and a
-// primary's LogShipper feeds it via kReplBatch/kCheckpoint. The two-
-// process deployment tests drive exactly this binary.
+// primary's LogShipper feeds it via kReplBatch, however far behind it
+// starts. The two-process deployment tests drive exactly this binary.
 //
 // --follower HOST:PORT (primary only, repeatable) runs the LogShipper
 // inside this daemon against the named follower endpoint(s), so a
