@@ -24,6 +24,8 @@
 //   --json=PATH   trajectory file (default BENCH_overhead.json)
 #include <algorithm>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "sim/apps.hpp"
@@ -31,11 +33,13 @@
 #include "sim/workload.hpp"
 #include "util/clock.hpp"
 #include "util/latency_monitor.hpp"
+#include "util/stopwatch.hpp"
 
 namespace {
 
 using communix::LatencyMonitors;
 using communix::LatencyOp;
+using communix::Stopwatch;
 using communix::VirtualClock;
 using communix::dimmunix::DimmunixRuntime;
 using communix::dimmunix::RuntimeMode;
@@ -263,6 +267,133 @@ void RunAdaptiveComparison(bool smoke, communix::bench::BenchJson& json) {
       kSignatures);
 }
 
+// ---------------------------------------------------------------------------
+// Republish cost: the time a runtime with a workload thread attached takes
+// to add one signature to a history of N-1 and republish its avoidance
+// index (one AddSignature, timed end to end: the history append, the
+// republish under the runtime mutex, and the release of the previous
+// snapshot). Bench RandomSignatures at N = 21, 201, 2,001 and 10,001,
+// plus one ledger-shaped case: the perfbench community app's 64
+// critical-path signatures. Each row records the median and quartiles
+// of 7 repeats (a fresh runtime each), the commit, nproc and the build
+// type. A republish that costs O(change) keeps the 10,001 row within a
+// small factor of the 201 row.
+// ---------------------------------------------------------------------------
+
+/// Microseconds to AddSignature(`timed`) on a fresh runtime holding
+/// `base` (installed in one batch) plus `warmup`, with one thread
+/// attached. The untimed warm-up add keeps the allocator's one-off work
+/// after the batch install (about 1 ms at 2,000 signatures on a 4-vCPU
+/// VM, in the first allocation that follows it) out of the timed
+/// republish.
+double TimeOneRepublishUs(
+    const std::vector<communix::dimmunix::Signature>& base,
+    const communix::dimmunix::Signature& warmup,
+    const communix::dimmunix::Signature& timed) {
+  VirtualClock clock;
+  DimmunixRuntime runtime(clock);
+  runtime.WithHistory([&](communix::dimmunix::History& h) {
+    for (const auto& sig : base) h.Add(sig, SignatureOrigin::kRemote, 0);
+  });
+  // A live application: auto occupancy sizing is frozen once a thread
+  // is attached, so the timed republish is the steady-state one.
+  auto& ctx = runtime.AttachThread("app");
+  const int warm = runtime.AddSignature(warmup, SignatureOrigin::kRemote);
+  communix::dimmunix::Signature sig = timed;
+  Stopwatch watch;
+  const int index = runtime.AddSignature(std::move(sig),
+                                         SignatureOrigin::kRemote);
+  const double us = watch.ElapsedSeconds() * 1e6;
+  runtime.DetachThread(ctx);
+  if (warm < 0 || index < 0) {
+    std::fprintf(stderr, "republish series: an added signature was a "
+                         "duplicate\n");
+  }
+  return us;
+}
+
+void AddRepublishRow(communix::bench::BenchJson& json, const char* signatures,
+                     std::size_t history, std::vector<double> us) {
+  std::sort(us.begin(), us.end());
+  const auto at = [&](double q) {
+    return us[static_cast<std::size_t>(q * static_cast<double>(us.size() - 1) +
+                                       0.5)];
+  };
+  const double median = at(0.5), p25 = at(0.25), p75 = at(0.75);
+  std::printf("%-10s %10zu %12.1f %12.1f %12.1f\n", signatures, history,
+              median, p25, p75);
+  json.AddRow("republish",
+              {{"history", static_cast<double>(history)},
+               {"runs", static_cast<double>(us.size())},
+               {"median_us", median},
+               {"p25_us", p25},
+               {"p75_us", p75},
+               {"iqr_us", p75 - p25},
+               {"nproc",
+                static_cast<double>(std::thread::hardware_concurrency())}},
+              {{"signatures", signatures},
+               {"build_type", COMMUNIX_BUILD_TYPE},
+               {"commit", COMMUNIX_GIT_COMMIT}});
+}
+
+void RunRepublishSeries(communix::bench::BenchJson& json) {
+  constexpr int kRepeats = 7;
+  communix::bench::PrintHeader(
+      "Index republish: one signature added to a history of N-1 "
+      "(live runtime, 7 repeats)");
+  std::printf("%-10s %10s %12s %12s %12s\n", "signatures", "history",
+              "median us", "p25 us", "p75 us");
+  communix::Rng rng(0x5EED);
+  std::vector<communix::dimmunix::Signature> base;
+  std::uint32_t unique = 1;
+  for (const std::size_t history :
+       {std::size_t{21}, std::size_t{201}, std::size_t{2'001},
+        std::size_t{10'001}}) {
+    while (base.size() + 2 < history) {
+      base.push_back(communix::bench::RandomSignature(rng, unique++));
+    }
+    const auto warmup = communix::bench::RandomSignature(rng, unique++);
+    const auto timed = communix::bench::RandomSignature(rng, unique++);
+    std::vector<double> us;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      us.push_back(TimeOneRepublishUs(base, warmup, timed));
+    }
+    base.push_back(warmup);
+    base.push_back(timed);
+    AddRepublishRow(json, "random", history, std::move(us));
+  }
+
+  // Ledger-shaped: the community app perfbench's immunize workload
+  // runs, and its 64 bugs (nested-site pairs (i, i+1)), one signature
+  // each.
+  communix::bytecode::SyntheticSpec spec;
+  spec.name = "community-app";
+  spec.target_loc = 60'000;
+  spec.sync_blocks = 300;
+  spec.analyzable_sync_blocks = 160;
+  spec.nested_sync_blocks = 64;
+  spec.classes = 60;
+  spec.driver_chain_length = 10;
+  const auto app = communix::bytecode::GenerateApp(spec);
+  const auto& sites = app.nested_sites;
+  std::vector<communix::dimmunix::Signature> app_sigs;
+  for (std::size_t i = 0; i < 64 && sites.size() >= 2; ++i) {
+    app_sigs.push_back(communix::sim::MakeCriticalPathSignature(
+        app, sites[i % sites.size()], sites[(i + 1) % sites.size()], 5));
+  }
+  if (app_sigs.size() == 64) {
+    const auto timed = app_sigs.back();
+    app_sigs.pop_back();
+    const auto warmup = app_sigs.back();
+    app_sigs.pop_back();
+    std::vector<double> us;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      us.push_back(TimeOneRepublishUs(app_sigs, warmup, timed));
+    }
+    AddRepublishRow(json, "app", 64, std::move(us));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -307,6 +438,7 @@ int main(int argc, char** argv) {
 
   RunModeComparison(smoke, json);
   RunAdaptiveComparison(smoke, json);
+  RunRepublishSeries(json);
 
   if (!json.WriteToFile(json_path)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -107,11 +107,9 @@ void CommunixAgent::InstallBatch(std::vector<Signature> sigs,
   if (sigs.empty()) return;
   // One WithHistory call = one index republish: the runtime re-publishes
   // its avoidance index when this returns, so a startup scan of N
-  // signatures costs one republish instead of N — and that republish is
-  // a *delta* rebuild: it still walks the history to renumber the index
-  // structure, but previously-indexed signatures are shared rather than
-  // deep-copied, eliding the stack/string payload copies that dominate
-  // a full build.
+  // signatures costs one republish instead of N — and that republish
+  // re-indexes only the records this batch added or replaced, sharing
+  // everything else with the previous snapshot.
   runtime_.WithHistory([&](dimmunix::History& history) {
     for (Signature& sig : sigs) {
       bool merged = false;

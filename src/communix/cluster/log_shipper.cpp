@@ -294,14 +294,13 @@ void LogShipper::DaemonLoop() {
   using SteadyClock = std::chrono::steady_clock;
   const auto stopped = [this] { return !running_.load(); };
   while (running_.load()) {
-    const auto round_start = SteadyClock::now();
     // Read before the round reads the log: a commit the round misses
     // moves the sequence past `seen`, so the wait below returns at once.
     const std::uint64_t seen = primary_.commit_seq();
+    // Commits that land while this round's frames are in flight share
+    // the next round: one outstanding frame per follower is the only
+    // coalescing, so a commit to an idle shipper ships at once.
     const RoundOutcome round = RunRound(true);
-    // Coalescing cap. The daemon sleeps here rather than parking, so the
-    // commits that land meanwhile share the next round and wake no one.
-    std::this_thread::sleep_until(round_start + kMinRoundInterval);
     if (round.behind && round.progressed) continue;  // drain, no timer
     // Synced: park until the next commit. Behind without progress (a
     // follower unreachable or refusing frames): retry after the period.

@@ -23,9 +23,10 @@
 // on the primary's commit sequence (CommunixServer::WaitForCommit) and
 // ships as soon as a commit lands. While a follower is behind and the
 // last round made progress it ships again at once, with no timer, so a
-// backlog drains at batch_limit entries per round. Rounds start at most
-// once per kMinRoundInterval: under load, commits coalesce into one
-// round instead of one round (and one frame per follower) each.
+// backlog drains at batch_limit entries per round. Under load, the
+// commits that land while a round's frames are in flight share the next
+// round: the one outstanding frame per follower is the only coalescing,
+// and no commit waits out a timer.
 //
 // Failure discipline: ANY transport or protocol error drops the session —
 // the feed cursor is released immediately (never leaked across a
@@ -201,14 +202,6 @@ class LogShipper {
   /// ShipRound's body. `backoff` (daemon rounds) skips sessions dropped
   /// less than ship_period_ms ago.
   RoundOutcome RunRound(bool backoff);
-
-  /// Coalescing cap of the background daemon: rounds start at least this
-  /// far apart. Shipping on every commit would cost one frame per
-  /// follower per commit, each a round trip with its syscalls and
-  /// wake-ups on both daemons, taken from the cores that serve GETs and
-  /// ADDs under a write storm. The cap bounds that to one round per
-  /// millisecond and adds at most 1 ms of ship lag.
-  static constexpr std::chrono::milliseconds kMinRoundInterval{1};
 
   void DaemonLoop();
 

@@ -1,5 +1,6 @@
 #include "communix/repository.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -39,7 +40,8 @@ void LocalRepository::ForEachInState(
   std::vector<std::size_t> indexes;
   {
     std::lock_guard lock(mu_);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const std::size_t from = state == SigState::kNew ? first_new_ : 0;
+    for (std::size_t i = from; i < entries_.size(); ++i) {
       if (entries_[i].state == state) indexes.push_back(i);
     }
   }
@@ -53,6 +55,11 @@ void LocalRepository::ForEachInState(
     const SigState next = fn(i, copy);
     std::lock_guard lock(mu_);
     entries_[i].state = next;
+    if (next == SigState::kNew) first_new_ = std::min(first_new_, i);
+    while (first_new_ < entries_.size() &&
+           entries_[first_new_].state != SigState::kNew) {
+      ++first_new_;
+    }
   }
 }
 
@@ -139,8 +146,14 @@ Status LocalRepository::LoadFromFile(const std::string& path,
     }
     entries.push_back(std::move(e));
   }
+  std::size_t first_new = 0;
+  while (first_new < entries.size() &&
+         entries[first_new].state != SigState::kNew) {
+    ++first_new;
+  }
   std::lock_guard lock(out.mu_);
   out.entries_ = std::move(entries);
+  out.first_new_ = first_new;
   return Status::Ok();
 }
 

@@ -4,9 +4,12 @@
 // per-machine store; the per-application agent later inspects each
 // signature exactly once ("the inspection of the local repository is
 // incremental"). The repository therefore tracks, per signature, the
-// outcome of the agent's analysis. Signatures that passed the hash check
-// but failed the nesting check are re-examined when new classes load
-// (§III-C3), so that outcome is kept distinct.
+// outcome of the agent's analysis, plus the index of the first entry not
+// yet inspected: a scan for new entries starts there, so its cost is the
+// number of new entries, not the repository's size. Signatures that
+// passed the hash check but failed the nesting check are re-examined
+// when new classes load (§III-C3), so that outcome is kept distinct;
+// that recheck still visits every entry.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +46,9 @@ class LocalRepository {
 
   std::size_t size() const;
 
-  /// Runs `fn(index, entry)` over entries in the given state; `fn` may
-  /// return the new state for the entry.
+  /// Runs `fn(index, entry)` over entries in the given state, in index
+  /// order; `fn` may return the new state for the entry. A kNew scan
+  /// starts at the first uninspected entry.
   void ForEachInState(SigState state,
                       const std::function<SigState(
                           std::size_t, const Entry&)>& fn);
@@ -70,6 +74,10 @@ class LocalRepository {
   static Status LoadFromFile(const std::string& path, LocalRepository& out);
 
  private:
+  /// Every entry before this index has left kNew (guarded by mu_).
+  /// Append leaves it where it is, LoadFromFile recomputes it, and
+  /// ForEachInState moves it past the entries it inspects.
+  std::size_t first_new_ = 0;
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
 };

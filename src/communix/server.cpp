@@ -126,11 +126,13 @@ void CommunixServer::NoteCommit() {
   // the probe are seq_cst, and so are the waiter's count increment and
   // its sequence check. If the probe reads 0, the waiter's check comes
   // after the bump in the total order and sees it, so it never parks on
-  // a stale sequence. If the probe reads > 0, taking commit_mu_ keeps
-  // the notify out of the waiter's check-to-park window.
+  // a stale sequence. If the probe reads > 0, passing through commit_mu_
+  // keeps the notify out of the waiter's check-to-park window. The
+  // notify itself comes after the unlock, so the woken shipper does not
+  // wake only to wait for the mutex this ADD still holds.
   commit_seq_.fetch_add(1);
   if (commit_waiters_.load() > 0) {
-    std::lock_guard lock(commit_mu_);
+    { std::lock_guard lock(commit_mu_); }
     commit_cv_.notify_all();
   }
 }

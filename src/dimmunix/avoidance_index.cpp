@@ -1,7 +1,8 @@
 #include "dimmunix/avoidance_index.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <functional>
+#include <utility>
 
 #include "util/fnv.hpp"
 
@@ -28,107 +29,191 @@ void OccupancyTable::Resize(std::size_t buckets) {
   counts_.reset(new std::atomic<std::uint32_t>[bucket_count_]());
 }
 
-std::size_t CountCandidateKeys(const History& history) {
-  std::unordered_set<std::uint64_t> keys;
-  for (const SignatureRecord& rec : history.records()) {
-    if (rec.disabled) continue;
-    for (const SignatureEntry& e : rec.sig.entries()) {
-      keys.insert(e.outer.TopKey());
-    }
+namespace {
+
+using KeyedCandidate = std::pair<std::uint64_t, AvoidanceIndex::Candidate>;
+
+/// Keys the entry's positions occupy, with the candidates they add.
+void AppendCandidates(const AvoidanceIndex::Entry& entry,
+                      std::vector<KeyedCandidate>* out) {
+  const auto& sig_entries = entry.sig.entries();
+  for (std::size_t pos = 0; pos < sig_entries.size(); ++pos) {
+    out->emplace_back(
+        sig_entries[pos].outer.TopKey(),
+        AvoidanceIndex::Candidate{&entry, static_cast<std::uint32_t>(pos)});
   }
-  return keys.size();
 }
+
+bool KeyBefore(const KeyedCandidate& a, const KeyedCandidate& b) {
+  return a.first < b.first;
+}
+
+bool CandidateBefore(const AvoidanceIndex::Candidate& a,
+                     const AvoidanceIndex::Candidate& b) {
+  return a.entry->record != b.entry->record ? a.entry->record < b.entry->record
+                                            : a.position < b.position;
+}
+
+}  // namespace
 
 std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::Build(
     const History& history, std::uint64_t version,
     std::size_t occupancy_buckets) {
-  return BuildInternal(history, version, nullptr, occupancy_buckets);
+  auto index = std::shared_ptr<AvoidanceIndex>(new AvoidanceIndex());
+  index->version_ = version;
+  index->occupancy_buckets_ = occupancy_buckets;
+  std::vector<KeyedCandidate> by_key;
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const SignatureRecord& rec = history.record(i);
+    if (rec.disabled) continue;
+    const auto record = static_cast<std::uint32_t>(i);
+    AppendCandidates(
+        index->entries_.Set(i, Entry{rec.sig, rec.content_id, record}),
+        &by_key);
+  }
+  // Group by key; the stable sort keeps each key's candidates in record
+  // order.
+  std::stable_sort(by_key.begin(), by_key.end(), KeyBefore);
+  for (std::size_t lo = 0; lo < by_key.size();) {
+    std::size_t hi = lo;
+    std::vector<Candidate> candidates;
+    for (; hi < by_key.size() && by_key[hi].first == by_key[lo].first; ++hi) {
+      candidates.push_back(by_key[hi].second);
+    }
+    index->PutSlot(by_key[lo].first,
+                   index->MakeSlot(std::move(candidates), nullptr));
+    lo = hi;
+  }
+  return index;
 }
 
 std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::Rebuild(
     const AvoidanceIndex& prev, const History& history,
-    std::uint64_t version, std::size_t occupancy_buckets) {
-  return BuildInternal(history, version, &prev, occupancy_buckets);
-}
-
-std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::BuildInternal(
-    const History& history, std::uint64_t version,
-    const AvoidanceIndex* prev, std::size_t occupancy_buckets) {
-  auto index = std::shared_ptr<AvoidanceIndex>(new AvoidanceIndex());
+    std::span<const std::size_t> changed, std::uint64_t version) {
+  // Shares every map node with `prev`; the edits below copy paths only.
+  auto index = std::shared_ptr<AvoidanceIndex>(new AvoidanceIndex(prev));
   index->version_ = version;
-  index->built_by_delta_ = prev != nullptr;
-  index->entries_.reserve(history.size());
 
-  // Reuse map: content id -> previous snapshot's immutable entry.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const Entry>> reusable;
-  if (prev != nullptr) {
-    reusable.reserve(prev->entries_.size());
-    for (const auto& e : prev->entries_) reusable.emplace(e->content_id, e);
-  }
+  std::vector<std::size_t> records(changed.begin(), changed.end());
+  std::sort(records.begin(), records.end());
+  records.erase(std::unique(records.begin(), records.end()), records.end());
 
-  for (const SignatureRecord& rec : history.records()) {
-    if (rec.disabled) continue;
-    const auto ordinal = static_cast<std::uint32_t>(index->entries_.size());
-    std::shared_ptr<const Entry> entry;
-    if (prev != nullptr) {
-      auto it = reusable.find(rec.sig.ContentId());
-      if (it != reusable.end()) {
-        entry = it->second;
-        ++index->entries_reused_;
+  // Re-index each changed record: drop the entry `prev` holds for it
+  // unless the record still holds that content, enabled; copy in the
+  // record's current content if it is enabled and not indexed yet.
+  std::vector<const Entry*> dropped;
+  std::vector<KeyedCandidate> added;
+  std::vector<std::uint64_t> touched_keys;
+  std::size_t copied = 0;
+  for (const std::size_t i : records) {
+    const Entry* old = prev.entries_.Find(i);
+    const SignatureRecord* rec = i < history.size() ? &history.record(i)
+                                                    : nullptr;
+    const bool enabled = rec != nullptr && !rec->disabled;
+    if (old != nullptr && enabled && old->content_id == rec->content_id) {
+      continue;
+    }
+    if (old != nullptr) {
+      index->entries_.Erase(i);
+      dropped.push_back(old);
+      for (const SignatureEntry& e : old->sig.entries()) {
+        touched_keys.push_back(e.outer.TopKey());
       }
     }
-    if (entry == nullptr) {
-      entry = std::make_shared<const Entry>(
-          Entry{rec.sig, rec.sig.ContentId()});
-      ++index->entries_copied_;
+    if (enabled) {
+      const auto record = static_cast<std::uint32_t>(i);
+      AppendCandidates(
+          index->entries_.Set(i, Entry{rec->sig, rec->content_id, record}),
+          &added);
+      ++copied;
     }
-    const auto& entries = entry->sig.entries();
-    for (std::size_t pos = 0; pos < entries.size(); ++pos) {
-      KeySlot& slot = index->by_outer_top_[entries[pos].outer.TopKey()];
-      slot.candidates.push_back(
-          Candidate{ordinal, static_cast<std::uint32_t>(pos)});
-    }
-    index->entries_.push_back(std::move(entry));
   }
+  index->entries_reused_ = index->entries_.size() - copied;
+  for (const auto& [key, cand] : added) touched_keys.push_back(key);
+  std::sort(touched_keys.begin(), touched_keys.end());
+  touched_keys.erase(std::unique(touched_keys.begin(), touched_keys.end()),
+                     touched_keys.end());
+  std::sort(dropped.begin(), dropped.end(), std::less<>());
+  std::sort(added.begin(), added.end(), KeyBefore);
 
-  // Per-key adaptive state: peer buckets + fingerprint, then stats
-  // carry-over from `prev` where the candidate content is unchanged.
-  for (auto& [key, slot] : index->by_outer_top_) {
-    std::uint64_t fp = kFnvOffsetBasis;
-    for (const Candidate& cand : slot.candidates) {
-      const Entry& e = *index->entries_[cand.ordinal];
-      fp = HashCombine(fp, e.content_id);
-      fp = HashCombine(fp, cand.position);
-      const auto& sig_entries = e.sig.entries();
-      for (std::size_t j = 0; j < sig_entries.size(); ++j) {
-        if (j == cand.position) continue;
-        slot.peer_buckets.push_back(OccupancyTable::BucketOf(
-            sig_entries[j].outer.TopKey(), occupancy_buckets));
+  // Rebuild only the slots of the keys those entries occupy (both lists
+  // are in key order, so `next_added` walks `added` once).
+  auto next_added = added.begin();
+  for (const std::uint64_t key : touched_keys) {
+    const KeySlot* old = prev.slots_.Find(key);
+    std::vector<Candidate> candidates;
+    if (old != nullptr) {
+      for (const Candidate& c : old->candidates) {
+        if (!std::binary_search(dropped.begin(), dropped.end(), c.entry,
+                                std::less<>())) {
+          candidates.push_back(c);
+        }
       }
     }
-    std::sort(slot.peer_buckets.begin(), slot.peer_buckets.end());
-    slot.peer_buckets.erase(
-        std::unique(slot.peer_buckets.begin(), slot.peer_buckets.end()),
-        slot.peer_buckets.end());
-    slot.fingerprint = fp;
-    if (prev != nullptr) {
-      const KeySlot* old = prev->SlotForTopFrame(key);
-      if (old != nullptr && old->fingerprint == fp) slot.stats = old->stats;
+    for (; next_added != added.end() && next_added->first == key;
+         ++next_added) {
+      candidates.push_back(next_added->second);
     }
-    if (slot.stats == nullptr) slot.stats = std::make_shared<KeyStats>();
-  }
-
-  // Collision gauge: distinct index keys sharing an occupancy bucket at
-  // this width. Each pair costs lost skips whenever one key is occupied
-  // while the other's gate evaluates.
-  std::unordered_map<std::uint32_t, std::size_t> keys_per_bucket;
-  for (const auto& [key, slot] : index->by_outer_top_) {
-    ++keys_per_bucket[OccupancyTable::BucketOf(key, occupancy_buckets)];
-  }
-  for (const auto& [bucket, n] : keys_per_bucket) {
-    index->key_bucket_collisions_ += n - 1;
+    if (candidates.empty()) {
+      index->EraseSlot(key);
+      continue;
+    }
+    std::sort(candidates.begin(), candidates.end(), CandidateBefore);
+    index->PutSlot(key, index->MakeSlot(std::move(candidates), old));
   }
   return index;
+}
+
+AvoidanceIndex::KeySlot AvoidanceIndex::MakeSlot(
+    std::vector<Candidate> candidates, const KeySlot* old) const {
+  KeySlot slot;
+  std::uint64_t fp = kFnvOffsetBasis;
+  for (const Candidate& cand : candidates) {
+    const Entry& e = *cand.entry;
+    fp = HashCombine(fp, e.content_id);
+    fp = HashCombine(fp, cand.position);
+    const auto& sig_entries = e.sig.entries();
+    for (std::size_t j = 0; j < sig_entries.size(); ++j) {
+      if (j == cand.position) continue;
+      slot.peer_buckets.push_back(OccupancyTable::BucketOf(
+          sig_entries[j].outer.TopKey(), occupancy_buckets_));
+    }
+  }
+  std::sort(slot.peer_buckets.begin(), slot.peer_buckets.end());
+  slot.peer_buckets.erase(
+      std::unique(slot.peer_buckets.begin(), slot.peer_buckets.end()),
+      slot.peer_buckets.end());
+  slot.candidates = std::move(candidates);
+  slot.fingerprint = fp;
+  slot.stats = old != nullptr && old->fingerprint == fp
+                   ? old->stats
+                   : std::make_shared<KeyStats>();
+  return slot;
+}
+
+void AvoidanceIndex::PutSlot(std::uint64_t key, KeySlot slot) {
+  if (slots_.Find(key) == nullptr) {
+    // A new key: it collides with every key already in its bucket.
+    const std::uint32_t bucket =
+        OccupancyTable::BucketOf(key, occupancy_buckets_);
+    const std::uint32_t* n = keys_per_bucket_.Find(bucket);
+    if (n != nullptr) ++key_bucket_collisions_;
+    keys_per_bucket_.Set(bucket, n != nullptr ? *n + 1 : 1);
+  }
+  slots_.Set(key, std::move(slot));
+}
+
+void AvoidanceIndex::EraseSlot(std::uint64_t key) {
+  if (!slots_.Erase(key)) return;
+  const std::uint32_t bucket =
+      OccupancyTable::BucketOf(key, occupancy_buckets_);
+  const std::uint32_t n = *keys_per_bucket_.Find(bucket);
+  if (n > 1) {
+    --key_bucket_collisions_;
+    keys_per_bucket_.Set(bucket, n - 1);
+  } else {
+    keys_per_bucket_.Erase(bucket);
+  }
 }
 
 }  // namespace communix::dimmunix

@@ -15,20 +15,24 @@ int History::Add(Signature sig, SignatureOrigin origin, TimePoint now) {
   const std::uint64_t content = sig.ContentId();
   if (by_content_.count(content) > 0) return -1;
   const std::size_t index = records_.size();
-  records_.push_back(SignatureRecord{std::move(sig), origin, false, now});
+  records_.push_back(
+      SignatureRecord{std::move(sig), origin, false, now, content});
   by_content_.emplace(content, index);
+  changed_.records.push_back(index);
   return static_cast<int>(index);
 }
 
 void History::Replace(std::size_t index, Signature sig) {
-  const std::uint64_t old_content = records_.at(index).sig.ContentId();
+  SignatureRecord& rec = records_.at(index);
+  const std::uint64_t old_content = rec.content_id;
   by_content_.erase(old_content);
-  records_[index].sig = std::move(sig);
-  const std::uint64_t new_content = records_[index].sig.ContentId();
-  by_content_.emplace(new_content, index);
+  rec.sig = std::move(sig);
+  rec.content_id = rec.sig.ContentId();
+  by_content_.emplace(rec.content_id, index);
+  changed_.records.push_back(index);
   // A replace that actually changed the content retires the old id (the
   // merged/general signature supersedes it server-side too).
-  if (new_content != old_content) {
+  if (rec.content_id != old_content) {
     retired_content_ids_.push_back(old_content);
   }
 }
@@ -42,6 +46,7 @@ bool History::Disable(std::uint64_t content_id) {
     retired_content_ids_.push_back(content_id);
   }
   records_[it->second].disabled = true;
+  changed_.records.push_back(it->second);
   return true;
 }
 
@@ -49,7 +54,17 @@ bool History::ReEnable(std::uint64_t content_id) {
   auto it = by_content_.find(content_id);
   if (it == by_content_.end()) return false;
   records_[it->second].disabled = false;
+  changed_.records.push_back(it->second);
   return true;
+}
+
+std::optional<std::vector<std::size_t>> History::TakeChangedRecords() {
+  const bool whole = changed_.whole;
+  std::vector<std::size_t> out;
+  out.swap(changed_.records);
+  changed_.whole = false;
+  if (whole) return std::nullopt;
+  return out;
 }
 
 std::vector<std::uint64_t> History::TakeRetiredContentIds() {

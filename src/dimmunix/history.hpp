@@ -10,12 +10,14 @@
 // startup before workload threads exist (mirroring the paper's design).
 //
 // The candidates-by-top-frame projection the avoidance hot path consults
-// lives in AvoidanceIndex (an immutable snapshot delta-rebuilt per
-// mutation), not here — History mutations are O(1)-ish instead of
-// recopying an index per Disable/Replace.
+// lives in AvoidanceIndex (an immutable snapshot republished per
+// mutation), not here. History only journals which records each
+// mutation touched (TakeChangedRecords), so a republish re-indexes those
+// records and nothing else.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,6 +37,9 @@ struct SignatureRecord {
   /// but no longer avoided, pending the user's decision.
   bool disabled = false;
   TimePoint added_at = 0;
+  /// sig.ContentId(), computed once by History (Add, Replace, load), so
+  /// no reader re-encodes a stored signature to identify it.
+  std::uint64_t content_id = 0;
 };
 
 class History {
@@ -59,6 +64,11 @@ class History {
   bool ContainsContent(std::uint64_t content_id) const {
     return by_content_.count(content_id) > 0;
   }
+  /// The record holding `content_id`, or nullptr.
+  const SignatureRecord* FindContent(std::uint64_t content_id) const {
+    auto it = by_content_.find(content_id);
+    return it == by_content_.end() ? nullptr : &records_[it->second];
+  }
 
   /// Indexes of signatures with the given bug identity.
   std::vector<std::size_t> FindByBugKey(std::uint64_t bug_key) const;
@@ -77,10 +87,33 @@ class History {
   std::vector<std::uint64_t> TakeRetiredContentIds();
   std::size_t retired_pending() const { return retired_content_ids_.size(); }
 
+  /// Drains the change journal: the indexes of the records that Add,
+  /// Replace, Disable and ReEnable touched since the last drain, in
+  /// mutation order and possibly repeated — what an index republish
+  /// re-indexes. nullopt when no journal describes the change: this
+  /// History was copied or assigned whole since the last drain, so its
+  /// records need not match anything derived from the old ones.
+  std::optional<std::vector<std::size_t>> TakeChangedRecords();
+
  private:
+  /// Copies and assignments do not carry the journal over: they mark it
+  /// "everything changed".
+  struct ChangeJournal {
+    ChangeJournal() = default;
+    ChangeJournal(const ChangeJournal&) : whole(true) {}
+    ChangeJournal& operator=(const ChangeJournal&) {
+      records.clear();
+      whole = true;
+      return *this;
+    }
+    std::vector<std::size_t> records;
+    bool whole = false;
+  };
+
   std::vector<SignatureRecord> records_;
   std::unordered_map<std::uint64_t, std::size_t> by_content_;
   std::vector<std::uint64_t> retired_content_ids_;
+  ChangeJournal changed_;
 };
 
 }  // namespace communix::dimmunix

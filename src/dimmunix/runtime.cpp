@@ -83,30 +83,37 @@ void DimmunixRuntime::ReapDetachedLocked() {
 }
 
 void DimmunixRuntime::RepublishIndexLocked() {
-  // Auto occupancy sizing, applied at index build from the candidate-key
-  // count — but only while no thread has ever attached: with no attached
-  // contexts there are no live occupancies (attach precedes every
-  // Enter), so swapping the counter array cannot orphan an entry. Once a
-  // workload thread exists, the width is frozen.
+  const std::uint64_t version = history_version_.fetch_add(1) + 1;
+  const std::optional<std::vector<std::size_t>> changed =
+      history_.TakeChangedRecords();
+  bool whole = !changed.has_value();
+  index_locked_ =
+      whole ? AvoidanceIndex::Build(history_, version,
+                                    occupancy_.bucket_count())
+            : AvoidanceIndex::Rebuild(*index_locked_, history_, *changed,
+                                      version);
+  // Auto occupancy sizing from the candidate-key count — but only while
+  // no thread is attached: with no attached contexts there are no live
+  // occupancies (attach precedes every Enter), so swapping the counter
+  // array cannot orphan an entry. Once a workload thread exists, the
+  // width is frozen. Every peer bucket depends on the width, so a
+  // widened table gets a build from scratch (the width at least doubles
+  // each time, so this happens a handful of times per runtime).
   if (options_.avoidance_enabled && options_.occupancy_buckets == 0 &&
       threads_.empty()) {
     const std::size_t want =
-        OccupancyTable::RecommendedBuckets(CountCandidateKeys(history_));
-    if (want > occupancy_.bucket_count()) occupancy_.Resize(want);
+        OccupancyTable::RecommendedBuckets(index_locked_->key_count());
+    if (want > occupancy_.bucket_count()) {
+      occupancy_.Resize(want);
+      index_locked_ =
+          AvoidanceIndex::Build(history_, version, occupancy_.bucket_count());
+      whole = true;
+    }
   }
-  const std::uint64_t version = history_version_.fetch_add(1) + 1;
-  const bool full = !options_.delta_index_rebuilds ||
-                    options_.full_rebuild_period == 0 ||
-                    ++republishes_since_full_ >= options_.full_rebuild_period;
-  if (full) {
-    index_locked_ =
-        AvoidanceIndex::Build(history_, version, occupancy_.bucket_count());
-    republishes_since_full_ = 0;
+  if (whole) {
     global_counters_.index_full_rebuilds.fetch_add(1,
                                                    std::memory_order_relaxed);
   } else {
-    index_locked_ = AvoidanceIndex::Rebuild(*index_locked_, history_, version,
-                                            occupancy_.bucket_count());
     global_counters_.index_delta_rebuilds.fetch_add(1,
                                                     std::memory_order_relaxed);
     global_counters_.index_entries_reused.fetch_add(
@@ -154,7 +161,7 @@ std::vector<ThreadContext*> DimmunixRuntime::FindImminentInstantiation(
   if (cands == nullptr) return {};
 
   for (const auto& cand : *cands) {
-    const AvoidanceIndex::Entry& rec = index.entry(cand.ordinal);
+    const AvoidanceIndex::Entry& rec = *cand.entry;
     const auto& entries = rec.sig.entries();
     const std::size_t n = entries.size();
     const std::size_t pos = cand.position;
@@ -478,13 +485,9 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
             ctx.counters_.false_positives_flagged.fetch_add(
                 1, std::memory_order_relaxed);
             // Locate the flagged signature for the warning callback.
-            for (const SignatureRecord& r : history_.records()) {
-              if (r.sig.ContentId() == matched) {
-                if (false_positive_cb_) {
-                  pending.emplace_back(false_positive_cb_, r.sig);
-                }
-                break;
-              }
+            const SignatureRecord* flagged = history_.FindContent(matched);
+            if (flagged != nullptr && false_positive_cb_) {
+              pending.emplace_back(false_positive_cb_, flagged->sig);
             }
             if (options_.auto_disable_false_positives) {
               history_.Disable(matched);
@@ -580,8 +583,7 @@ Status DimmunixRuntime::AcquireSlow(ThreadContext& ctx, Monitor& m,
           // Detection is the ground truth that this bug is real: reset FP
           // suspicion for all signatures of this bug.
           for (std::size_t i : history_.FindByBugKey(sig.BugKey())) {
-            fp_detector_.RecordTruePositive(
-                history_.record(i).sig.ContentId());
+            fp_detector_.RecordTruePositive(history_.record(i).content_id);
           }
           RepublishIndexLocked();
           NotifyStateChangedLocked();

@@ -34,9 +34,9 @@
 //    fast-paths when no waiter or suspended avoider could need waking.
 //    The index is an immutable snapshot republished (RCU-style, via
 //    std::atomic<std::shared_ptr>) by every history writer; readers
-//    never lock. Writers publish *delta* rebuilds derived from the
-//    previous snapshot (signature entries are shared, not re-copied)
-//    with a periodic full rebuild as a safety net. A fast acquisition
+//    never lock. A republish re-indexes only the history records that
+//    changed and shares every other entry and key slot with the
+//    previous snapshot, so it costs O(change). A fast acquisition
 //    linearizes at its index load: it behaves exactly like a global-lock
 //    acquisition that ran just before any concurrently-learned signature
 //    was installed.
@@ -140,19 +140,13 @@ class DimmunixRuntime {
     /// index keys cost lost gate skips (Stats::occupancy_key_collisions
     /// counts them), so busy deployments want ~8 buckets per candidate
     /// key. 0 = auto: start at the default width and, at each index
-    /// build that happens before any thread has attached (the
+    /// republish that happens while no thread is attached (the
     /// install-persisted-history-at-startup pattern), grow to
     /// OccupancyTable::RecommendedBuckets(candidate-key count). Once a
     /// thread is attached the width is frozen — live occupancies cache
     /// their bucket index, so resizing under them would corrupt the
     /// zero-read proof.
     std::size_t occupancy_buckets = 0;
-    /// Republish the avoidance index by delta rebuild (reusing the
-    /// previous snapshot's entries) instead of a full copy.
-    bool delta_index_rebuilds = true;
-    /// Interleave a from-scratch full rebuild every Nth republish as a
-    /// safety net for long delta chains (0 = always full).
-    std::uint32_t full_rebuild_period = 64;
     FpDetector::Options fp;
   };
 
@@ -299,10 +293,11 @@ class DimmunixRuntime {
                              const std::vector<CycleNode>& chain) const;
 
   /// Republishes the avoidance index after a history mutation and bumps
-  /// the history version. Must be called under mu_. Publishes a delta
-  /// rebuild derived from the previous snapshot (entries reused, key
-  /// stats carried over) except every `full_rebuild_period`-th call,
-  /// which runs the from-scratch full build as a safety net.
+  /// the history version. Must be called under mu_. Re-indexes only the
+  /// records the history journaled as changed (AvoidanceIndex::Rebuild:
+  /// O(change), every untouched entry and key slot shared with the
+  /// previous snapshot); builds from scratch only when the history was
+  /// assigned whole or auto sizing widens the occupancy table.
   void RepublishIndexLocked();
 
   /// True iff the adaptive scan gate applies (fast-path mode only; the
@@ -389,8 +384,6 @@ class DimmunixRuntime {
   /// (slow path + republish).
   std::shared_ptr<const AvoidanceIndex> index_locked_;  // guarded by mu_
   std::atomic<std::uint64_t> history_version_{0};
-  /// Republishes since the last full rebuild (guarded by mu_).
-  std::uint32_t republishes_since_full_ = 0;
 
   SignatureCallback new_signature_cb_;   // guarded by mu_ (invoked unlocked)
   SignatureCallback false_positive_cb_;  // guarded by mu_ (invoked unlocked)

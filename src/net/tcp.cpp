@@ -21,20 +21,6 @@ namespace communix::net {
 
 namespace {
 
-Status WriteAll(int fd, const std::uint8_t* data, std::size_t len) {
-  std::size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Error(ErrorCode::kUnavailable,
-                           std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return Status::Ok();
-}
-
 Status ReadAll(int fd, std::uint8_t* data, std::size_t len) {
   std::size_t got = 0;
   while (got < len) {
@@ -72,8 +58,37 @@ Status WriteFrame(int fd, std::span<const std::uint8_t> body) {
   for (int i = 0; i < 4; ++i) {
     header[i] = static_cast<std::uint8_t>(len >> (i * 8));
   }
-  if (auto s = WriteAll(fd, header, 4); !s.ok()) return s;
-  return WriteAll(fd, body.data(), body.size());
+  // Header and body leave in one gather write, so on a TCP_NODELAY
+  // socket the peer sees one segment, not a bare 4-byte header first
+  // (which costs a server one extra dispatcher round per request).
+  iovec iov[2] = {
+      {header, sizeof(header)},
+      {const_cast<std::uint8_t*>(body.data()), body.size()},
+  };
+  std::size_t first = 0;  // first iovec with bytes left
+  while (first < 2) {
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = 2 - first;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Error(ErrorCode::kUnavailable,
+                           std::string("send: ") + std::strerror(errno));
+    }
+    // Skip what went out; a partial write resumes mid-iovec.
+    std::size_t sent = static_cast<std::size_t>(n);
+    while (first < 2 && sent >= iov[first].iov_len) {
+      sent -= iov[first].iov_len;
+      ++first;
+    }
+    if (first < 2) {
+      iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) +
+                            sent;
+      iov[first].iov_len -= sent;
+    }
+  }
+  return Status::Ok();
 }
 
 Result<std::vector<std::uint8_t>> ReadFrame(int fd, std::size_t max_size) {

@@ -629,6 +629,51 @@ TEST(LogShipperTest, DaemonShipsAnAddMadeWhileIdle) {
   shipper.Stop();
 }
 
+/// Back-to-back commits: cycles of "ADD, then wait until the follower
+/// has applied it". A daemon that started its rounds at least 1 ms
+/// apart would need at least (cycles - 1) ms for them; a daemon that
+/// ships each commit at once needs a wake-up and an in-process apply
+/// per cycle (about 50 µs on a 4-vCPU VM, so the bound leaves a 5x
+/// margin). A ThreadSanitizer build runs a cycle in 0.5-0.9 ms, close to
+/// the 1 ms spacing itself, so there the bound is 3x that and only keeps
+/// the loop honest; the plain build is the one that tells the two apart.
+constexpr int kBackToBackCycles = 200;
+#if defined(__SANITIZE_THREAD__)
+constexpr auto kBackToBackBound = std::chrono::milliseconds(550);
+#else
+constexpr auto kBackToBackBound = std::chrono::milliseconds(60);
+#endif
+
+TEST(LogShipperTest, DaemonShipsBackToBackCommitsAtOnce) {
+  VirtualClock clock;
+  CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));
+  CommunixServer follower(clock, RoleOptions(ServerRole::kFollower));
+  net::InprocTransport to_follower(follower);
+  LogShipper shipper(primary, ParkedDaemonOptions());
+  const std::size_t id = shipper.AddFollower("f0", to_follower);
+  StartAndAwaitHandshake(shipper, id);
+
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kBackToBackCycles; ++i) {
+    Feed(primary, 1, static_cast<std::uint32_t>(i) * 7);
+    const std::uint64_t want = primary.db_size();
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(5);
+    while (follower.db_size() < want) {
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+          << "cycle " << i << ": the commit was never shipped";
+      std::this_thread::yield();
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  shipper.Stop();
+  EXPECT_TRUE(Identical(primary, follower));
+  EXPECT_LT(elapsed, kBackToBackBound)
+      << kBackToBackCycles << " back-to-back commits took "
+      << std::chrono::duration<double, std::milli>(elapsed).count()
+      << " ms";
+}
+
 TEST(LogShipperTest, DaemonDrainsBacklogWithoutTimer) {
   VirtualClock clock;
   CommunixServer primary(clock, RoleOptions(ServerRole::kPrimary));

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 namespace communix {
 namespace {
@@ -64,6 +65,46 @@ TEST(RepositoryTest, ForEachInStateTransitions) {
                         return SigState::kAccepted;
                       });
   EXPECT_EQ(visited, 1);
+}
+
+TEST(RepositoryTest, NewScanVisitsExactlyTheNewEntriesAfterLoadAndAppend) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "communix_repo_inc.bin")
+          .string();
+  {
+    // Mixed states, with an uninspected entry between inspected ones.
+    LocalRepository repo;
+    repo.Append({Bytes({0}), Bytes({1}), Bytes({2}), Bytes({3})});
+    repo.ForEachInState(SigState::kNew,
+                        [&](std::size_t i, const LocalRepository::Entry&) {
+                          return i == 2 ? SigState::kNew
+                                        : SigState::kRejectedHash;
+                        });
+    ASSERT_TRUE(repo.SaveToFile(path).ok());
+  }
+  LocalRepository repo;
+  ASSERT_TRUE(LocalRepository::LoadFromFile(path, repo).ok());
+  repo.Append({Bytes({4}), Bytes({5})});
+
+  const auto new_indexes = [&] {
+    std::vector<std::size_t> seen;
+    repo.ForEachInState(SigState::kNew,
+                        [&](std::size_t i, const LocalRepository::Entry& e) {
+                          EXPECT_EQ(e.bytes[0], i);
+                          seen.push_back(i);
+                          return i == 4 ? SigState::kNew : SigState::kAccepted;
+                        });
+    return seen;
+  };
+  EXPECT_EQ(new_indexes(), (std::vector<std::size_t>{2, 4, 5}));
+  EXPECT_EQ(new_indexes(), (std::vector<std::size_t>{4}))
+      << "an entry left kNew is visited again, and only it";
+  repo.Append({Bytes({6})});
+  EXPECT_EQ(new_indexes(), (std::vector<std::size_t>{4, 6}));
+  EXPECT_EQ(repo.GetCounts().fresh, 1u);
+  EXPECT_EQ(repo.GetCounts().rejected_hash, 3u);
+  EXPECT_EQ(repo.GetCounts().accepted, 3u);
+  std::remove(path.c_str());
 }
 
 TEST(RepositoryTest, CountsByState) {

@@ -14,7 +14,9 @@ namespace communix::dimmunix {
 namespace {
 
 using sim::AbbaWorkload;
+using testutil::ChainStack;
 using testutil::F;
+using testutil::Sig2;
 
 class AvoidanceTest : public ::testing::Test {
  protected:
@@ -108,6 +110,32 @@ TEST_F(AvoidanceTest, DisabledSignatureDoesNotAvoid) {
   const auto result = AbbaWorkload(20).Run(rt);
   EXPECT_TRUE(result.deadlocked);
   EXPECT_EQ(rt.GetStats().avoidance_suspensions, 0u);
+}
+
+TEST_F(AvoidanceTest, HistoryAssignedWholeIsIndexedFromScratch) {
+  // A WithHistory that swaps the whole history leaves no journal of
+  // which records changed: the republish must build the index from
+  // scratch, so the swapped-in signature avoids and the swapped-out
+  // one's keys stop gating.
+  DimmunixRuntime learner(clock_);
+  ASSERT_TRUE(AbbaWorkload(20).Run(learner).deadlocked);
+  const History learned = learner.SnapshotHistory();
+
+  DimmunixRuntime rt(clock_);
+  rt.AddSignature(Sig2(ChainStack("whole.A", 6, F("whole.A", "s", 1)),
+                       ChainStack("whole.A", 6, F("whole.A", "i", 2)),
+                       ChainStack("whole.B", 6, F("whole.B", "s", 3)),
+                       ChainStack("whole.B", 6, F("whole.B", "i", 4))),
+                  SignatureOrigin::kRemote);
+  const auto before = rt.GetStats();
+  rt.WithHistory([&](History& h) { h = learned; });
+  const auto after = rt.GetStats();
+  EXPECT_EQ(after.index_full_rebuilds, before.index_full_rebuilds + 1);
+  EXPECT_EQ(after.index_delta_rebuilds, before.index_delta_rebuilds);
+
+  const auto result = AbbaWorkload(20).Run(rt);
+  EXPECT_FALSE(result.deadlocked);
+  EXPECT_GT(rt.GetStats().avoidance_suspensions, 0u);
 }
 
 TEST_F(AvoidanceTest, GeneralizedSignatureStillAvoids) {

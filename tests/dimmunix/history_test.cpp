@@ -61,7 +61,7 @@ TEST(HistoryTest, CandidatesIndexByOuterTop) {
     const auto* cands = index->CandidatesForTopFrame(e.outer.TopKey());
     ASSERT_NE(cands, nullptr);
     ASSERT_EQ(cands->size(), 1u);
-    EXPECT_EQ((*cands)[0].ordinal, 0u);
+    EXPECT_EQ((*cands)[0].entry, index->EntryForRecord(0));
   }
   EXPECT_EQ(index->CandidatesForTopFrame(999), nullptr);
 }
@@ -76,7 +76,8 @@ TEST(HistoryTest, DisableRemovesFromIndex) {
   EXPECT_EQ(disabled->CandidatesForTopFrame(s.entries()[0].outer.TopKey()),
             nullptr);
   ASSERT_TRUE(h.ReEnable(s.ContentId()));
-  const auto enabled = AvoidanceIndex::Rebuild(*disabled, h, 2);
+  const auto enabled =
+      AvoidanceIndex::Rebuild(*disabled, h, *h.TakeChangedRecords(), 2);
   EXPECT_NE(enabled->CandidatesForTopFrame(s.entries()[0].outer.TopKey()),
             nullptr);
 }
@@ -152,7 +153,7 @@ TEST(HistoryTest, RoundTripSurvivesIndexRebuild) {
   // Save/Load must preserve `disabled` flags and SignatureOrigin, and an
   // AvoidanceIndex rebuilt from the loaded history must honor them: a
   // disabled signature contributes no candidates, an enabled one keeps
-  // every (ordinal, position) pair.
+  // every (entry, position) pair.
   const std::string path =
       (std::filesystem::temp_directory_path() / "communix_hist_index.bin")
           .string();
@@ -176,11 +177,13 @@ TEST(HistoryTest, RoundTripSurvivesIndexRebuild) {
   const auto index = AvoidanceIndex::Build(l, 7);
   EXPECT_EQ(index->version(), 7u);
   ASSERT_EQ(index->size(), 1u) << "disabled signature must not be indexed";
-  EXPECT_EQ(index->entry(0).content_id, enabled_sig.ContentId());
+  ASSERT_NE(index->EntryForRecord(0), nullptr);
+  EXPECT_EQ(index->EntryForRecord(0)->content_id, enabled_sig.ContentId());
+  EXPECT_EQ(index->EntryForRecord(1), nullptr);
   for (const auto& e : enabled_sig.entries()) {
     const auto* cands = index->CandidatesForTopFrame(e.outer.TopKey());
     ASSERT_NE(cands, nullptr);
-    EXPECT_EQ((*cands)[0].ordinal, 0u);
+    EXPECT_EQ((*cands)[0].entry, index->EntryForRecord(0));
   }
   for (const auto& e : disabled_sig.entries()) {
     EXPECT_EQ(index->CandidatesForTopFrame(e.outer.TopKey()), nullptr);
@@ -195,6 +198,62 @@ TEST(HistoryTest, RoundTripSurvivesIndexRebuild) {
     EXPECT_NE(rebuilt->CandidatesForTopFrame(e.outer.TopKey()), nullptr);
   }
   std::remove(path.c_str());
+}
+
+TEST(HistoryTest, RecordsCarryTheirContentId) {
+  const auto expect_cached = [](const History& h) {
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      EXPECT_EQ(h.record(i).content_id, h.record(i).sig.ContentId()) << i;
+    }
+  };
+  History h;
+  h.Add(MakeSig(0), SignatureOrigin::kLocal, 1);
+  h.Add(MakeSig(1), SignatureOrigin::kRemote, 2);
+  expect_cached(h);
+  h.Replace(0, MakeSig(9));
+  expect_cached(h);
+  ASSERT_TRUE(h.Disable(MakeSig(1).ContentId()));
+  expect_cached(h);
+  ASSERT_TRUE(h.ReEnable(MakeSig(1).ContentId()));
+  expect_cached(h);
+  ASSERT_NE(h.FindContent(MakeSig(9).ContentId()), nullptr);
+  EXPECT_EQ(h.FindContent(MakeSig(9).ContentId()), &h.record(0));
+  EXPECT_EQ(h.FindContent(MakeSig(0).ContentId()), nullptr);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "communix_hist_cid.bin")
+          .string();
+  ASSERT_TRUE(h.SaveToFile(path).ok());
+  auto loaded = History::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().size(), 2u);
+  expect_cached(loaded.value());
+  std::remove(path.c_str());
+}
+
+TEST(HistoryTest, ChangeJournalNamesTouchedRecordsUntilCopied) {
+  History h;
+  h.Add(MakeSig(0), SignatureOrigin::kLocal, 1);
+  h.Add(MakeSig(1), SignatureOrigin::kRemote, 2);
+  EXPECT_EQ(h.TakeChangedRecords(), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(h.TakeChangedRecords(), std::vector<std::size_t>{})
+      << "drain is destructive";
+  h.Replace(1, MakeSig(5));
+  h.Disable(MakeSig(0).ContentId());
+  h.ReEnable(MakeSig(0).ContentId());
+  EXPECT_EQ(h.TakeChangedRecords(), (std::vector<std::size_t>{1, 0, 0}));
+  EXPECT_EQ(h.Add(MakeSig(5), SignatureOrigin::kLocal, 3), -1);
+  EXPECT_EQ(h.TakeChangedRecords(), std::vector<std::size_t>{})
+      << "a duplicate Add changes nothing";
+
+  // A History assigned whole cannot describe its change as a diff.
+  History other;
+  other.Add(MakeSig(7), SignatureOrigin::kLocal, 4);
+  h = other;
+  EXPECT_EQ(h.TakeChangedRecords(), std::nullopt);
+  EXPECT_EQ(h.TakeChangedRecords(), std::vector<std::size_t>{});
+  History copy = h;
+  EXPECT_EQ(copy.TakeChangedRecords(), std::nullopt);
 }
 
 TEST(HistoryTest, LoadMissingFileFails) {

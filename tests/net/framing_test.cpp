@@ -5,12 +5,14 @@
 // in request order.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -214,6 +216,75 @@ TEST(FramingTest, EveryByteReplyTruncationErrorsCleanly) {
       reply_body.data(), reply_body.size()));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->payload, canned.payload);
+}
+
+// ---------------------------------------------------------------------------
+// One segment per request: a TcpClient writes a frame's length header and
+// body together, so the server's first read after the socket turns
+// readable returns the whole frame. A header sent on its own (on a
+// TCP_NODELAY socket) usually arrives alone and costs the server an extra
+// dispatcher round per request.
+// ---------------------------------------------------------------------------
+TEST(FramingTest, ClientRequestReachesServerInOneSegment) {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  sockaddr_in bound{};
+  socklen_t blen = sizeof(bound);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
+                          &blen),
+            0);
+
+  TcpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ntohs(bound.sin_port)).ok());
+  const int conn = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(conn, 0);
+
+  // About the size of an uploaded signature's ADD.
+  Request req;
+  req.type = MsgType::kPing;
+  req.payload.assign(1200, 0xA5);
+  const std::size_t frame_size = FrameFor(req).size();
+
+  // The server side is parked in poll() before each request goes out,
+  // as a dispatcher thread would be, so it wakes on the first segment.
+  constexpr int kRequests = 200;
+  std::atomic<int> parked{-1};
+  int whole = 0;
+  std::thread server([&] {
+    std::vector<std::uint8_t> buf(2 * frame_size);
+    for (int i = 0; i < kRequests; ++i) {
+      parked.store(i);
+      pollfd pfd{conn, POLLIN, 0};
+      if (::poll(&pfd, 1, 5000) != 1) return;
+      const ssize_t first = ::recv(conn, buf.data(), buf.size(), 0);
+      if (first <= 0) return;
+      std::size_t got = static_cast<std::size_t>(first);
+      if (got == frame_size) ++whole;
+      while (got < frame_size) {  // drain a split frame before the next
+        const ssize_t n = ::recv(conn, buf.data() + got, frame_size - got, 0);
+        if (n <= 0) return;
+        got += static_cast<std::size_t>(n);
+      }
+    }
+  });
+  for (int i = 0; i < kRequests; ++i) {
+    while (parked.load() != i) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    ASSERT_TRUE(client.Send(req).ok());
+  }
+  server.join();
+  EXPECT_EQ(whole, kRequests)
+      << "every request's first read must return the whole frame";
+  ::close(conn);
+  ::close(listen_fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@
 # slow-client containment (1-byte reader capped + disconnected while
 # healthy clients stay flat on a single-worker server), hostile framing
 # (1-byte request trickle, every-byte reply truncation, pipelined-burst
-# reply coalescing), and the two-process shipper (pipelined ShipRound +
-# SIGTERM/restart recovery against real communix_server daemons over
-# reconnecting TCP transports).
+# reply coalescing, one segment per client request), and the two-process
+# shipper (pipelined ShipRound + SIGTERM/restart recovery against real
+# communix_server daemons over reconnecting TCP transports).
 #
 # Both modes additionally run the cluster smoke:
 # a primary + 2 log-shipping followers over inproc transport with a
@@ -33,7 +33,8 @@
 # The default mode also repeats the monitor wake-path stress (many
 # waiters + churning bargers, handoff racing an RCU index republish),
 # the commit-driven shipper cases (park on the primary's commit
-# sequence, wake on ADD/Compact, drain a backlog, Stop while parked) and
+# sequence, wake on ADD/Compact, ship back-to-back commits each at once
+# with no coalescing timer, drain a backlog, Stop while parked) and
 # the SIGKILL persistence case (both daemons killed after a storm of
 # ADDs restart on their appended DB files) beyond their single ctest
 # pass.
@@ -50,8 +51,11 @@
 #
 # --asan: AddressSanitizer build (separate build-asan dir) running the
 # dimmunix + util test binaries — lifetime coverage for the context
-# reaper and the entry sharing across delta-rebuilt index snapshots —
-# plus the store, DB file parser, server persistence, zero-copy,
+# reaper and for the entries and key slots that successive index
+# snapshots share (persistent maps edited in place only where no other
+# snapshot reaches, candidates pointing into the shared entries) —
+# plus the agent and local-repository suites (incremental inspection),
+# the store, DB file parser, server persistence, zero-copy,
 # framing, slow-client and two-process suites over ASan-built daemons:
 # GET replies carry raw pointers into log memory through the outbound
 # queue, pinned only by their owner, which is exactly the lifetime error
@@ -140,9 +144,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   # Store and server: the log arena, replies pinning a swapped-out log,
   # the DB file parser on damaged and hostile v1-v3 files, the v4 file's
   # appends, cut-short tails and bit flips, server persistence, and the
-  # zero-copy reply accounting.
+  # zero-copy reply accounting. Agent and local repository: validation
+  # and batched installs into the runtime's history, and the
+  # repository's incremental inspection cursor across load and append.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/communix_tests \
-      'SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:CheckpointTest.*:*CheckpointStoreTest*:V4FileTest.*:ServerPersistenceTest.*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*'
+      'SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:CheckpointTest.*:*CheckpointStoreTest*:V4FileTest.*:ServerPersistenceTest.*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*:AgentTest.*:RepositoryTest.*'
   # Net: replies of many runs flushed across partial writes, and a slow
   # reader disconnected with its queue still holding pinned runs.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/net_tests \
@@ -151,7 +157,8 @@ if [[ "${1:-}" == "--asan" ]]; then
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/cluster_tests \
       'TwoProcessShipper.*'
   echo "ci: asan clean (dimmunix_tests, util_tests, store + DB file +" \
-       "server + zero-copy, framing + slow-client, two-process shipper)"
+       "server + zero-copy + agent + repository, framing + slow-client," \
+       "two-process shipper)"
   exit 0
 fi
 
@@ -170,7 +177,8 @@ echo "ci: wake-path stress smoke passed"
 
 # Commit-driven shipper smoke: the daemon parks on the primary's commit
 # sequence with a 60 s retry period, so a lost wakeup shows up as a
-# missed 5 s deadline. Repeated for the rare interleavings.
+# missed 5 s deadline, and a commit that waits out a timer shows up in
+# the back-to-back case's bound. Repeated for the rare interleavings.
 run_filtered ./build/cluster_tests 'LogShipperTest.Daemon*' --gtest_repeat=20
 echo "ci: commit-driven shipper smoke passed"
 
