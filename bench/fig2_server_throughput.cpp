@@ -34,6 +34,11 @@
 //   net        repeat GET polls over the real TCP server: zero-copy
 //              reply accounting (reply_bytes_shared vs _copied) and
 //              gather-flush counters from the non-blocking reply path
+//   serve_cost near-empty GETs over loopback, sequential and pipelined
+//              16 deep: the server's voluntary context switches and CPU
+//              microseconds per request (median of 3 runs)
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -477,6 +482,120 @@ void RunNetSeries(bool smoke, communix::bench::BenchJson& json) {
       "into the log arena, handed to the gather flush by reference.\n");
 }
 
+// ---------------------------------------------------------------------------
+// serve_cost: what the TCP tier costs the server per request.
+//
+// Near-empty GETs (an empty database, so each reply is its 4-byte count)
+// over one loopback connection, sequential (depth 1) and pipelined 16
+// deep. The server's threads are this process minus the client thread:
+// getrusage(RUSAGE_SELF) minus RUSAGE_THREAD, for voluntary context
+// switches (each one a thread blocking: an event loop serving on the
+// thread that saw the socket ready blocks about once per sequential
+// request) and CPU time (user + system). Median of 3 runs per depth, the
+// commit, nproc and the build type.
+// ---------------------------------------------------------------------------
+struct Usage {
+  double voluntary_switches = 0;
+  double cpu_us = 0;
+};
+
+Usage UsageOf(int who) {
+  rusage ru{};
+  ::getrusage(who, &ru);
+  const auto us = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e6 +
+           static_cast<double>(tv.tv_usec);
+  };
+  return {static_cast<double>(ru.ru_nvcsw),
+          us(ru.ru_utime) + us(ru.ru_stime)};
+}
+
+/// Usage of every thread but the caller's.
+Usage ServerUsage() {
+  const Usage self = UsageOf(RUSAGE_SELF);
+  const Usage client = UsageOf(RUSAGE_THREAD);
+  return {self.voluntary_switches - client.voluntary_switches,
+          self.cpu_us - client.cpu_us};
+}
+
+void RunServeCostSeries(bool smoke, communix::bench::BenchJson& json) {
+  namespace net = communix::net;
+  constexpr int kRuns = 3;
+  const std::size_t requests = smoke ? 2'000 : 20'000;
+
+  VirtualClock clock;
+  CommunixServer server(clock, ServerOptions());
+  net::Request get;
+  get.type = net::MsgType::kGetSignatures;
+  communix::BinaryWriter w;
+  w.WriteU64(0);
+  get.payload = w.take();
+
+  communix::bench::PrintHeader(
+      "Serve cost: near-empty GETs over loopback TCP, per request");
+  std::printf("%6s %10s %14s %14s\n", "depth", "requests", "server vcsw",
+              "server cpu us");
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{16}}) {
+    std::vector<double> switches;
+    std::vector<double> cpu_us;
+    for (int run = 0; run < kRuns; ++run) {
+      net::TcpServer tcp(server);
+      net::TcpClient client;
+      if (!tcp.Start().ok() ||
+          !client.Connect("127.0.0.1", tcp.port()).ok()) {
+        std::fprintf(stderr, "serve_cost series: TCP setup failed\n");
+        return;
+      }
+      const auto burst = [&] {
+        for (std::size_t i = 0; i < depth; ++i) {
+          if (!client.Send(get).ok()) return false;
+        }
+        for (std::size_t i = 0; i < depth; ++i) {
+          auto reply = client.Receive();
+          if (!reply.ok() || !reply.value().ok()) return false;
+        }
+        return true;
+      };
+      bool ok = true;
+      for (int i = 0; i < 50 && ok; ++i) ok = burst();  // warm-up
+      const Usage before = ServerUsage();
+      for (std::size_t done = 0; done < requests && ok; done += depth) {
+        ok = burst();
+      }
+      const Usage after = ServerUsage();
+      client.Close();
+      tcp.Stop();
+      if (!ok) {
+        std::fprintf(stderr, "serve_cost series: a GET failed\n");
+        return;
+      }
+      const double n = static_cast<double>(requests);
+      switches.push_back(
+          (after.voluntary_switches - before.voluntary_switches) / n);
+      cpu_us.push_back((after.cpu_us - before.cpu_us) / n);
+    }
+    std::sort(switches.begin(), switches.end());
+    std::sort(cpu_us.begin(), cpu_us.end());
+    std::printf("%6zu %10zu %14.2f %14.2f\n", depth, requests,
+                switches[kRuns / 2], cpu_us[kRuns / 2]);
+    json.AddRow(
+        "serve_cost",
+        {{"depth", static_cast<double>(depth)},
+         {"requests", static_cast<double>(requests)},
+         {"runs", static_cast<double>(kRuns)},
+         {"server_vcsw_per_request", switches[kRuns / 2]},
+         {"server_vcsw_per_request_min", switches.front()},
+         {"server_vcsw_per_request_max", switches.back()},
+         {"server_cpu_us_per_request", cpu_us[kRuns / 2]},
+         {"server_cpu_us_per_request_min", cpu_us.front()},
+         {"server_cpu_us_per_request_max", cpu_us.back()},
+         {"nproc", static_cast<double>(std::thread::hardware_concurrency())}},
+        {{"build_type", COMMUNIX_BUILD_TYPE},
+         {"commit", COMMUNIX_GIT_COMMIT},
+         {"transport", "tcp"}});
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -539,6 +658,7 @@ int main(int argc, char** argv) {
   RunReplaySeries(json);
   RunScanCost(smoke, json);
   RunNetSeries(smoke, json);
+  RunServeCostSeries(smoke, json);
 
   if (!json.WriteToFile(json_path)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -281,14 +281,9 @@ void RunAdaptiveComparison(bool smoke, communix::bench::BenchJson& json) {
 // ---------------------------------------------------------------------------
 
 /// Microseconds to AddSignature(`timed`) on a fresh runtime holding
-/// `base` (installed in one batch) plus `warmup`, with one thread
-/// attached. The untimed warm-up add keeps the allocator's one-off work
-/// after the batch install (about 1 ms at 2,000 signatures on a 4-vCPU
-/// VM, in the first allocation that follows it) out of the timed
-/// republish.
+/// `base` (installed in one batch), with one thread attached.
 double TimeOneRepublishUs(
     const std::vector<communix::dimmunix::Signature>& base,
-    const communix::dimmunix::Signature& warmup,
     const communix::dimmunix::Signature& timed) {
   VirtualClock clock;
   DimmunixRuntime runtime(clock);
@@ -298,15 +293,14 @@ double TimeOneRepublishUs(
   // A live application: auto occupancy sizing is frozen once a thread
   // is attached, so the timed republish is the steady-state one.
   auto& ctx = runtime.AttachThread("app");
-  const int warm = runtime.AddSignature(warmup, SignatureOrigin::kRemote);
   communix::dimmunix::Signature sig = timed;
   Stopwatch watch;
   const int index = runtime.AddSignature(std::move(sig),
                                          SignatureOrigin::kRemote);
   const double us = watch.ElapsedSeconds() * 1e6;
   runtime.DetachThread(ctx);
-  if (warm < 0 || index < 0) {
-    std::fprintf(stderr, "republish series: an added signature was a "
+  if (index < 0) {
+    std::fprintf(stderr, "republish series: the timed signature was a "
                          "duplicate\n");
   }
   return us;
@@ -349,16 +343,14 @@ void RunRepublishSeries(communix::bench::BenchJson& json) {
   for (const std::size_t history :
        {std::size_t{21}, std::size_t{201}, std::size_t{2'001},
         std::size_t{10'001}}) {
-    while (base.size() + 2 < history) {
+    while (base.size() + 1 < history) {
       base.push_back(communix::bench::RandomSignature(rng, unique++));
     }
-    const auto warmup = communix::bench::RandomSignature(rng, unique++);
     const auto timed = communix::bench::RandomSignature(rng, unique++);
     std::vector<double> us;
     for (int rep = 0; rep < kRepeats; ++rep) {
-      us.push_back(TimeOneRepublishUs(base, warmup, timed));
+      us.push_back(TimeOneRepublishUs(base, timed));
     }
-    base.push_back(warmup);
     base.push_back(timed);
     AddRepublishRow(json, "random", history, std::move(us));
   }
@@ -384,11 +376,9 @@ void RunRepublishSeries(communix::bench::BenchJson& json) {
   if (app_sigs.size() == 64) {
     const auto timed = app_sigs.back();
     app_sigs.pop_back();
-    const auto warmup = app_sigs.back();
-    app_sigs.pop_back();
     std::vector<double> us;
     for (int rep = 0; rep < kRepeats; ++rep) {
-      us.push_back(TimeOneRepublishUs(app_sigs, warmup, timed));
+      us.push_back(TimeOneRepublishUs(app_sigs, timed));
     }
     AddRepublishRow(json, "app", 64, std::move(us));
   }

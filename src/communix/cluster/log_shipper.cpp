@@ -21,12 +21,23 @@ std::size_t LogShipper::AddFollower(std::string name,
   s.name = std::move(name);
   s.transport = &transport;
   sessions_.push_back(std::move(s));
+  {
+    std::lock_guard published(published_mu_);
+    published_.push_back(sessions_.back());
+  }
   return sessions_.size() - 1;
 }
 
 std::size_t LogShipper::follower_count() const {
-  std::lock_guard lock(mu_);
-  return sessions_.size();
+  std::lock_guard lock(published_mu_);
+  return published_.size();
+}
+
+void LogShipper::PublishLocked() {
+  std::lock_guard lock(published_mu_);
+  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    published_[i] = sessions_[i];
+  }
 }
 
 Status LogShipper::DropSessionLocked(Session& s, Status cause) {
@@ -87,17 +98,17 @@ Status LogShipper::EnsureSessionLocked(Session& s) {
   return HandshakeLocked(s);
 }
 
-bool LogShipper::SyncedLocked(const Session& s, std::uint64_t size,
-                              std::uint64_t epoch) {
-  return s.cursor.has_value() && !s.pending_reset && s.epoch == epoch &&
-         *s.cursor == size;
+bool LogShipper::Synced(const Progress& p, std::uint64_t size,
+                        std::uint64_t epoch) {
+  return p.cursor.has_value() && !p.pending_reset && p.epoch == epoch &&
+         *p.cursor == size;
 }
 
-std::uint64_t LogShipper::LagLocked(const Session& s, std::uint64_t size,
-                                    std::uint64_t epoch) {
+std::uint64_t LogShipper::Lag(const Progress& p, std::uint64_t size,
+                              std::uint64_t epoch) {
   const bool live =
-      s.cursor.has_value() && !s.pending_reset && s.epoch == epoch;
-  return live ? size - std::min<std::uint64_t>(*s.cursor, size) : size;
+      p.cursor.has_value() && !p.pending_reset && p.epoch == epoch;
+  return live ? size - std::min<std::uint64_t>(*p.cursor, size) : size;
 }
 
 std::optional<LogShipper::PreparedStep> LogShipper::PrepareSendLocked(
@@ -188,7 +199,9 @@ Result<std::size_t> LogShipper::ShipOnceLocked(Session& s) {
 
 Result<std::size_t> LogShipper::ShipOnce(std::size_t id) {
   std::lock_guard lock(mu_);
-  return ShipOnceLocked(sessions_.at(id));
+  auto shipped = ShipOnceLocked(sessions_.at(id));
+  PublishLocked();
+  return shipped;
 }
 
 std::size_t LogShipper::ShipRound() { return RunRound(false).entries; }
@@ -262,13 +275,14 @@ LogShipper::RoundOutcome LogShipper::RunRound(bool backoff) {
                                          called.value()));
   }
 
-  if (frames > 0) ++rounds_;
+  if (frames > 0) rounds_.fetch_add(1, std::memory_order_relaxed);
+  PublishLocked();
   const std::shared_ptr<const store::SignatureLog> log = primary_.log();
   const std::uint64_t size = log->size();
   const std::uint64_t epoch = log->epoch();
   outcome.behind = std::any_of(
       sessions_.begin(), sessions_.end(),
-      [&](const Session& s) { return !SyncedLocked(s, size, epoch); });
+      [&](const Session& s) { return !Synced(s, size, epoch); });
   return outcome;
 }
 
@@ -318,24 +332,24 @@ LogShipper::FollowerStatus LogShipper::GetFollowerStatus(
   const std::shared_ptr<const store::SignatureLog> log = primary_.log();
   const std::uint64_t size = log->size();
   const std::uint64_t epoch = log->epoch();
-  std::lock_guard lock(mu_);
-  const Session& s = sessions_.at(id);
+  std::lock_guard lock(published_mu_);
+  const Progress& p = published_.at(id);
   FollowerStatus out;
-  out.name = s.name;
-  out.cursor = s.cursor;
-  out.lag = LagLocked(s, size, epoch);
-  out.entries_shipped = s.entries_shipped;
-  out.handshakes = s.handshakes;
-  out.resets = s.resets;
-  out.drops = s.drops;
+  out.name = p.name;
+  out.cursor = p.cursor;
+  out.lag = Lag(p, size, epoch);
+  out.entries_shipped = p.entries_shipped;
+  out.handshakes = p.handshakes;
+  out.resets = p.resets;
+  out.drops = p.drops;
   return out;
 }
 
 std::size_t LogShipper::active_feed_cursors() const {
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(published_mu_);
   return static_cast<std::size_t>(
-      std::count_if(sessions_.begin(), sessions_.end(),
-                    [](const Session& s) { return s.cursor.has_value(); }));
+      std::count_if(published_.begin(), published_.end(),
+                    [](const Progress& p) { return p.cursor.has_value(); }));
 }
 
 obs::ProbeHandle LogShipper::ExportStats(obs::MetricsRegistry& registry) const {
@@ -345,18 +359,17 @@ obs::ProbeHandle LogShipper::ExportStats(obs::MetricsRegistry& registry) const {
     const std::uint64_t epoch = log->epoch();
     std::uint64_t shipped = 0, handshakes = 0, resets = 0, drops = 0;
     std::uint64_t lag = 0, cursors = 0, followers = 0;
-    std::uint64_t rounds = 0;
+    const std::uint64_t rounds = rounds_.load(std::memory_order_relaxed);
     {
-      std::lock_guard lock(mu_);
-      followers = sessions_.size();
-      rounds = rounds_;
-      for (const Session& s : sessions_) {
-        shipped += s.entries_shipped;
-        handshakes += s.handshakes;
-        resets += s.resets;
-        drops += s.drops;
-        lag += LagLocked(s, size, epoch);
-        if (s.cursor.has_value()) ++cursors;
+      std::lock_guard lock(published_mu_);
+      followers = published_.size();
+      for (const Progress& p : published_) {
+        shipped += p.entries_shipped;
+        handshakes += p.handshakes;
+        resets += p.resets;
+        drops += p.drops;
+        lag += Lag(p, size, epoch);
+        if (p.cursor.has_value()) ++cursors;
       }
     }
     sink.EmitCounter("cluster.shipper.entries_shipped", shipped);

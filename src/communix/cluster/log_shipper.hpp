@@ -32,7 +32,15 @@
 // the feed cursor is released immediately (never leaked across a
 // disconnect) and the next round re-handshakes from the follower's own
 // persisted position. Shipping state is therefore always soft: the
-// follower's log is the durable cursor.
+// follower's log is the durable cursor. A follower that accepts and
+// never answers fails its step at the transport's io deadline
+// (kFollowerDeadline for the daemon's TCP transports) like any other
+// error.
+//
+// Status reads (GetFollowerStatus, the cluster.shipper.* probe) never
+// wait on a follower: a step edits its session under the shipping lock,
+// which it holds across network I/O, and then publishes the session's
+// progress under a second lock that guards nothing else.
 #pragma once
 
 #include <atomic>
@@ -51,6 +59,12 @@ namespace communix::cluster {
 
 class LogShipper {
  public:
+  /// How long the daemon's follower transports wait on one connect, send
+  /// or reply. A 256-entry frame applies in milliseconds, so only a stuck
+  /// or vanished follower reaches it; its round then fails, drops the
+  /// session and retries after ship_period_ms, and Stop returns.
+  static constexpr std::chrono::milliseconds kFollowerDeadline{3000};
+
   struct Options {
     /// Entries per kReplBatch frame (bounds frame size and the latency
     /// of one shipping step).
@@ -134,19 +148,23 @@ class LogShipper {
       obs::MetricsRegistry& registry) const;
 
  private:
-  struct Session {
+  /// What status reads see of a session: its name, cursor and counters.
+  struct Progress {
     std::string name;
-    net::ClientTransport* transport = nullptr;
     std::optional<std::uint64_t> cursor;
     /// Primary epoch the cursor is relative to.
     std::uint64_t epoch = 0;
     bool pending_reset = false;
-    /// Daemon rounds leave a dropped session alone until then.
-    std::chrono::steady_clock::time_point retry_at;
     std::uint64_t entries_shipped = 0;
     std::uint64_t handshakes = 0;
     std::uint64_t resets = 0;
     std::uint64_t drops = 0;
+  };
+
+  struct Session : Progress {
+    net::ClientTransport* transport = nullptr;
+    /// Daemon rounds leave a dropped session alone until then.
+    std::chrono::steady_clock::time_point retry_at;
   };
 
   /// One outbound kReplBatch frame prepared for a session, plus what
@@ -179,12 +197,15 @@ class LogShipper {
   /// current epoch. Caller holds mu_.
   Status EnsureSessionLocked(Session& s);
 
-  /// Whether `s` acknowledges exactly the primary's `size` entries under
+  /// Whether `p` acknowledges exactly the primary's `size` entries under
   /// `epoch`; and its lag (everything when it has no live cursor).
-  static bool SyncedLocked(const Session& s, std::uint64_t size,
+  static bool Synced(const Progress& p, std::uint64_t size,
+                     std::uint64_t epoch);
+  static std::uint64_t Lag(const Progress& p, std::uint64_t size,
                            std::uint64_t epoch);
-  static std::uint64_t LagLocked(const Session& s, std::uint64_t size,
-                                 std::uint64_t epoch);
+
+  /// Copies every session's progress to published_. Caller holds mu_.
+  void PublishLocked();
 
   /// Builds the session's next outbound batch; nullopt when caught up.
   /// Caller holds mu_; session has a cursor.
@@ -214,9 +235,15 @@ class LogShipper {
   /// cluster.shipper.ack_lag_ns, in the primary's registry.
   obs::Histogram* const ack_lag_;
 
-  mutable std::mutex mu_;
+  /// The shipping lock: held by a step across its network I/O.
+  std::mutex mu_;
   std::vector<Session> sessions_;
-  std::uint64_t rounds_ = 0;  // ShipRounds that sent at least one frame
+
+  /// Each session's progress as its last step left it. Guards published_
+  /// alone: taken after mu_, never across I/O.
+  mutable std::mutex published_mu_;
+  std::vector<Progress> published_;
+  std::atomic<std::uint64_t> rounds_{0};  // rounds that sent a frame
 
   std::atomic<bool> running_{false};
   std::thread daemon_;

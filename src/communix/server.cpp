@@ -56,6 +56,7 @@ CommunixServer::CommunixServer(Clock& clock, Options options)
   stats_.stats_served = reg.GetCounter("server.stats_served");
   get_read_ns_ = reg.GetHistogram("server.get.read_ns");
   save_ns_ = reg.GetHistogram("store.persist.save_ns");
+  save_failures_ = reg.GetCounter("store.persist.failures");
   obs::TraceRing::Options trace_opts;
   trace_opts.slow_threshold_ns = options_.slow_request_ns;
   trace_ring_ = std::make_shared<obs::TraceRing>(trace_opts);
@@ -378,9 +379,9 @@ net::Response CommunixServer::Handle(const net::Request& request) {
                    : 0;
     };
     rec.stage_ns[static_cast<std::size_t>(obs::Stage::kAccept)] =
-        delta(request.timing.readable_at, request.timing.worker_start);
+        delta(request.timing.readable_at, request.timing.serve_start);
     rec.stage_ns[static_cast<std::size_t>(obs::Stage::kQueueWait)] =
-        delta(request.timing.worker_start, request.timing.parse_start);
+        delta(request.timing.serve_start, request.timing.parse_start);
     rec.stage_ns[static_cast<std::size_t>(obs::Stage::kParse)] =
         delta(request.timing.parse_start, request.timing.parse_done);
   }
@@ -537,6 +538,7 @@ Status CommunixServer::SaveToFile(const std::string& path) {
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t before = store_->persist_stats().bytes_written;
   const Status saved = store_->SaveToFile(path);
+  if (!saved.ok()) save_failures_->Add(1);
   if (store_->persist_stats().bytes_written != before) {
     save_ns_->Report(NanosSince(start));
   }

@@ -164,7 +164,8 @@ class CommunixServer final : public net::RequestHandler {
   /// clients' incremental GET(k) cursors stay valid across restarts).
   /// Delegates to the store, whose saves append to the DB file (format
   /// v4) what committed since the last one; a save that wrote something
-  /// reports its duration to store.persist.save_ns.
+  /// reports its duration to store.persist.save_ns, and a save that
+  /// failed counts in store.persist.failures.
   Status SaveToFile(const std::string& path);
   Status LoadFromFile(const std::string& path);
 
@@ -295,6 +296,8 @@ class CommunixServer final : public net::RequestHandler {
   obs::Histogram* get_read_ns_ = nullptr;
   /// store.persist.save_ns: saves that wrote something.
   obs::Histogram* save_ns_ = nullptr;
+  /// store.persist.failures: saves that returned an error.
+  obs::Counter* save_failures_ = nullptr;
   std::shared_ptr<obs::TraceRing> trace_ring_;
   /// Snapshot-time export of the store tier (db size, epoch, superseded
   /// marks, what the DB file holds and what saving cost) — state the

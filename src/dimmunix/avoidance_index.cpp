@@ -54,6 +54,29 @@ bool CandidateBefore(const AvoidanceIndex::Candidate& a,
                                             : a.position < b.position;
 }
 
+/// Calls fn(i, old, rec) once per distinct record i of `changed` whose
+/// indexed entry is stale: `old` is the entry `entries` holds for it (or
+/// null), `rec` the record when it exists and is enabled (or null). A
+/// record that still holds its indexed content, enabled, is skipped.
+template <typename Fn>
+void ForEachStaleRecord(const PersistentMap<AvoidanceIndex::Entry>& entries,
+                        const History& history,
+                        std::span<const std::size_t> changed, Fn fn) {
+  std::vector<std::size_t> records(changed.begin(), changed.end());
+  std::sort(records.begin(), records.end());
+  records.erase(std::unique(records.begin(), records.end()), records.end());
+  for (const std::size_t i : records) {
+    const AvoidanceIndex::Entry* old = entries.Find(i);
+    const SignatureRecord* rec =
+        i < history.size() && !history.record(i).disabled ? &history.record(i)
+                                                          : nullptr;
+    if (old != nullptr && rec != nullptr && old->content_id == rec->content_id) {
+      continue;
+    }
+    fn(i, old, rec);
+  }
+}
+
 }  // namespace
 
 std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::Build(
@@ -94,40 +117,30 @@ std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::Rebuild(
   auto index = std::shared_ptr<AvoidanceIndex>(new AvoidanceIndex(prev));
   index->version_ = version;
 
-  std::vector<std::size_t> records(changed.begin(), changed.end());
-  std::sort(records.begin(), records.end());
-  records.erase(std::unique(records.begin(), records.end()), records.end());
-
-  // Re-index each changed record: drop the entry `prev` holds for it
-  // unless the record still holds that content, enabled; copy in the
-  // record's current content if it is enabled and not indexed yet.
+  // Re-index each stale record: drop the entry `prev` holds for it and
+  // copy in the record's current content if it is enabled.
   std::vector<const Entry*> dropped;
   std::vector<KeyedCandidate> added;
   std::vector<std::uint64_t> touched_keys;
   std::size_t copied = 0;
-  for (const std::size_t i : records) {
-    const Entry* old = prev.entries_.Find(i);
-    const SignatureRecord* rec = i < history.size() ? &history.record(i)
-                                                    : nullptr;
-    const bool enabled = rec != nullptr && !rec->disabled;
-    if (old != nullptr && enabled && old->content_id == rec->content_id) {
-      continue;
-    }
-    if (old != nullptr) {
-      index->entries_.Erase(i);
-      dropped.push_back(old);
-      for (const SignatureEntry& e : old->sig.entries()) {
-        touched_keys.push_back(e.outer.TopKey());
-      }
-    }
-    if (enabled) {
-      const auto record = static_cast<std::uint32_t>(i);
-      AppendCandidates(
-          index->entries_.Set(i, Entry{rec->sig, rec->content_id, record}),
-          &added);
-      ++copied;
-    }
-  }
+  ForEachStaleRecord(
+      prev.entries_, history, changed,
+      [&](std::size_t i, const Entry* old, const SignatureRecord* rec) {
+        if (old != nullptr) {
+          index->entries_.Erase(i);
+          dropped.push_back(old);
+          for (const SignatureEntry& e : old->sig.entries()) {
+            touched_keys.push_back(e.outer.TopKey());
+          }
+        }
+        if (rec != nullptr) {
+          const auto record = static_cast<std::uint32_t>(i);
+          AppendCandidates(
+              index->entries_.Set(i, Entry{rec->sig, rec->content_id, record}),
+              &added);
+          ++copied;
+        }
+      });
   index->entries_reused_ = index->entries_.size() - copied;
   for (const auto& [key, cand] : added) touched_keys.push_back(key);
   std::sort(touched_keys.begin(), touched_keys.end());
@@ -162,6 +175,68 @@ std::shared_ptr<const AvoidanceIndex> AvoidanceIndex::Rebuild(
     index->PutSlot(key, index->MakeSlot(std::move(candidates), old));
   }
   return index;
+}
+
+std::size_t AvoidanceIndex::KeyCountAfter(const AvoidanceIndex& prev,
+                                          const History& history,
+                                          std::span<const std::size_t> changed) {
+  // Rebuild's re-indexing decisions, counting keys instead of building
+  // slots: a touched key is in the next index iff one of its old
+  // candidates survives or a copied-in record adds one.
+  std::vector<const Entry*> dropped;
+  std::vector<std::uint64_t> added_keys;
+  std::vector<std::uint64_t> touched_keys;
+  ForEachStaleRecord(
+      prev.entries_, history, changed,
+      [&](std::size_t, const Entry* old, const SignatureRecord* rec) {
+        if (old != nullptr) {
+          dropped.push_back(old);
+          for (const SignatureEntry& e : old->sig.entries()) {
+            touched_keys.push_back(e.outer.TopKey());
+          }
+        }
+        if (rec != nullptr) {
+          for (const SignatureEntry& e : rec->sig.entries()) {
+            added_keys.push_back(e.outer.TopKey());
+            touched_keys.push_back(e.outer.TopKey());
+          }
+        }
+      });
+  std::sort(dropped.begin(), dropped.end(), std::less<>());
+  std::sort(added_keys.begin(), added_keys.end());
+  std::sort(touched_keys.begin(), touched_keys.end());
+  touched_keys.erase(std::unique(touched_keys.begin(), touched_keys.end()),
+                     touched_keys.end());
+  std::size_t keys = prev.key_count();
+  for (const std::uint64_t key : touched_keys) {
+    const KeySlot* old = prev.slots_.Find(key);
+    const bool after =
+        std::binary_search(added_keys.begin(), added_keys.end(), key) ||
+        (old != nullptr &&
+         std::any_of(old->candidates.begin(), old->candidates.end(),
+                     [&](const Candidate& c) {
+                       return !std::binary_search(dropped.begin(),
+                                                  dropped.end(), c.entry,
+                                                  std::less<>());
+                     }));
+    if (old != nullptr && !after) --keys;
+    if (old == nullptr && after) ++keys;
+  }
+  return keys;
+}
+
+std::size_t AvoidanceIndex::KeyCount(const History& history) {
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const SignatureRecord& rec = history.record(i);
+    if (rec.disabled) continue;
+    for (const SignatureEntry& e : rec.sig.entries()) {
+      keys.push_back(e.outer.TopKey());
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return static_cast<std::size_t>(
+      std::unique(keys.begin(), keys.end()) - keys.begin());
 }
 
 AvoidanceIndex::KeySlot AvoidanceIndex::MakeSlot(

@@ -201,6 +201,15 @@ class AvoidanceIndex {
       const AvoidanceIndex& prev, const History& history,
       std::span<const std::size_t> changed, std::uint64_t version);
 
+  /// key_count() of Rebuild(prev, history, changed, ...), in O(change)
+  /// and without building it: the runtime sizes its occupancy table from
+  /// this before choosing between Rebuild and a Build at a wider width.
+  static std::size_t KeyCountAfter(const AvoidanceIndex& prev,
+                                   const History& history,
+                                   std::span<const std::size_t> changed);
+  /// key_count() of Build(history, ...), without building it.
+  static std::size_t KeyCount(const History& history);
+
   /// Candidates whose outer top frame key is `top_key`; nullptr if none.
   /// This is the only call the acquisition fast path makes.
   const std::vector<Candidate>* CandidatesForTopFrame(

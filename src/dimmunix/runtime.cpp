@@ -87,29 +87,32 @@ void DimmunixRuntime::RepublishIndexLocked() {
   const std::optional<std::vector<std::size_t>> changed =
       history_.TakeChangedRecords();
   bool whole = !changed.has_value();
+  // Auto occupancy sizing from the candidate-key count the change
+  // produces, decided before anything is built — but only while no
+  // thread is attached: with no attached contexts there are no live
+  // occupancies (attach precedes every Enter), so swapping the counter
+  // array cannot orphan an entry. Once a workload thread exists, the
+  // width is frozen. Every peer bucket depends on the width, so a
+  // widened table gets a build from scratch instead of a Rebuild (the
+  // width at least doubles each time, so this happens a handful of times
+  // per runtime).
+  if (options_.avoidance_enabled && options_.occupancy_buckets == 0 &&
+      threads_.empty()) {
+    const std::size_t keys =
+        whole ? AvoidanceIndex::KeyCount(history_)
+              : AvoidanceIndex::KeyCountAfter(*index_locked_, history_,
+                                              *changed);
+    const std::size_t want = OccupancyTable::RecommendedBuckets(keys);
+    if (want > occupancy_.bucket_count()) {
+      occupancy_.Resize(want);
+      whole = true;
+    }
+  }
   index_locked_ =
       whole ? AvoidanceIndex::Build(history_, version,
                                     occupancy_.bucket_count())
             : AvoidanceIndex::Rebuild(*index_locked_, history_, *changed,
                                       version);
-  // Auto occupancy sizing from the candidate-key count — but only while
-  // no thread is attached: with no attached contexts there are no live
-  // occupancies (attach precedes every Enter), so swapping the counter
-  // array cannot orphan an entry. Once a workload thread exists, the
-  // width is frozen. Every peer bucket depends on the width, so a
-  // widened table gets a build from scratch (the width at least doubles
-  // each time, so this happens a handful of times per runtime).
-  if (options_.avoidance_enabled && options_.occupancy_buckets == 0 &&
-      threads_.empty()) {
-    const std::size_t want =
-        OccupancyTable::RecommendedBuckets(index_locked_->key_count());
-    if (want > occupancy_.bucket_count()) {
-      occupancy_.Resize(want);
-      index_locked_ =
-          AvoidanceIndex::Build(history_, version, occupancy_.bucket_count());
-      whole = true;
-    }
-  }
   if (whole) {
     global_counters_.index_full_rebuilds.fetch_add(1,
                                                    std::memory_order_relaxed);

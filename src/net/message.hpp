@@ -65,8 +65,8 @@ enum class MsgType : std::uint8_t {
 /// stages. `valid` stays false on transports that don't trace (inproc).
 struct RequestTiming {
   bool valid = false;
-  std::chrono::steady_clock::time_point readable_at{};   // poll saw data
-  std::chrono::steady_clock::time_point worker_start{};  // worker picked up
+  std::chrono::steady_clock::time_point readable_at{};  // epoll saw data
+  std::chrono::steady_clock::time_point serve_start{};  // its loop began
   std::chrono::steady_clock::time_point parse_start{};
   std::chrono::steady_clock::time_point parse_done{};
 };

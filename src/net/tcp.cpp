@@ -1,10 +1,10 @@
 #include "net/tcp.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -14,6 +14,9 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <mutex>
+#include <thread>
+#include <unordered_map>
 
 #include "util/logging.hpp"
 
@@ -21,14 +24,22 @@ namespace communix::net {
 
 namespace {
 
+/// A failed blocking socket call; EAGAIN there means its io deadline
+/// (SO_RCVTIMEO / SO_SNDTIMEO) passed.
+Status SocketError(const char* call) {
+  const bool timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
+  return Status::Error(ErrorCode::kUnavailable,
+                       std::string(call) + ": " +
+                           (timed_out ? "timed out" : std::strerror(errno)));
+}
+
 Status ReadAll(int fd, std::uint8_t* data, std::size_t len) {
   std::size_t got = 0;
   while (got < len) {
     const ssize_t n = ::recv(fd, data + got, len - got, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Error(ErrorCode::kUnavailable,
-                           std::string("recv: ") + std::strerror(errno));
+      return SocketError("recv");
     }
     if (n == 0) {
       return Status::Error(ErrorCode::kUnavailable, "connection closed");
@@ -38,16 +49,11 @@ Status ReadAll(int fd, std::uint8_t* data, std::size_t len) {
   return Status::Ok();
 }
 
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 /// Gather-write width per sendmsg call. Linux caps msg_iovlen at IOV_MAX
 /// (1024); 64 already amortizes the syscall across a large burst.
 constexpr std::size_t kMaxIovPerFlush = 64;
 
-/// recv() scratch size for the worker read loop.
+/// recv() scratch size for a loop's read pass.
 constexpr std::size_t kReadChunk = 64u * 1024u;
 
 }  // namespace
@@ -60,7 +66,7 @@ Status WriteFrame(int fd, std::span<const std::uint8_t> body) {
   }
   // Header and body leave in one gather write, so on a TCP_NODELAY
   // socket the peer sees one segment, not a bare 4-byte header first
-  // (which costs a server one extra dispatcher round per request).
+  // (which costs a server one extra event-loop round per request).
   iovec iov[2] = {
       {header, sizeof(header)},
       {const_cast<std::uint8_t*>(body.data()), body.size()},
@@ -73,8 +79,7 @@ Status WriteFrame(int fd, std::span<const std::uint8_t> body) {
     const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Error(ErrorCode::kUnavailable,
-                           std::string("send: ") + std::strerror(errno));
+      return SocketError("send");
     }
     // Skip what went out; a partial write resumes mid-iovec.
     std::size_t sent = static_cast<std::size_t>(n);
@@ -128,6 +133,7 @@ struct OutChunk {
 
 struct TcpServer::Conn {
   int fd = -1;
+  Loop* loop = nullptr;  // the loop that owns it, for its whole life
   /// Received-but-unparsed bytes (partial frames reassemble here).
   std::vector<std::uint8_t> inbuf;
   /// Queued reply bytes awaiting flush.
@@ -137,16 +143,54 @@ struct TcpServer::Conn {
   /// outq crossed Options::max_outbound_bytes and has not drained back
   /// under it; request intake is paused and the stall clock is running.
   bool over_cap = false;
+  /// In loop->stalled (removed lazily once over_cap clears).
+  bool stall_listed = false;
   std::chrono::steady_clock::time_point stall_since{};
   /// Peer half-closed (EOF on read): flush remaining replies, then close.
   bool close_after_drain = false;
-  /// Trace stamps for the current service pass: when the dispatcher saw
-  /// the socket readable and when the worker picked it up. Written by
-  /// the thread owning the connection (poll loop then worker — the
-  /// pending_rearm_ handoff orders them, like every other Conn field).
+  /// Events the connection is armed for (EPOLLIN or EPOLLOUT).
+  std::uint32_t armed = 0;
+  /// Trace stamps for the current service pass: when epoll_wait reported
+  /// the socket ready and when the loop began serving it.
   std::chrono::steady_clock::time_point readable_at{};
-  std::chrono::steady_clock::time_point worker_start{};
+  std::chrono::steady_clock::time_point serve_start{};
 };
+
+/// One event loop: a thread, its epoll set and the connections in it.
+/// Everything but `inbox` and the two atomics is touched only by the
+/// loop's own thread (and by Stop once the thread is joined).
+struct TcpServer::Loop {
+  int epoll_fd = -1;
+  /// eventfd: readable when `inbox` holds fds or Stop wants the loop.
+  int inbox_fd = -1;
+  std::mutex inbox_mu;
+  std::vector<int> inbox;  // accepted fds not yet adopted
+  /// Connections placed on this loop (counted at hand-off), for placement.
+  std::atomic<std::size_t> live{0};
+  /// Sum of Conn::out_bytes over this loop's connections (Stats).
+  std::atomic<std::uint64_t> queued_bytes{0};
+  std::unordered_map<int, std::unique_ptr<Conn>> conns;
+  /// Connections that crossed the queue cap: the only ones the stall
+  /// deadline applies to.
+  std::vector<Conn*> stalled;
+  /// Runs Run(*this); declared last, after everything it touches.
+  std::thread thread;
+};
+
+namespace {
+
+/// epoll_event::data.ptr of a loop's inbox eventfd; the listen socket's
+/// is the server, and every other one is a Conn.
+void* const kInboxTag = nullptr;
+
+/// Events taken per epoll_wait.
+constexpr int kMaxEvents = 64;
+
+/// A connection yields its loop after this many full reads in one pass;
+/// level-triggered epoll reports the rest on the next wait.
+constexpr int kMaxReadsPerPass = 16;
+
+}  // namespace
 
 TcpServer::TcpServer(RequestHandler& handler, std::uint16_t port)
     : TcpServer(handler, [port] {
@@ -167,15 +211,9 @@ TcpServer::TcpServer(RequestHandler& handler, const Options& options)
       metrics_->GetCounter("net.slow_client_disconnects");
   stats_.peak_outbound_queue_bytes =
       metrics_->GetGauge("net.peak_outbound_queue_bytes");
-  stats_.wake_pipe_full_wakes =
-      metrics_->GetCounter("net.wake_pipe_full_wakes");
 }
 
 TcpServer::~TcpServer() { Stop(); }
-
-std::size_t TcpServer::worker_threads() const {
-  return pool_ ? pool_->size() : 0;
-}
 
 TcpServer::Stats TcpServer::GetStats() const {
   Stats s;
@@ -183,17 +221,28 @@ TcpServer::Stats TcpServer::GetStats() const {
   s.backpressure_stalls = stats_.backpressure_stalls->Value();
   s.slow_client_disconnects = stats_.slow_client_disconnects->Value();
   s.peak_outbound_queue_bytes = stats_.peak_outbound_queue_bytes->Value();
-  s.wake_pipe_full_wakes = stats_.wake_pipe_full_wakes->Value();
-  s.outbound_queue_bytes = queued_bytes_.load(std::memory_order_relaxed);
+  for (const auto& loop : loops_) {
+    s.outbound_queue_bytes +=
+        loop->queued_bytes.load(std::memory_order_relaxed);
+  }
   return s;
 }
 
 Status TcpServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Error(ErrorCode::kUnavailable,
-                         std::string("socket: ") + std::strerror(errno));
-  }
+  const auto fail = [this](const char* what) {
+    const Status s = Status::Error(
+        ErrorCode::kUnavailable, std::string(what) + ": " + std::strerror(errno));
+    for (const auto& loop : loops_) {
+      if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
+      if (loop->inbox_fd >= 0) ::close(loop->inbox_fd);
+    }
+    loops_.clear();
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
+    return s;
+  };
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) return fail("socket");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -203,220 +252,156 @@ Status TcpServer::Start() {
   addr.sin_port = htons(port_);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
       0) {
-    const Status s = Status::Error(
-        ErrorCode::kUnavailable, std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
+    return fail("bind");
   }
-  if (::listen(listen_fd_, 1024) < 0) {
-    const Status s = Status::Error(
-        ErrorCode::kUnavailable,
-        std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
+  if (::listen(listen_fd_, 1024) < 0) return fail("listen");
   if (port_ == 0) {
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
     port_ = ntohs(bound.sin_port);
   }
-  if (::pipe(wake_pipe_) < 0) {
-    const Status s = Status::Error(
-        ErrorCode::kUnavailable, std::string("pipe: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  SetNonBlocking(listen_fd_);
-  SetNonBlocking(wake_pipe_[0]);
-  // The write end too: Wake() must fail with EAGAIN on a full pipe (a
-  // pending byte already guarantees a wakeup), never block a worker.
-  SetNonBlocking(wake_pipe_[1]);
 
-  std::size_t workers = options_.worker_threads;
-  if (workers == 0) {
-    workers = std::max<std::size_t>(4, std::thread::hardware_concurrency());
+  std::size_t n = options_.worker_threads;
+  if (n == 0) n = std::max<std::size_t>(4, std::thread::hardware_concurrency());
+  loops_.clear();  // a previous run's, stopped
+  next_loop_ = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto loop = std::make_unique<Loop>();
+    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    loop->inbox_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    loops_.push_back(std::move(loop));
+    Loop& l = *loops_.back();
+    if (l.epoll_fd < 0 || l.inbox_fd < 0) return fail("epoll/eventfd");
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = kInboxTag;
+    if (::epoll_ctl(l.epoll_fd, EPOLL_CTL_ADD, l.inbox_fd, &ev) < 0) {
+      return fail("epoll_ctl");
+    }
   }
-  pool_ = std::make_unique<ThreadPool>(workers);
+  // The first loop accepts.
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.ptr = this;
+  if (::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
+    return fail("epoll_ctl");
+  }
+
   running_.store(true);
-  poll_thread_ = std::thread([this] { PollLoop(); });
+  for (const auto& loop : loops_) {
+    loop->thread = std::thread([this, l = loop.get()] { Run(*l); });
+  }
   return Status::Ok();
 }
 
-void TcpServer::Wake() {
-  const std::uint8_t byte = 1;
-  for (;;) {
-    const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
-    if (n >= 0) return;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Invariant, not best-effort: the pipe is full, so >= 64KiB of wake
-      // bytes are already pending and the dispatcher cannot miss the
-      // wakeup — dropping this byte is level-triggered-safe. Counted so
-      // tests and operators can see the (harmless, but burst-indicating)
-      // condition instead of a discarded write result hiding it.
-      stats_.wake_pipe_full_wakes->Add(1);
-      return;
+void TcpServer::Run(Loop& loop) {
+  epoll_event events[kMaxEvents];
+  int timeout_ms = -1;
+  while (running_.load(std::memory_order_acquire)) {
+    const int n = ::epoll_wait(loop.epoll_fd, events, kMaxEvents, timeout_ms);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      CX_LOG(kError, "tcp") << "epoll_wait failed: " << std::strerror(errno);
+      break;
     }
-    // EBADF/EPIPE during shutdown teardown is unreachable by
-    // construction (Stop closes the pipe only after joining every
-    // writer); anything else here is a real bug worth logging.
-    CX_LOG(kError, "tcp") << "wake pipe write failed: " << std::strerror(errno);
-    return;
+    if (!running_.load(std::memory_order_acquire)) break;
+    const auto ready_at = std::chrono::steady_clock::now();
+    for (int i = 0; i < n; ++i) {
+      void* const tag = events[i].data.ptr;
+      if (tag == kInboxTag) {
+        std::uint64_t count = 0;
+        (void)!::read(loop.inbox_fd, &count, sizeof(count));
+        std::vector<int> fds;
+        {
+          std::lock_guard lock(loop.inbox_mu);
+          fds.swap(loop.inbox);
+        }
+        for (const int fd : fds) Adopt(loop, fd);
+        continue;
+      }
+      if (tag == this) {
+        AcceptAll(loop);
+        continue;
+      }
+      // Each ready connection appears once per wait, and only its own
+      // event closes it, so the pointer is live here.
+      Conn& c = *static_cast<Conn*>(tag);
+      if (!c.outq.empty()) {
+        // Write-armed: flush on EPOLLOUT; an error or hang-up without it
+        // is a dead peer.
+        if ((events[i].events & EPOLLOUT) == 0 || !FlushConn(c)) {
+          CloseConn(c);
+          continue;
+        }
+        if (!c.outq.empty()) continue;  // still blocked
+        if (c.close_after_drain) {
+          CloseConn(c);
+          continue;
+        }
+        // Drained: intake may have paused at the cap with complete
+        // frames left in inbuf and unread bytes in the kernel buffer,
+        // so resume serving at once.
+      }
+      c.readable_at = ready_at;
+      Serve(c);
+    }
+    timeout_ms = loop.stalled.empty() ? -1 : SweepStalled(loop);
   }
 }
 
-void TcpServer::PollLoop() {
-  using clock = std::chrono::steady_clock;
-  // Connections currently armed with the dispatcher (readable wait when
-  // the outbound queue is empty, writable wait otherwise). Owned by this
-  // thread; workers hand connections back through pending_rearm_.
-  std::vector<int> armed;
-
-  const auto lookup = [this](int fd) -> Conn* {
-    std::lock_guard lock(mu_);
-    auto it = conns_.find(fd);
-    return it != conns_.end() ? it->second.get() : nullptr;
-  };
-
-  while (running_.load()) {
-    std::vector<pollfd> fds;
-    fds.reserve(armed.size() + 2);
-    fds.push_back({wake_pipe_[0], POLLIN, 0});
-    fds.push_back({listen_fd_, POLLIN, 0});
-
-    // Arm each connection for the direction it is waiting on, and bound
-    // the poll timeout by the nearest stall deadline so a reader that
-    // never drains (no POLLOUT, no POLLIN) still gets disconnected.
-    int timeout_ms = -1;
-    const auto now = clock::now();
-    for (int fd : armed) {
-      Conn* c = lookup(fd);
-      if (c == nullptr) continue;
-      const short events =
-          c->outq.empty() ? static_cast<short>(POLLIN)
-                          : static_cast<short>(POLLOUT);
-      fds.push_back({fd, events, 0});
-      if (c->over_cap) {
-        const auto deadline =
-            c->stall_since + std::chrono::milliseconds(options_.stall_deadline_ms);
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-                .count();
-        const int rem_ms = static_cast<int>(std::max<long long>(0, remaining));
-        timeout_ms = timeout_ms < 0 ? rem_ms : std::min(timeout_ms, rem_ms);
+void TcpServer::AcceptAll(Loop& self) {
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return;  // EAGAIN: drained
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // The loop with the fewest live connections takes it, ties going
+    // round-robin, so a daemon's few busy connections land on distinct
+    // loops even while closed ones are still being counted.
+    std::size_t pick = next_loop_;
+    for (std::size_t k = 1; k < loops_.size(); ++k) {
+      const std::size_t i = (next_loop_ + k) % loops_.size();
+      if (loops_[i]->live.load(std::memory_order_relaxed) <
+          loops_[pick]->live.load(std::memory_order_relaxed)) {
+        pick = i;
       }
     }
-
-    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
-      if (errno == EINTR) continue;
-      break;
+    next_loop_ = (pick + 1) % loops_.size();
+    Loop* const target = loops_[pick].get();
+    target->live.fetch_add(1, std::memory_order_relaxed);
+    if (target == &self) {
+      Adopt(self, fd);
+      continue;
     }
-    if (!running_.load()) break;
-
-    // The poll set for the next iteration: connections that stay parked
-    // here this round, plus fresh accepts and worker re-arms.
-    std::vector<int> next_armed;
-    next_armed.reserve(armed.size() + 4);
-
-    if (fds[0].revents != 0) {
-      std::uint8_t drain[64];
-      while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-      }
-      std::vector<int> rearm;
-      std::vector<int> close_list;
-      {
-        std::lock_guard lock(mu_);
-        rearm.swap(pending_rearm_);
-        close_list.swap(pending_close_);
-      }
-      for (int fd : close_list) CloseConn(fd);
-      for (int fd : rearm) next_armed.push_back(fd);
+    {
+      std::lock_guard lock(target->inbox_mu);
+      target->inbox.push_back(fd);
     }
-
-    if (fds[1].revents != 0) {
-      for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;  // EAGAIN (drained) or shutdown
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        SetNonBlocking(fd);
-        {
-          std::lock_guard lock(mu_);
-          auto conn = std::make_unique<Conn>();
-          conn->fd = fd;
-          conns_.emplace(fd, std::move(conn));
-        }
-        next_armed.push_back(fd);
-      }
-    }
-
-    const auto after_poll = clock::now();
-    for (std::size_t i = 2; i < fds.size(); ++i) {
-      const int fd = fds[i].fd;
-      Conn* c = lookup(fd);
-      if (c == nullptr) continue;
-
-      if (!c->outq.empty()) {
-        // Write-armed connection: flush on POLLOUT; anything else with
-        // events set (POLLERR/POLLHUP/POLLNVAL) is a dead peer.
-        if ((fds[i].revents & POLLOUT) != 0) {
-          if (!FlushConn(*c)) {
-            CloseConn(fd);
-            continue;
-          }
-          if (c->outq.empty()) {
-            if (c->close_after_drain) {
-              CloseConn(fd);
-              continue;
-            }
-            // Drained: intake may have been paused at the cap with
-            // complete frames left in inbuf and unread bytes in the
-            // kernel buffer — neither re-raises POLLIN by itself, so
-            // hand the connection to a worker to resume parsing.
-            c->readable_at = after_poll;
-            if (!pool_->Submit([this, fd] { ServeReadable(fd); })) {
-              CloseConn(fd);
-            }
-            continue;
-          }
-        } else if (fds[i].revents != 0) {
-          CloseConn(fd);
-          continue;
-        }
-        // Still write-blocked: enforce the stall deadline.
-        if (c->over_cap &&
-            after_poll - c->stall_since >=
-                std::chrono::milliseconds(options_.stall_deadline_ms)) {
-          stats_.slow_client_disconnects->Add(1);
-          CX_LOG(kWarn, "tcp")
-              << "disconnecting slow reader fd=" << fd << " ("
-              << c->out_bytes << " bytes queued past deadline)";
-          CloseConn(fd);
-          continue;
-        }
-        next_armed.push_back(fd);
-        continue;
-      }
-
-      // Read-armed connection: hand any activity (readable or hung-up)
-      // to the pool; it leaves the poll set until the worker re-arms it,
-      // so each connection has at most one worker and replies stay in
-      // request order.
-      if (fds[i].revents != 0) {
-        c->readable_at = after_poll;
-        if (!pool_->Submit([this, fd] { ServeReadable(fd); })) {
-          CloseConn(fd);
-        }
-      } else {
-        next_armed.push_back(fd);
-      }
-    }
-    armed = std::move(next_armed);
+    const std::uint64_t wake = 1;
+    (void)!::write(target->inbox_fd, &wake, sizeof(wake));
   }
+}
+
+void TcpServer::Adopt(Loop& loop, int fd) {
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->loop = &loop;
+  conn->armed = EPOLLIN;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.ptr = conn.get();
+  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    CX_LOG(kError, "tcp") << "epoll_ctl(ADD) failed: " << std::strerror(errno);
+    ::close(fd);
+    loop.live.fetch_sub(1, std::memory_order_relaxed);
+    return;
+  }
+  loop.conns.emplace(fd, std::move(conn));
 }
 
 bool TcpServer::ParseFrames(Conn& c) {
@@ -443,12 +428,12 @@ bool TcpServer::ParseFrames(Conn& c) {
       response.code = ErrorCode::kDataLoss;
       response.error = "malformed request";
     } else {
-      // Stage stamps for the handler's trace record: dispatcher handoff
-      // (readable_at -> worker_start), queue wait behind earlier frames
-      // of this burst (worker_start -> parse_start), and the parse.
+      // Stage stamps for the handler's trace record: ready to served
+      // (readable_at -> serve_start), queue wait behind earlier frames
+      // of this burst (serve_start -> parse_start), and the parse.
       request->timing.valid = true;
       request->timing.readable_at = c.readable_at;
-      request->timing.worker_start = c.worker_start;
+      request->timing.serve_start = c.serve_start;
       request->timing.parse_start = parse_start;
       request->timing.parse_done = std::chrono::steady_clock::now();
       response = handler_.Handle(*request);
@@ -488,7 +473,7 @@ void TcpServer::EnqueueResponse(Conn& c, const Response& response) {
     c.outq.back().trace = response.trace;
   }
   c.out_bytes += 4 + frame_len;
-  queued_bytes_.fetch_add(4 + frame_len, std::memory_order_relaxed);
+  c.loop->queued_bytes.fetch_add(4 + frame_len, std::memory_order_relaxed);
 
   // High-water mark (monotonic max over all connections).
   stats_.peak_outbound_queue_bytes->UpdateMax(c.out_bytes);
@@ -501,6 +486,10 @@ void TcpServer::EnqueueResponse(Conn& c, const Response& response) {
     c.over_cap = true;
     c.stall_since = std::chrono::steady_clock::now();
     stats_.backpressure_stalls->Add(1);
+    if (!c.stall_listed) {
+      c.stall_listed = true;
+      c.loop->stalled.push_back(&c);
+    }
   }
 }
 
@@ -523,14 +512,14 @@ bool TcpServer::FlushConn(Conn& c) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return true;  // kernel buffer full: POLLOUT will resume the flush
+        return true;  // kernel buffer full: EPOLLOUT resumes the flush
       }
       return false;
     }
     stats_.writev_flushes->Add(1);
     c.out_bytes -= static_cast<std::size_t>(n);
-    queued_bytes_.fetch_sub(static_cast<std::size_t>(n),
-                            std::memory_order_relaxed);
+    c.loop->queued_bytes.fetch_sub(static_cast<std::size_t>(n),
+                                   std::memory_order_relaxed);
     std::size_t consumed = static_cast<std::size_t>(n);
     while (consumed > 0) {
       OutChunk& front = c.outq.front();
@@ -555,38 +544,36 @@ bool TcpServer::FlushConn(Conn& c) {
   return true;
 }
 
-void TcpServer::ServeReadable(int fd) {
-  Conn* c = nullptr;
-  {
-    std::lock_guard lock(mu_);
-    auto it = conns_.find(fd);
-    if (it != conns_.end()) c = it->second.get();
-  }
-  if (c == nullptr) return;  // raced with shutdown teardown
-  c->worker_start = std::chrono::steady_clock::now();
-
+void TcpServer::Serve(Conn& c) {
+  c.serve_start = std::chrono::steady_clock::now();
   bool drop = false;
+  bool yield = false;  // the kernel buffer is (probably) drained
+  int reads = 0;
   for (;;) {
-    if (!ParseFrames(*c)) {
+    if (!ParseFrames(c)) {
       drop = true;
       break;
     }
-    if (c->over_cap || c->close_after_drain) {
+    if (c.over_cap || c.close_after_drain || yield) {
       // Backpressure (or peer EOF): stop consuming input. Unread bytes
       // stay in the kernel buffer, so TCP flow control throttles the
       // sender; leftover complete frames in inbuf resume after drain.
       break;
     }
     std::uint8_t buf[kReadChunk];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      c->inbuf.insert(c->inbuf.end(), buf, buf + n);
+      c.inbuf.insert(c.inbuf.end(), buf, buf + n);
+      // A short read emptied the socket; a long one may leave more,
+      // which level-triggered epoll reports again after this pass.
+      yield = static_cast<std::size_t>(n) < sizeof(buf) ||
+              ++reads == kMaxReadsPerPass;
       continue;
     }
     if (n == 0) {
       // Peer EOF. Replies already queued for this burst still go out
-      // (half-close friendly); the dispatcher closes once drained.
-      c->close_after_drain = true;
+      // (half-close friendly); the loop closes once drained.
+      c.close_after_drain = true;
       break;
     }
     if (errno == EINTR) continue;
@@ -596,72 +583,98 @@ void TcpServer::ServeReadable(int fd) {
   }
 
   // End-of-burst flush: every reply queued above goes out in one gather
-  // write (syscalls per burst, not per reply). Residue re-arms POLLOUT.
-  if (!drop && !c->outq.empty() && !FlushConn(*c)) drop = true;
-  if (!drop && c->close_after_drain && c->outq.empty()) drop = true;
-
-  {
-    std::lock_guard lock(mu_);
-    if (drop) {
-      pending_close_.push_back(fd);
-    } else {
-      pending_rearm_.push_back(fd);
-    }
+  // write (syscalls per burst, not per reply). Residue arms EPOLLOUT.
+  if (!drop && !c.outq.empty() && !FlushConn(c)) drop = true;
+  if (!drop && c.close_after_drain && c.outq.empty()) drop = true;
+  if (drop) {
+    CloseConn(c);
+    return;
   }
-  Wake();
+  Arm(c);
 }
 
-void TcpServer::CloseConn(int fd) {
-  bool do_close = false;
-  {
-    std::lock_guard lock(mu_);
-    auto it = conns_.find(fd);
-    if (it != conns_.end()) {
-      queued_bytes_.fetch_sub(it->second->out_bytes,
-                              std::memory_order_relaxed);
-      conns_.erase(it);
-      do_close = true;
-    }
+void TcpServer::Arm(Conn& c) {
+  const std::uint32_t want = c.outq.empty() ? EPOLLIN : EPOLLOUT;
+  if (want == c.armed) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.ptr = &c;
+  if (::epoll_ctl(c.loop->epoll_fd, EPOLL_CTL_MOD, c.fd, &ev) < 0) {
+    CX_LOG(kError, "tcp") << "epoll_ctl(MOD) failed: " << std::strerror(errno);
+    CloseConn(c);
+    return;
   }
-  if (do_close) ::close(fd);
+  c.armed = want;
+}
+
+void TcpServer::CloseConn(Conn& c) {
+  Loop& loop = *c.loop;
+  const int fd = c.fd;
+  if (c.stall_listed) std::erase(loop.stalled, &c);
+  loop.queued_bytes.fetch_sub(c.out_bytes, std::memory_order_relaxed);
+  loop.live.fetch_sub(1, std::memory_order_relaxed);
+  ::close(fd);  // also leaves the epoll set
+  loop.conns.erase(fd);  // frees c
+}
+
+int TcpServer::SweepStalled(Loop& loop) {
+  using clock = std::chrono::steady_clock;
+  const auto deadline = std::chrono::milliseconds(options_.stall_deadline_ms);
+  const auto now = clock::now();
+  int timeout_ms = -1;
+  for (std::size_t i = 0; i < loop.stalled.size();) {
+    Conn& c = *loop.stalled[i];
+    if (!c.over_cap || now - c.stall_since >= deadline) {
+      c.stall_listed = false;
+      loop.stalled[i] = loop.stalled.back();
+      loop.stalled.pop_back();
+      if (c.over_cap) {
+        stats_.slow_client_disconnects->Add(1);
+        CX_LOG(kWarn, "tcp")
+            << "disconnecting slow reader fd=" << c.fd << " (" << c.out_bytes
+            << " bytes queued past deadline)";
+        CloseConn(c);
+      }
+      continue;
+    }
+    // Rounded up, so the wait ends at or after the deadline, not spinning
+    // just before it.
+    const int rem_ms = static_cast<int>(
+        std::chrono::ceil<std::chrono::milliseconds>(c.stall_since + deadline -
+                                                     now)
+            .count());
+    timeout_ms = timeout_ms < 0 ? rem_ms : std::min(timeout_ms, rem_ms);
+    ++i;
+  }
+  return timeout_ms;
 }
 
 void TcpServer::Stop() {
-  if (!running_.exchange(false)) {
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    return;
+  if (!running_.exchange(false)) return;
+  const std::uint64_t wake = 1;
+  for (const auto& loop : loops_) {
+    (void)!::write(loop->inbox_fd, &wake, sizeof(wake));
   }
-  // Unblock accept()/poll().
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  Wake();
-  if (poll_thread_.joinable()) poll_thread_.join();
-  {
-    std::lock_guard lock(mu_);
-    for (auto& [fd, conn] : conns_) ::shutdown(fd, SHUT_RDWR);
+  for (const auto& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-  // Queued/in-flight workers see EOF/errors fast now; drain them all.
-  // Conn objects stay alive until the pool is down — workers hold raw
-  // pointers into the registry.
-  pool_->Shutdown();
-
-  std::vector<int> leftovers;
-  {
-    std::lock_guard lock(mu_);
-    leftovers.reserve(conns_.size());
-    for (auto& [fd, conn] : conns_) leftovers.push_back(fd);
-    pending_rearm_.clear();
-    pending_close_.clear();
+  // The loops are down: their connections (and fds handed off but never
+  // adopted) are this thread's to close. The Loop objects stay until the
+  // next Start, so GetStats never races their teardown.
+  for (const auto& loop : loops_) {
+    for (auto& [fd, conn] : loop->conns) ::close(fd);
+    loop->conns.clear();
+    loop->stalled.clear();
+    for (const int fd : loop->inbox) ::close(fd);
+    loop->inbox.clear();
+    loop->queued_bytes.store(0, std::memory_order_relaxed);
+    loop->live.store(0, std::memory_order_relaxed);
+    ::close(loop->epoll_fd);
+    ::close(loop->inbox_fd);
+    loop->epoll_fd = loop->inbox_fd = -1;
   }
-  for (int fd : leftovers) CloseConn(fd);
-
   ::close(listen_fd_);
   listen_fd_ = -1;
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
 }
 
 TcpClient::~TcpClient() { Close(); }
@@ -680,9 +693,16 @@ Status TcpClient::Connect(const std::string& host, std::uint16_t port) {
     Close();
     return Status::Error(ErrorCode::kInvalidArgument, "bad host: " + host);
   }
+  if (io_deadline_.count() > 0) {
+    // Linux applies SO_SNDTIMEO to connect() as well.
+    const auto ms = io_deadline_.count();
+    const timeval tv{static_cast<time_t>(ms / 1000),
+                     static_cast<suseconds_t>((ms % 1000) * 1000)};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  }
   if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status s = Status::Error(
-        ErrorCode::kUnavailable, std::string("connect: ") + std::strerror(errno));
+    const Status s = SocketError("connect");
     Close();
     return s;
   }

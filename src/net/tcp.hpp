@@ -5,40 +5,40 @@
 // against the server. This is a minimal length-prefixed RPC over TCP with
 // persistent connections.
 //
-// The server multiplexes all connections over a poll(2) dispatcher plus a
-// bounded ThreadPool instead of one dedicated thread per connection:
-// a connection with a readable socket is handed to a pool worker, which
-// parses every fully buffered request frame (pipelining: a client may
-// send many frames before reading any reply; replies come back in order),
-// queues the replies, and re-arms the connection with the dispatcher.
-// 10k mostly idle connections therefore cost 10k fds, not 10k threads.
+// The server runs N epoll event loops, each owning its connections: the
+// loop whose epoll_wait reports a connection ready reads it, parses every
+// fully buffered request frame (pipelining: a client may send many
+// frames before reading any reply; replies come back in order), runs the
+// handler, flushes the replies and re-arms the connection itself, so a
+// request never changes threads. One loop also accepts, and hands each
+// new connection through an eventfd inbox to the loop with the fewest
+// live connections. 10k mostly idle connections therefore cost 10k fds,
+// not 10k threads; a handler that blocks holds up its loop's other
+// connections, so no verb may wait on another node.
 //
-// Replies never block a worker: each connection carries a non-blocking
+// Replies never block a loop: each connection carries a non-blocking
 // outbound queue of owned-or-shared byte chunks (zero-copy Response
 // segments are queued by reference, with the owner pin that keeps their
 // bytes alive), flushed with one gather sendmsg per readable burst. A
-// partial write re-arms the connection for POLLOUT in the dispatcher
-// instead of spinning the worker; while the queue is non-empty the
-// server reads nothing more from that connection, so TCP flow control
-// pushes back on pipelining senders. A connection whose
-// queue exceeds `max_outbound_bytes` and fails to drain back under the
-// cap within `stall_deadline_ms` is a pathological slow reader and gets
-// disconnected — the socket-level analogue of the deadlock-avoidance
-// yield: one bad participant must not pin resources everyone shares.
+// partial write arms the connection for EPOLLOUT instead of spinning;
+// while the queue is non-empty the server reads nothing more from that
+// connection, so TCP flow control pushes back on pipelining senders. A
+// connection whose queue exceeds `max_outbound_bytes` and fails to drain
+// back under the cap within `stall_deadline_ms` is a pathological slow
+// reader and gets disconnected — the socket-level analogue of the
+// deadlock-avoidance yield: one bad participant must not pin resources
+// everyone shares.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace communix::net {
 
@@ -48,7 +48,8 @@ class TcpServer {
   struct Options {
     /// 0 picks an ephemeral port (see port()).
     std::uint16_t port = 0;
-    /// Pool workers handling request frames; 0 = max(4, hw concurrency).
+    /// Event loops serving connections (each one thread); 0 = max(4, hw
+    /// concurrency).
     std::size_t worker_threads = 0;
     /// Per-connection outbound queue cap. Crossing it marks the
     /// connection stalled (backpressure_stalls) and stops request intake
@@ -70,7 +71,6 @@ class TcpServer {
     std::uint64_t backpressure_stalls = 0;    ///< queue crossed the cap
     std::uint64_t slow_client_disconnects = 0;
     std::uint64_t peak_outbound_queue_bytes = 0;
-    std::uint64_t wake_pipe_full_wakes = 0;   ///< Wake() hit a full pipe
     /// Reply bytes queued right now, summed over live connections (not
     /// monotonic): 0 once every queued reply has been flushed.
     std::uint64_t outbound_queue_bytes = 0;
@@ -83,14 +83,15 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  /// Binds, listens and starts the dispatcher + worker pool.
+  /// Binds, listens and starts the event loops.
   Status Start();
-  /// Stops accepting, closes all connections, joins dispatcher + workers.
+  /// Stops accepting, joins the loops, closes all connections.
   void Stop();
 
   std::uint16_t port() const { return port_; }
   bool running() const { return running_.load(); }
-  std::size_t worker_threads() const;
+  /// Event loops of the last Start (0 before it).
+  std::size_t worker_threads() const { return loops_.size(); }
   Stats GetStats() const;
   /// The registry the transport reports into (never null).
   const std::shared_ptr<obs::MetricsRegistry>& metrics() const {
@@ -99,11 +100,18 @@ class TcpServer {
 
  private:
   struct Conn;
+  struct Loop;
 
-  void PollLoop();
-  /// Pool task: parse buffered request frames on `fd`, queue replies,
-  /// flush once, then re-arm the connection with the dispatcher.
-  void ServeReadable(int fd);
+  /// One loop's thread: wait, serve whatever is ready, sweep stalls.
+  void Run(Loop& loop);
+  /// Accepts every pending connection and places each on a loop.
+  void AcceptAll(Loop& self);
+  /// Registers accepted `fd` with `loop` (on the loop's own thread).
+  void Adopt(Loop& loop, int fd);
+  /// Reads, parses and answers `c` until its input is drained, its
+  /// queue is over the cap or the peer is gone, then flushes once and
+  /// re-arms it (or closes it).
+  void Serve(Conn& c);
   /// Parses every complete frame in c.inbuf (stops at the queue cap) and
   /// queues the replies. False = framing violation, drop the connection.
   bool ParseFrames(Conn& c);
@@ -113,19 +121,22 @@ class TcpServer {
   /// Gather-flushes c.outq until empty or EAGAIN. False = fatal socket
   /// error (drop the connection); EAGAIN is success with residue.
   bool FlushConn(Conn& c);
-  /// Closes + forgets `fd` exactly once (registry-guarded).
-  void CloseConn(int fd);
-  /// Pokes the dispatcher out of poll().
-  void Wake();
+  /// Waits for EPOLLIN while c.outq is empty, for EPOLLOUT otherwise.
+  void Arm(Conn& c);
+  /// Closes and frees `c` (on its loop's thread).
+  void CloseConn(Conn& c);
+  /// Disconnects the loop's over-cap connections past the stall
+  /// deadline; returns the epoll_wait timeout to the next deadline.
+  int SweepStalled(Loop& loop);
 
   RequestHandler& handler_;
   Options options_;
   std::uint16_t port_;
   int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> running_{false};
-  std::thread poll_thread_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::vector<std::unique_ptr<Loop>> loops_;
+  /// Where the next placement's tie-break starts (accepting loop only).
+  std::size_t next_loop_ = 0;
 
   /// Registry-owned counters (pointers stable for the registry's life;
   /// the registry outlives the server via metrics_).
@@ -134,23 +145,9 @@ class TcpServer {
     obs::Counter* backpressure_stalls = nullptr;
     obs::Counter* slow_client_disconnects = nullptr;
     obs::Gauge* peak_outbound_queue_bytes = nullptr;  // high-water mark
-    obs::Counter* wake_pipe_full_wakes = nullptr;
   };
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   Counters stats_;
-  /// Sum of Conn::out_bytes over live connections (Stats).
-  std::atomic<std::uint64_t> queued_bytes_{0};
-
-  std::mutex mu_;
-  /// Every live connection, keyed by fd. A connection is owned EITHER by
-  /// the poll loop (armed) OR by exactly one worker (being served); the
-  /// handoff through pending_rearm_/pending_close_ under mu_ orders all
-  /// access to its buffers, so Conn itself needs no lock. Stop() destroys
-  /// entries only after the pool has drained.
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  /// Served connections waiting to rejoin the poll set / to be closed.
-  std::vector<int> pending_rearm_;
-  std::vector<int> pending_close_;
 };
 
 /// Blocking TCP client. Call() is the one-outstanding-request path;
@@ -162,6 +159,11 @@ class TcpServer {
 class TcpClient final : public PipelinedClientTransport {
  public:
   TcpClient() = default;
+  /// `io_deadline` > 0 bounds each blocking connect, send and receive
+  /// step (SO_SNDTIMEO / SO_RCVTIMEO): a peer that accepts and never
+  /// answers fails the call with kUnavailable instead of hanging it.
+  explicit TcpClient(std::chrono::milliseconds io_deadline)
+      : io_deadline_(io_deadline) {}
   ~TcpClient() override;
 
   TcpClient(const TcpClient&) = delete;
@@ -177,6 +179,7 @@ class TcpClient final : public PipelinedClientTransport {
 
  private:
   int fd_ = -1;
+  std::chrono::milliseconds io_deadline_{0};
 };
 
 /// A self-healing PipelinedClientTransport over one TcpClient: every
@@ -189,8 +192,10 @@ class TcpClient final : public PipelinedClientTransport {
 /// shipper reconnects and resumes from the follower's persisted length.
 class ReconnectingTcpClient final : public PipelinedClientTransport {
  public:
-  ReconnectingTcpClient(std::string host, std::uint16_t port)
-      : host_(std::move(host)), port_(port) {}
+  /// `io_deadline` bounds every connect, send and receive (TcpClient).
+  ReconnectingTcpClient(std::string host, std::uint16_t port,
+                        std::chrono::milliseconds io_deadline = {})
+      : host_(std::move(host)), port_(port), client_(io_deadline) {}
 
   Status Send(const Request& request) override;
   Result<Response> Receive() override;

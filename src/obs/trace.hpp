@@ -3,9 +3,10 @@
 // Every served request gets one fixed-size TraceRecord attributing its
 // latency to the pipeline stages a frame passes through on the TCP tier:
 //
-//   accept     poll loop saw the socket readable -> a worker picked the
-//              connection up (dispatcher/pool handoff latency)
-//   queue_wait worker start -> this frame's parse began (time spent
+//   accept     epoll_wait reported the socket ready -> its event loop
+//              began serving it (about 0: the loop that sees a socket
+//              serves it; more only behind connections ready before it)
+//   queue_wait serving began -> this frame's parse began (time spent
 //              behind earlier frames of the same pipelined burst)
 //   parse      Request::Deserialize
 //   store op   time inside the signature store (log append, ReadSince,

@@ -340,10 +340,12 @@ TEST(StatsScrape, TwoProcessDeploymentYieldsOneConsistentSnapshot) {
   for (const obs::MetricsSnapshot* snap : {&*p_saved, &*f_saved}) {
     for (const char* name :
          {"store.persist.entries", "store.persist.superseded",
-          "store.persist.bytes_written", "store.persist.rewrites"}) {
+          "store.persist.bytes_written", "store.persist.rewrites",
+          "store.persist.failures"}) {
       EXPECT_TRUE(snap->Has(name)) << name;
     }
     EXPECT_EQ(snap->Value("store.persist.superseded"), 0u);
+    EXPECT_EQ(snap->Value("store.persist.failures"), 0u);
     EXPECT_GE(snap->Value("store.persist.rewrites"), 1u);
     const auto* save_ns = snap->FindHistogram("store.persist.save_ns");
     ASSERT_NE(save_ns, nullptr);

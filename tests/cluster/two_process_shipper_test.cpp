@@ -12,9 +12,16 @@
 //     mark loses nothing their store.persist.* gauges reported as on
 //     disk: each restarts on its own file with its epoch and at least
 //     those entries (the primary's mark included), and shipping
-//     converges.
+//     converges;
+//   * a follower that accepts and never answers wedges nothing: the
+//     primary still answers kStats at once, and a SIGTERM'd primary
+//     exits within the shipper's follower deadline with its ADDs saved.
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/select.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -110,6 +117,25 @@ class ServerProcess {
     ::close(pipe_fds[1]);
     stdout_fd_ = pipe_fds[0];
     return WaitForListeningLine();
+  }
+
+  /// SIGTERM, then waits up to `limit` for the daemon to exit. True if it
+  /// exited with status 0 in time; otherwise it is SIGKILLed.
+  bool TerminateWithin(std::chrono::milliseconds limit) {
+    ::kill(pid_, SIGTERM);
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    int status = 0;
+    pid_t reaped = 0;
+    while ((reaped = ::waitpid(pid_, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (reaped == 0) {
+      ::kill(pid_, SIGKILL);
+      ::waitpid(pid_, &status, 0);
+    }
+    pid_ = -1;
+    return reaped > 0 && WIFEXITED(status) && WEXITSTATUS(status) == 0;
   }
 
   /// Graceful shutdown: SIGTERM (the daemon saves its db), then reap.
@@ -481,6 +507,124 @@ TEST(TwoProcessShipper, SigkillKeepsWhatThePersistGaugesReported) {
   follower2.Terminate();
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+}
+
+/// SIGKILLs a daemon still running at scope exit, so a failed check
+/// cannot leave the test waiting on a primary that ignores SIGTERM.
+struct KillOnExit {
+  ServerProcess& process;
+  ~KillOnExit() {
+    if (process.running()) process.Terminate(SIGKILL);
+  }
+};
+
+/// A follower endpoint that completes TCP handshakes (the kernel queues
+/// each connection on its backlog) and never reads or answers.
+class SilentFollower {
+ public:
+  SilentFollower() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+        ::listen(fd_, 16) == 0 &&
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      port_ = ntohs(addr.sin_port);
+    }
+  }
+  ~SilentFollower() {
+    for (const int fd : accepted_) ::close(fd);
+    ::close(fd_);
+  }
+
+  std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(port_);
+  }
+
+  /// True once a connection has delivered request bytes, which stay
+  /// unread: the sender's step is in flight and will get no reply.
+  bool AwaitRequest(int timeout_ms) {
+    pollfd listening{fd_, POLLIN, 0};
+    if (::poll(&listening, 1, timeout_ms) != 1) return false;
+    const int conn = ::accept(fd_, nullptr, nullptr);
+    if (conn < 0) return false;
+    accepted_.push_back(conn);
+    pollfd request{conn, POLLIN, 0};
+    return ::poll(&request, 1, timeout_ms) == 1;
+  }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::vector<int> accepted_;
+};
+
+TEST(TwoProcessShipper, SilentFollowerLeavesStatsServed) {
+  const std::string dir = ::testing::TempDir() + "/communix_silent_stats_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SilentFollower silent;
+  ServerProcess primary;
+  const KillOnExit kill_on_exit{primary};
+  ASSERT_TRUE(primary.Start({"--port", "0", "--db", dir + "/p.db",
+                             "--follower", silent.endpoint()}));
+  ASSERT_TRUE(silent.AwaitRequest(10'000))
+      << "the primary's shipper never sent its handshake";
+
+  // The shipper waits on the silent follower now. A scrape must not: the
+  // client's own deadline turns a wedged primary into a failure here.
+  net::TcpClient client(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(client.Connect("127.0.0.1", primary.port()).ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto reply = client.Call(net::BuildStatsRequest(net::StatsRequest{}));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  const auto snap = net::ParseStatsReply(reply.value());
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->Value("cluster.shipper.followers"), 1u);
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "kStats waited on the shipper's follower I/O";
+
+  // At the follower deadline the handshake fails and drops the session.
+  EXPECT_TRUE(ScrapeUntil(primary.port(), [](const obs::MetricsSnapshot& s) {
+                return s.Value("cluster.shipper.drops") >= 1;
+              }).has_value())
+      << "the silent follower's session was never dropped";
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TwoProcessShipper, SilentFollowerDoesNotHoldShutdown) {
+  const std::string dir = ::testing::TempDir() +
+                          "/communix_silent_shutdown_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string pdb = dir + "/p.db";
+  SilentFollower silent;
+  ServerProcess primary;
+  const KillOnExit kill_on_exit{primary};
+  ASSERT_TRUE(primary.Start({"--port", "0", "--db", pdb, "--limit", "1000",
+                             "--follower", silent.endpoint()}));
+  ASSERT_TRUE(silent.AwaitRequest(10'000))
+      << "the primary's shipper never sent its handshake";
+  constexpr std::uint32_t kBatches = 2;
+  constexpr std::uint32_t kPerBatch = 5;
+  StormOverTcp(primary.port(), kBatches, kPerBatch, 0);
+
+  // Stop joins the shipper, whose step ends at the follower deadline at
+  // the latest; then the final save runs.
+  EXPECT_TRUE(primary.TerminateWithin(LogShipper::kFollowerDeadline +
+                                      std::chrono::seconds(1)))
+      << "the SIGTERM'd primary did not exit cleanly in time";
+  VirtualClock clock;
+  CommunixServer reloaded(clock);
+  ASSERT_TRUE(reloaded.LoadFromFile(pdb).ok());
+  EXPECT_EQ(reloaded.db_size(), kBatches * kPerBatch)
+      << "the DB file lacks ADDs the primary accepted";
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -5,6 +7,7 @@
 
 #include "../testutil.hpp"
 #include "communix/server.hpp"
+#include "net/message.hpp"
 #include "util/clock.hpp"
 
 namespace communix {
@@ -94,6 +97,44 @@ TEST(ServerPersistenceTest, LoadRejectsCorruptFile) {
   CommunixServer server(clock);
   EXPECT_EQ(server.LoadFromFile(path).code(), ErrorCode::kDataLoss);
   std::remove(path.c_str());
+}
+
+/// store.persist.failures in the server's kStats snapshot.
+std::uint64_t SaveFailures(CommunixServer& server) {
+  const auto snap = net::ParseStatsReply(
+      server.Handle(net::BuildStatsRequest(net::StatsRequest{})));
+  EXPECT_TRUE(snap.has_value());
+  EXPECT_TRUE(snap.has_value() && snap->Has("store.persist.failures"));
+  return snap.has_value() ? snap->Value("store.persist.failures") : 0;
+}
+
+TEST(ServerPersistenceTest, FailedSavesAreCounted) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("communix_missing_dir_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "db.bin").string();
+  VirtualClock clock;
+  CommunixServer server(clock);
+  ASSERT_TRUE(server.AddSignature(server.IssueToken(1), MakeSig(0)).ok());
+  EXPECT_EQ(SaveFailures(server), 0u);
+
+  // Saving into a directory that does not exist fails, every tick.
+  EXPECT_FALSE(server.SaveToFile(path).ok());
+  EXPECT_FALSE(server.SaveToFile(path).ok());
+  const std::uint64_t failed = SaveFailures(server);
+  EXPECT_GE(failed, 1u);
+
+  // Once the directory exists, saves succeed and the count stops rising.
+  std::filesystem::create_directories(dir);
+  EXPECT_TRUE(server.SaveToFile(path).ok());
+  EXPECT_TRUE(server.SaveToFile(path).ok());
+  EXPECT_EQ(SaveFailures(server), failed);
+
+  CommunixServer restarted(clock);
+  ASSERT_TRUE(restarted.LoadFromFile(path).ok());
+  EXPECT_EQ(restarted.db_size(), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerPersistenceTest, LoadMissingFileIsNotFound) {

@@ -133,10 +133,18 @@ TEST(AvoidanceIndexTest, DeltaRebuildChainMatchesFullBuild) {
           contents.push_back(repl.ContentId());
         }
       }
-      auto delta = RebuildFromJournal(*index, h, step);
+      const auto changed = h.TakeChangedRecords();
+      ASSERT_TRUE(changed.has_value());
+      auto delta = AvoidanceIndex::Rebuild(*index, h, *changed, step);
       const auto full = AvoidanceIndex::Build(h, step);
       ExpectObservationallyEqual(*full, *delta, h, step);
       EXPECT_EQ(full->entries_reused(), 0u);
+      // The key counts the runtime sizes its table from, before building.
+      EXPECT_EQ(AvoidanceIndex::KeyCountAfter(*index, h, *changed),
+                delta->key_count())
+          << "step " << step;
+      EXPECT_EQ(AvoidanceIndex::KeyCount(h), full->key_count())
+          << "step " << step;
       // Every entry was either taken over from the previous snapshot (the
       // same object) or copied in for a record this step changed.
       std::size_t copied = 0;

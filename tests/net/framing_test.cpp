@@ -223,7 +223,7 @@ TEST(FramingTest, EveryByteReplyTruncationErrorsCleanly) {
 // body together, so the server's first read after the socket turns
 // readable returns the whole frame. A header sent on its own (on a
 // TCP_NODELAY socket) usually arrives alone and costs the server an extra
-// dispatcher round per request.
+// event-loop round per request.
 // ---------------------------------------------------------------------------
 TEST(FramingTest, ClientRequestReachesServerInOneSegment) {
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -254,7 +254,7 @@ TEST(FramingTest, ClientRequestReachesServerInOneSegment) {
   const std::size_t frame_size = FrameFor(req).size();
 
   // The server side is parked in poll() before each request goes out,
-  // as a dispatcher thread would be, so it wakes on the first segment.
+  // as an event loop would be, so it wakes on the first segment.
   constexpr int kRequests = 200;
   std::atomic<int> parked{-1};
   int whole = 0;

@@ -1,7 +1,7 @@
 // Slow-client containment: one pathological reader draining its replies
-// a byte at a time must not pin the worker pool, must not queue
+// a byte at a time must not pin the event loop, must not queue
 // unbounded reply bytes, and must be disconnected at the stall deadline
-// — while healthy clients on the same (single-worker!) server keep
+// — while healthy clients on the same (single-loop!) server keep
 // getting flat-latency replies. This is the socket-level analogue of
 // the Dimmunix yield: one bad participant cannot starve the rest.
 #include <arpa/inet.h>
@@ -83,7 +83,7 @@ TEST(SlowClientTest, OneByteReaderIsContainedAndDisconnected) {
   using clock = std::chrono::steady_clock;
   BigReplyHandler handler;
   TcpServer::Options opts;
-  opts.worker_threads = 1;  // containment must not rely on spare workers
+  opts.worker_threads = 1;  // containment must not rely on spare loops
   opts.max_outbound_bytes = kQueueCap;
   opts.stall_deadline_ms = kStallDeadlineMs;
   TcpServer server(handler, opts);
@@ -108,10 +108,11 @@ TEST(SlowClientTest, OneByteReaderIsContainedAndDisconnected) {
   }
   slow.Send(frames.data(), frames.size());
 
-  // Healthy clients keep polling the same single-worker server the whole
-  // time the slow socket is stalled. Every ping must round-trip — with
-  // the old blocking reply write, the worker would sit inside send() on
-  // the stalled socket and these would hang for the full I/O timeout.
+  // Healthy clients keep polling the same single-loop server the whole
+  // time the slow socket is stalled, on the loop that also serves it.
+  // Every ping must round-trip — with a blocking reply write, the loop
+  // would sit inside send() on the stalled socket and these would hang
+  // for the full I/O timeout.
   const auto t0 = clock::now();
   constexpr int kHealthyClients = 4;
   constexpr int kPingsPerClient = 10;
@@ -169,12 +170,12 @@ TEST(SlowClientTest, OneByteReaderIsContainedAndDisconnected) {
   EXPECT_LE(stats.peak_outbound_queue_bytes,
             kQueueCap + kBigReplyBytes + 64u);
 
-  // The worker pool was never pinned: every healthy poll round-tripped,
+  // The loop was never pinned: every healthy poll round-tripped,
   // promptly, throughout the stall window.
   EXPECT_EQ(ping_failures.load(), 0);
   EXPECT_LT(worst_ping_ms.load(), 5000)
       << "healthy-client latency must stay flat while the slow socket "
-         "stalls (blocking-write servers park the worker for the full "
+         "stalls (blocking-write servers park the thread for the full "
          "I/O timeout here)";
 
   server.Stop();

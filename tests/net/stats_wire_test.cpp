@@ -207,6 +207,8 @@ TEST(StatsServingTest, AnyRoleServesAConsistentSnapshot) {
     EXPECT_GT(snap->captured_unix_ns, 0u);
     EXPECT_TRUE(snap->Has("server.adds_processed"));
     EXPECT_TRUE(snap->Has("server.stats_served"));
+    EXPECT_TRUE(snap->Has("store.persist.failures"));
+    EXPECT_EQ(snap->Value("store.persist.failures"), 0u);
     EXPECT_NE(snap->FindHistogram("server.get.read_ns"), nullptr);
     EXPECT_TRUE(snap->traces.empty()) << "traces not requested";
     EXPECT_EQ(server.GetStats().stats_served, 1u);

@@ -1,5 +1,7 @@
 #include "net/tcp.hpp"
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -164,7 +166,7 @@ TEST(TcpTest, MalformedRequestGetsErrorResponse) {
 
 TEST(TcpTest, PipelinedRequestsAnsweredInOrder) {
   // The client sends a burst of frames before reading any reply; the
-  // pool-dispatched server must answer all of them, in request order.
+  // event-loop server must answer all of them, in request order.
   EchoHandler handler;
   TcpServer server(handler);
   ASSERT_TRUE(server.Start().ok());
@@ -191,8 +193,8 @@ TEST(TcpTest, PipelinedRequestsAnsweredInOrder) {
 }
 
 TEST(TcpTest, MoreConnectionsThanWorkers) {
-  // thread-per-connection would need 24 threads here; the dispatcher must
-  // multiplex 24 concurrent connections over a 2-worker pool.
+  // thread-per-connection would need 24 threads here; the server must
+  // multiplex 24 concurrent connections over 2 event loops.
   EchoHandler handler;
   TcpServer::Options options;
   options.worker_threads = 2;
@@ -278,6 +280,107 @@ TEST(TcpTest, ServerSurvivesClientDisconnect) {
   server.Stop();
 }
 
+/// Answers every request with an empty OK reply (a near-empty GET).
+class EmptyReplyHandler final : public RequestHandler {
+ public:
+  Response Handle(const Request&) override { return Response{}; }
+};
+
+/// Voluntary context switches of `who` (RUSAGE_SELF or RUSAGE_THREAD).
+long VoluntarySwitches(int who) {
+  rusage ru{};
+  ::getrusage(who, &ru);
+  return ru.ru_nvcsw;
+}
+
+TEST(TcpTest, OneServerWakePerSequentialRequest) {
+  // A request is served on the loop that saw its socket ready, so the
+  // server blocks once per sequential request: in that loop's
+  // epoll_wait. Handing the socket to another thread, and back to flush,
+  // would cost each request more wakes. Only voluntary switches count:
+  // involuntary ones grow with the host's load.
+  EmptyReplyHandler handler;
+  TcpServer server(handler);
+  ASSERT_TRUE(server.Start().ok());
+  TcpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  Request get;
+  get.type = MsgType::kGetSignatures;
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(client.Call(get).ok());
+
+  // Server threads = the process minus this (client) thread.
+  constexpr int kRequests = 2000;
+  const long before =
+      VoluntarySwitches(RUSAGE_SELF) - VoluntarySwitches(RUSAGE_THREAD);
+  for (int i = 0; i < kRequests; ++i) {
+    auto result = client.Call(get);
+    ASSERT_TRUE(result.ok() && result.value().ok());
+  }
+  const long after =
+      VoluntarySwitches(RUSAGE_SELF) - VoluntarySwitches(RUSAGE_THREAD);
+  const double per_request =
+      static_cast<double>(after - before) / static_cast<double>(kRequests);
+  EXPECT_LE(per_request, 1.5)
+      << "server threads blocked " << per_request
+      << " times per sequential request";
+  client.Close();
+  server.Stop();
+}
+
+/// Holds a ping whose payload starts with 1 for 400 ms before echoing.
+class SlowPingHandler final : public RequestHandler {
+ public:
+  Response Handle(const Request& request) override {
+    if (!request.payload.empty() && request.payload[0] == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    }
+    Response resp;
+    resp.payload = request.payload;
+    return resp;
+  }
+};
+
+TEST(TcpTest, BackToBackConnectionsLandOnDistinctLoops) {
+  // A loop runs its handlers inline, so two connections on one loop wait
+  // on each other. Placement spreads them: each new connection goes to a
+  // loop with the fewest, ties rotating away from the last one placed.
+  SlowPingHandler handler;
+  TcpServer::Options options;
+  options.worker_threads = 2;
+  TcpServer server(handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  Request ping;
+  ping.type = MsgType::kPing;
+  ping.payload = {2};
+  // One connection per loop, then the first one closes: the loops hold
+  // 0 and 1 connections.
+  TcpClient first, second;
+  ASSERT_TRUE(first.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(second.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(first.Call(ping).ok());
+  ASSERT_TRUE(second.Call(ping).ok());
+  first.Close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // The emptier loop takes `slow`; the tie after it must not put `fast`
+  // on the same loop.
+  TcpClient slow, fast;
+  ASSERT_TRUE(slow.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(fast.Connect("127.0.0.1", server.port()).ok());
+  Request hold;
+  hold.type = MsgType::kPing;
+  hold.payload = {1};
+  ASSERT_TRUE(slow.Send(hold).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(fast.Call(ping).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(200))
+      << "the ping waited behind a request held on its loop";
+  ASSERT_TRUE(slow.Receive().ok());
+  server.Stop();
+}
+
 /// Open descriptors of this process, via /proc/self/fd.
 std::size_t CountOpenFds() {
   std::size_t count = 0;
@@ -325,7 +428,8 @@ TEST(TcpTest, LifecycleLeaksNoFds) {
     }
     server.Stop();
     open_clients.clear();  // release the client-side fds before counting
-    // listen fd, wake pipe (2), and every accepted conn fd are gone.
+    // listen fd, each loop's epoll fd and eventfd, and every accepted
+    // conn fd are gone.
     EXPECT_EQ(CountOpenFds(), before) << "fd leak in lifecycle round "
                                       << round;
   }

@@ -11,11 +11,13 @@
 #
 # Both the default and --tsan modes additionally run the net smoke:
 # slow-client containment (1-byte reader capped + disconnected while
-# healthy clients stay flat on a single-worker server), hostile framing
+# healthy clients stay flat on a single-loop server), hostile framing
 # (1-byte request trickle, every-byte reply truncation, pipelined-burst
 # reply coalescing, one segment per client request), and the two-process
 # shipper (pipelined ShipRound + SIGTERM/restart recovery against real
-# communix_server daemons over reconnecting TCP transports).
+# communix_server daemons over reconnecting TCP transports, and a
+# follower that accepts and never answers: kStats still answered at
+# once, SIGTERM still exits within the follower deadline).
 #
 # Both modes additionally run the cluster smoke:
 # a primary + 2 log-shipping followers over inproc transport with a
@@ -43,7 +45,7 @@
 # dimmunix + util + cluster test binaries — the concurrency-bearing
 # layers of the client runtime (fast-path publication protocol, direct
 # monitor handoff + wake turnstile, adaptive occupancy gate, schedule
-# harness, thread pool) and of the replication tier (feed reads racing
+# harness) and of the replication tier (feed reads racing
 # ADDs, kReplPull replies racing lineage changes, background shipper and
 # its commit park/wake handshake, two primaries' shippers racing into
 # one follower) — with a repeated run of the fairness and
@@ -56,10 +58,12 @@
 # snapshot reaches, candidates pointing into the shared entries) —
 # plus the agent and local-repository suites (incremental inspection),
 # the store, DB file parser, server persistence, zero-copy,
-# framing, slow-client and two-process suites over ASan-built daemons:
-# GET replies carry raw pointers into log memory through the outbound
-# queue, pinned only by their owner, which is exactly the lifetime error
-# ASan catches, the DB file parser reads every truncated, bit-flipped
+# framing, slow-client, TCP, fault-injection and two-process suites over
+# ASan-built daemons: GET replies carry raw pointers into log memory
+# through the outbound queue, pinned only by their owner, and each event
+# loop frees its connections (fds closed mid-batch, on errors, stalls
+# and Stop), which are exactly the lifetime errors ASan catches, the DB
+# file parser reads every truncated, bit-flipped
 # and hostile-count v1-v3 file of CheckpointTest, and the DB file loader
 # every cut-short and bit-flipped v4 file of V4FileTest.
 set -euo pipefail
@@ -118,10 +122,12 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # mark/Compact lineage changes, and the kMarkSuperseded verb.
   TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/cluster_tests \
       'ClusterSmoke.*:LogShipperTest.BackgroundDaemonShipsConcurrentAdds:LogShipperTest.CatchUpResetUnderConcurrentReadersIsSafe:LogShipperTest.FarBehindReplayUnderConcurrentReadersIsSafe:LogShipperTest.TwoPrimariesNeverInterleaveLineagesInOneFollower:LogShipperTest.Daemon*:ClusterClientTest.*Lineage*:ReplPullLineageTest.*:MarkSupersededWireTest.*:MarkSupersededServingTest.*'
-  # Net smoke under TSAN: the poll-loop/worker conn handoff, the
-  # non-blocking gather flush racing POLLOUT re-arms, slow-client
-  # containment, and the two-process shipper (a TSAN parent driving
-  # TSAN-built communix_server children over real sockets).
+  # Net smoke under TSAN: the accepting loop's eventfd hand-off of new
+  # connections to the other loops, Stop joining loops mid-serve, each
+  # loop's non-blocking gather flush and EPOLLOUT re-arms, and
+  # slow-client containment. The two-process shipper (a TSAN parent
+  # driving TSAN-built communix_server children over real sockets) runs
+  # below.
   TSAN_OPTIONS="${TSAN}" run_filtered ./build-tsan/net_tests \
       'SlowClientTest.*:FramingTest.*:TcpTest.*'
   # Two-process shipper plus the observability scrape: StatsScrape drives
@@ -149,16 +155,18 @@ if [[ "${1:-}" == "--asan" ]]; then
   # repository's incremental inspection cursor across load and append.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/communix_tests \
       'SignatureLogTest.*:*StoreBackendTest*:*ReadSinceTest*:ArenaReadTest.*:*ReplyPinTest*:CheckpointTest.*:*CheckpointStoreTest*:V4FileTest.*:ServerPersistenceTest.*:ServerTest.*:MalformedBatchTest.*:*ZeroCopyReplyTest*:AgentTest.*:RepositoryTest.*'
-  # Net: replies of many runs flushed across partial writes, and a slow
-  # reader disconnected with its queue still holding pinned runs.
+  # Net: replies of many runs flushed across partial writes, a slow
+  # reader disconnected with its queue still holding pinned runs, and
+  # the event loops' connection lifetimes: closed on garbage, oversized
+  # frames, abrupt disconnects and Stop, mid-batch.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/net_tests \
-      'FramingTest.*:SlowClientTest.*'
+      'FramingTest.*:SlowClientTest.*:TcpTest.*:FaultInjectionTest.*'
   # Two-process shipper against ASan-built communix_server daemons.
   ASAN_OPTIONS="${ASAN}" run_filtered ./build-asan/cluster_tests \
       'TwoProcessShipper.*'
   echo "ci: asan clean (dimmunix_tests, util_tests, store + DB file +" \
-       "server + zero-copy + agent + repository, framing + slow-client," \
-       "two-process shipper)"
+       "server + zero-copy + agent + repository, framing + slow-client +" \
+       "tcp + fault injection, two-process shipper)"
   exit 0
 fi
 

@@ -188,7 +188,8 @@ int main(int argc, char** argv) {
         return 2;
       }
       follower_clients.push_back(
-          std::make_unique<communix::net::ReconnectingTcpClient>(host, fport));
+          std::make_unique<communix::net::ReconnectingTcpClient>(
+              host, fport, communix::cluster::LogShipper::kFollowerDeadline));
       shipper->AddFollower(spec, *follower_clients.back());
     }
     shipper_probe = shipper->ExportStats(*metrics);
@@ -207,12 +208,24 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
+  bool saving = true;  // the last tick's save succeeded
   while (!g_stop) {
     communix::SystemClock::Instance().SleepFor(500'000'000);  // 0.5 s
     // Every tick saves: the save appends what committed since the last
     // one, rewrites the file after a lineage change or a superseded
-    // mark, and with nothing new only checks the file's length.
-    (void)server.SaveToFile(db_path);
+    // mark, and with nothing new only checks the file's length. Failures
+    // count in store.persist.failures; the log names only the first one
+    // and the recovery after it, not every tick.
+    const communix::Status saved = server.SaveToFile(db_path);
+    if (saved.ok() != saving) {
+      saving = saved.ok();
+      if (saving) {
+        CX_LOG(kInfo, "server") << "saves to " << db_path << " succeed again";
+      } else {
+        CX_LOG(kError, "server")
+            << "save to " << db_path << " failed: " << saved.ToString();
+      }
+    }
   }
 
   if (shipper.has_value()) {
